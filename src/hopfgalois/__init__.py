@@ -4,8 +4,7 @@ group-theoretically via regular permutation subgroups."""
 from .catalog import iso_type
 from .engine import (CosetAction, ExtensionProblem, HGStructure, NodeBudget,
                      coset_action, enumerate_regular_normalized,
-                     enumerate_via_transversal, induced_action_hom,
-                     translation_structure)
+                     enumerate_via_transversal, translation_structure)
 from .errors import BudgetExceeded, CapExceeded, NotNormalClosure
 from .groups import (FiniteGroup, GroupHom, SubgroupRef, abelian_invariants,
                      alternating, are_isomorphic, automorphism_group,
@@ -20,6 +19,6 @@ from .minimality import (ClassificationReport, StructureVerdict,
                          holomorph_minimality_certificate,
                          intermediate_subgroups, is_minimal,
                          minimal_lower_bound, normal_complements)
-from .perms import Perm, PermSet, compose, semiregular_cycle_type
+from .perms import Perm, PermSet
 
 __version__ = "0.1.0"

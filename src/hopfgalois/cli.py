@@ -1,10 +1,10 @@
 """Command-line interface: enumerate structures, reproduce the example catalog.
 
 Exit codes: 0 success, 2 the pair does not model a normal closure, 3 a size
-cap or the search budget was exhausted, 1 anything else (bad expression,
-unknown fixture, expectation mismatch).  Diagnostics go to stderr; reports
-go to stdout.  The environment variable HG_NODE_BUDGET overrides the search
-budget.
+cap or the search budget was exhausted, 1 anything else (usage error, bad
+expression, unknown fixture, expectation mismatch).  Diagnostics go to
+stderr; reports go to stdout.  The environment variable HG_NODE_BUDGET
+overrides the search budget.
 """
 
 from __future__ import annotations
@@ -36,15 +36,11 @@ def _budget_from_env() -> int:
         raise ValueError(f"HG_NODE_BUDGET must be an integer, got {raw!r}")
 
 
-def _subgroup_from_flags(args, built) -> "ExtensionProblem":
+def _problem(built, mode: str, subgroup_text: str | None = None) -> ExtensionProblem:
+    """The extension problem on the built group G for one choice of G': mode
+    is "galois", "stabilizer_of_point", "complement" or "subgroup", the last
+    with the generators text of G'."""
     group = built.group
-    chosen = [f for f in ("galois", "stabilizer_of_point", "complement") if getattr(args, f)]
-    if args.subgroup:
-        chosen.append("subgroup")
-    if len(chosen) != 1:
-        raise ValueError("exactly one of --galois, --stabilizer-of-point, "
-                         "--complement, --subgroup is required")
-    mode = chosen[0]
     if mode == "galois":
         return ExtensionProblem.galois(group)
     if mode == "stabilizer_of_point":
@@ -60,7 +56,7 @@ def _subgroup_from_flags(args, built) -> "ExtensionProblem":
     # --subgroup "gens[...]"
     if group.perm_degree is None:
         raise ValueError("--subgroup gens[...] needs a permutation group")
-    sub_built = build_text(args.subgroup)
+    sub_built = build_text(subgroup_text)
     if sub_built.group.perm_degree != group.perm_degree:
         raise ValueError("subgroup generators act on the wrong number of points")
     try:
@@ -71,7 +67,7 @@ def _subgroup_from_flags(args, built) -> "ExtensionProblem":
 
 
 def _report_document(expr_text: str, subgroup_desc: str, report: ClassificationReport,
-                     *, workers: int, degree_cap: int, budget_limit: int,
+                     *, degree_cap: int, budget_limit: int,
                      elapsed: float | None, canonical: bool = False) -> dict:
     problem = report.problem
     doc = {
@@ -104,12 +100,10 @@ def _report_document(expr_text: str, subgroup_desc: str, report: ClassificationR
             "node_budget": budget_limit,
         },
     }
-    # The node counter and worker count vary with the worker partition, and
-    # elapsed time varies per run; canonical mode keeps none of them so the
-    # output is byte-identical across runs and worker counts.
+    # Nodes and elapsed time measure the engine, not the answer; canonical
+    # mode leaves them out so the output is byte-identical across runs.
     if not canonical:
         doc["engine"]["nodes"] = report.nodes_used
-        doc["engine"]["workers"] = workers
         if elapsed is not None:
             doc["engine"]["elapsed_s"] = round(elapsed, 6)
     return doc
@@ -135,23 +129,25 @@ def _print_human(doc: dict) -> None:
     eng = doc["engine"]
     elapsed = f", elapsed {eng['elapsed_s']}s" if "elapsed_s" in eng else ""
     print(f"engine: degree cap {eng['degree_cap']}, nodes {eng['nodes']}, "
-          f"budget {eng['node_budget']}, workers {eng['workers']}{elapsed}")
+          f"budget {eng['node_budget']}{elapsed}")
 
 
 def cmd_enumerate(args) -> int:
     budget_limit = _budget_from_env()
     built = build_text(args.group)
-    problem = _subgroup_from_flags(args, built)
+    chosen = [f for f in ("galois", "stabilizer_of_point", "complement", "subgroup")
+              if getattr(args, f)]
+    if len(chosen) != 1:
+        raise ValueError("exactly one of --galois, --stabilizer-of-point, "
+                         "--complement, --subgroup is required")
+    mode = chosen[0]
+    problem = _problem(built, mode, args.subgroup)
     budget = NodeBudget(budget_limit)
     start = time.perf_counter()
-    report = classify(problem, degree_cap=args.degree_cap, budget=budget,
-                      workers=args.workers)
+    report = classify(problem, degree_cap=args.degree_cap, budget=budget)
     elapsed = None if args.canonical else time.perf_counter() - start
-    subgroup_desc = (args.subgroup if args.subgroup else
-                     next(f.replace("_", "-") for f in
-                          ("galois", "stabilizer_of_point", "complement")
-                          if getattr(args, f)))
-    doc = _report_document(args.group, subgroup_desc, report, workers=args.workers,
+    subgroup_desc = args.subgroup or mode.replace("_", "-")
+    doc = _report_document(args.group, subgroup_desc, report,
                            degree_cap=args.degree_cap, budget_limit=budget_limit,
                            elapsed=elapsed, canonical=args.canonical)
     if args.json or args.canonical:
@@ -174,25 +170,14 @@ def _check(checks: list, name: str, expected, actual) -> None:
 
 
 def _classify_text(expr: str, mode: str, budget: NodeBudget):
-    built = build_text(expr)
-    if mode == "galois":
-        problem = ExtensionProblem.galois(built.group)
-    elif mode == "stabilizer":
-        g = built.group
-        members = [i for i in range(len(g)) if g.raw(i)[0] == 0]
-        problem = ExtensionProblem(g, g.subgroup(members))
-    elif mode == "complement":
-        problem = ExtensionProblem(built.group, built.complement)
-    else:
-        raise ValueError(mode)
-    return classify(problem, budget=budget)
+    return classify(_problem(build_text(expr), mode), budget=budget)
 
 
 def _fixture_example1(budget: NodeBudget, _args) -> list[dict]:
     checks: list[dict] = []
     for expr, mode, n, typ in [("C(2)", "galois", 2, "C2"),
-                               ("S(3)", "stabilizer", 3, "C3"),
-                               ("S(4)", "stabilizer", 4, "E(2,2)")]:
+                               ("S(3)", "stabilizer_of_point", 3, "C3"),
+                               ("S(4)", "stabilizer_of_point", 4, "E(2,2)")]:
         rep = _classify_text(expr, mode, budget)
         _check(checks, f"{expr} degree {n}: one structure", 1, rep.structure_count)
         _check(checks, f"{expr} degree {n}: one minimal", 1, rep.minimal_count)
@@ -218,9 +203,7 @@ def _fixture_example2(budget: NodeBudget, _args) -> list[dict]:
 def _fixture_example3(budget: NodeBudget, _args) -> list[dict]:
     # degree-4 problem with dihedral closure group and cyclic normal complement
     checks: list[dict] = []
-    g = build_text("gens[(0 1 2 3), (1 3)]").group
-    stab = [i for i in range(len(g)) if g.raw(i)[0] == 0]
-    rep = classify(ExtensionProblem(g, g.subgroup(stab)), budget=budget)
+    rep = _classify_text("gens[(0 1 2 3), (1 3)]", "stabilizer_of_point", budget)
     _check(checks, "almost cyclic degree 4: two structures", 2, rep.structure_count)
     _check(checks, "almost cyclic degree 4: types", ["C4", "E(2,2)"], sorted(rep.types()))
     _check(checks, "almost cyclic degree 4: none minimal", 0, rep.minimal_count)
@@ -349,8 +332,6 @@ def main(argv=None) -> int:
     enum.add_argument("--json", action="store_true", help="machine-readable output")
     enum.add_argument("--canonical", action="store_true",
                       help="byte-stable JSON (drops the elapsed-time field)")
-    enum.add_argument("--workers", type=int, default=1,
-                      help="parallel search workers (default 1)")
     enum.add_argument("--degree-cap", type=int, default=DEGREE_CAP, dest="degree_cap")
     enum.set_defaults(func=cmd_enumerate)
 
@@ -360,7 +341,12 @@ def main(argv=None) -> int:
     cat.add_argument("--json", action="store_true")
     cat.set_defaults(func=cmd_catalog)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its message; exit 2 is reserved for a pair
+        # that does not model a normal closure, so a usage error returns 1.
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except NotNormalClosure as exc:

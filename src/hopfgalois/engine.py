@@ -10,8 +10,6 @@ extension the pair models.
 from __future__ import annotations
 
 import itertools
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 from .catalog import iso_type
 from .errors import BudgetExceeded, CapExceeded, NotNormalClosure
@@ -24,7 +22,7 @@ DEFAULT_NODE_BUDGET = 10_000_000
 
 
 class NodeBudget:
-    """A shared counter of search work; raises once the limit is hit.
+    """A counter of search work; raises once the limit is hit.
 
     One node is one permutation product or conjugation computed inside the
     search.  Exhaustion is always loud, never a silent truncation.
@@ -33,14 +31,11 @@ class NodeBudget:
     def __init__(self, limit: int = DEFAULT_NODE_BUDGET):
         self.limit = limit
         self.used = 0
-        self._lock = threading.Lock()
 
     def spend(self, amount: int = 1) -> None:
-        with self._lock:
-            self.used += amount
-            if self.used > self.limit:
-                raise BudgetExceeded(
-                    f"search budget of {self.limit} nodes exhausted")
+        self.used += amount
+        if self.used > self.limit:
+            raise BudgetExceeded(f"search budget of {self.limit} nodes exhausted")
 
 
 class ExtensionProblem:
@@ -77,10 +72,6 @@ class ExtensionProblem:
     def galois(group: FiniteGroup) -> ExtensionProblem:
         """The Galois case: G' trivial, the action is the regular one."""
         return ExtensionProblem(group, group.trivial_subgroup())
-
-    def describe(self) -> str:
-        return (f"G = {self.group.name} (order {len(self.group)}), "
-                f"G' of order {self.subgroup.order}, degree {self.degree}")
 
 
 class CosetAction:
@@ -164,9 +155,17 @@ class HGStructure:
         return out
 
     def action_hom(self) -> GroupHom:
-        """The homomorphism G -> Aut(N) induced by translation conjugation."""
+        """The homomorphism G -> Aut(N) induced by translation conjugation.
+
+        Raises ValueError if N is not normalized by the translations.
+        """
         if self._hom is None:
-            self._hom = induced_action_hom(self.action, self.perms)
+            if not self.perms.is_normalized_by(self.action.generator_perms()):
+                raise ValueError("the subgroup is not normalized by the translations")
+            aut = automorphism_group(self.group)
+            g = self.action.problem.group
+            self._hom = GroupHom(g, aut, [aut.index_of(self.conj_action(x))
+                                          for x in range(len(g))], check=False)
         return self._hom
 
     def generator_strings(self) -> list[str]:
@@ -174,23 +173,6 @@ class HGStructure:
 
     def __repr__(self) -> str:
         return f"<HGStructure type {self.type_name} degree {self.perms.degree}>"
-
-
-def induced_action_hom(action: CosetAction, perms: PermSet) -> GroupHom:
-    """The conjugation homomorphism from G into Aut(N) for a normalized N."""
-    if not perms.is_normalized_by(action.generator_perms()):
-        raise ValueError("the subgroup is not normalized by the translations")
-    n_group = FiniteGroup.from_permutations([p.images for p in perms])
-    aut = automorphism_group(n_group)
-    pos = {p.images: i for i, p in enumerate(perms.elements)}
-    g = action.problem.group
-    images = []
-    for x in range(len(g)):
-        lam = action.translation(x)
-        lam_inv = lam.inverse()
-        table = tuple(pos[(lam * p * lam_inv).images] for p in perms.elements)
-        images.append(aut.index_of(table))
-    return GroupHom(g, aut, images, check=False)
 
 
 # -- the search ----------------------------------------------------------
@@ -333,7 +315,7 @@ def _viable_atoms(n, gen_pairs, budget):
     return sorted(atoms, key=sorted)
 
 
-def _combine_atoms(atoms, n, gen_pairs, budget, workers=1):
+def _combine_atoms(atoms, n, gen_pairs, budget):
     """Stage 2: depth-first unions of atoms, closing after every step."""
     results: set[frozenset] = set()
     smaller = []
@@ -342,46 +324,33 @@ def _combine_atoms(atoms, n, gen_pairs, budget, workers=1):
             results.add(a)
         else:
             smaller.append(a)
+    seen = set()
 
-    def run(top_indices):
-        found = set()
-        seen = set()
+    def extend(p, start):
+        if len(p) == n:
+            results.add(p)
+            return
+        for j in range(start, len(smaller)):
+            a = smaller[j]
+            if a <= p:
+                continue
+            q = _stable_closure(p | a, gen_pairs, n, budget)
+            if q is None:
+                continue
+            state = (q, j + 1)
+            if state in seen:
+                continue
+            seen.add(state)
+            extend(q, j + 1)
 
-        def extend(p, start):
-            if len(p) == n:
-                found.add(p)
-                return
-            for j in range(start, len(smaller)):
-                a = smaller[j]
-                if a <= p:
-                    continue
-                q = _stable_closure(p | a, gen_pairs, n, budget)
-                if q is None:
-                    continue
-                state = (q, j + 1)
-                if state in seen:
-                    continue
-                seen.add(state)
-                extend(q, j + 1)
-
-        for j in top_indices:
-            extend(smaller[j], j + 1)
-        return found
-
-    if workers <= 1 or len(smaller) <= 1:
-        results |= run(range(len(smaller)))
-    else:
-        chunks = [range(w, len(smaller), workers) for w in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for found in pool.map(run, chunks):
-                results |= found
+    for j in range(len(smaller)):
+        extend(smaller[j], j + 1)
     return results
 
 
 def enumerate_regular_normalized(action: CosetAction, *,
                                  degree_cap: int = DEGREE_CAP,
-                                 budget: NodeBudget | None = None,
-                                 workers: int = 1) -> list[HGStructure]:
+                                 budget: NodeBudget | None = None) -> list[HGStructure]:
     """All regular subgroups of Perm(points) normalized by the translation
     image of G, each exactly once, in canonical order.
 
@@ -396,7 +365,7 @@ def enumerate_regular_normalized(action: CosetAction, *,
     gen_perms = action.generator_perms()
     gen_pairs = [(p.images, p.inverse().images) for p in gen_perms]
     atoms = _viable_atoms(n, gen_pairs, budget)
-    groups = _combine_atoms(atoms, n, gen_pairs, budget, workers=workers)
+    groups = _combine_atoms(atoms, n, gen_pairs, budget)
     structures = []
     for fs in sorted(groups, key=sorted):
         perms = PermSet(n, tuple(sorted(Perm(t) for t in fs)))

@@ -39,8 +39,7 @@ class FiniteGroup:
     groups (e.g. holomorphs of order in the thousands) multiply on demand
     from the raw pair representation and cache the results.
 
-    Instances are immutable after construction and safe to share across
-    threads.
+    Instances are immutable after construction.
     """
 
     def __init__(self, elements: Iterable, mul: Callable, inv: Callable | None = None,

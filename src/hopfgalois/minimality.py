@@ -151,15 +151,27 @@ class ClassificationReport:
         return [v.structure.type_name for v in self.verdicts]
 
 
+def _complement_bound(action: CosetAction, verdicts: list[StructureVerdict]) -> int:
+    """minimal_lower_bound, read from the verdicts.
+
+    An enumerated N inside the translation image of G is the image of a
+    normal complement M of G', and its stable subgroups are exactly the
+    subgroups of M normal in G; so the minimal such N are counted.
+    """
+    image = {action.translation(x) for x in range(len(action.problem.group))}
+    return sum(1 for v in verdicts
+               if v.minimal and all(p in image for p in v.structure.perms))
+
+
 def classify(problem: ExtensionProblem, *, degree_cap: int = DEGREE_CAP,
-             budget: NodeBudget | None = None, workers: int = 1,
+             budget: NodeBudget | None = None,
              action: CosetAction | None = None) -> ClassificationReport:
     if budget is None:
         budget = NodeBudget()
     if action is None:
         action = coset_action(problem)
     structures = enumerate_regular_normalized(
-        action, degree_cap=degree_cap, budget=budget, workers=workers)
+        action, degree_cap=degree_cap, budget=budget)
     verdicts = []
     for s in structures:
         lattice = g_stable_subgroups(s)
@@ -169,6 +181,6 @@ def classify(problem: ExtensionProblem, *, degree_cap: int = DEGREE_CAP,
         problem=problem,
         verdicts=verdicts,
         intermediate_count=len(intermediate_subgroups(problem)),
-        normal_complement_bound=minimal_lower_bound(problem),
+        normal_complement_bound=_complement_bound(action, verdicts),
         nodes_used=budget.used,
     )

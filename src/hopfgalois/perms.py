@@ -170,15 +170,6 @@ class Perm:
         return d
 
 
-def compose(p: Perm, q: Perm) -> Perm:
-    """Composition with ``q`` applied first: ``compose(p, q)(i) == p(q(i))``."""
-    return p * q
-
-
-def semiregular_cycle_type(p: Perm) -> int | None:
-    return p.semiregular_cycle_length()
-
-
 @dataclass(frozen=True)
 class PermSet:
     """A canonically ordered set of permutations of one degree."""

@@ -1,10 +1,10 @@
 import pytest
 
 from hopfgalois import (BudgetExceeded, CapExceeded, ExtensionProblem,
-                        NodeBudget, NotNormalClosure, Perm, alternating,
-                        coset_action, cyclic, dihedral,
+                        HGStructure, NodeBudget, NotNormalClosure, Perm,
+                        alternating, coset_action, cyclic, dihedral,
                         enumerate_regular_normalized, enumerate_via_transversal,
-                        induced_action_hom, symmetric, translation_structure)
+                        symmetric, translation_structure)
 from hopfgalois.dsl import build_text
 
 from conftest import catalog_problems, stabilizer_problem
@@ -115,7 +115,7 @@ def test_induced_action_galois_translation_copy():
     act = coset_action(ExtensionProblem.galois(g))
     from hopfgalois.perms import PermSet
     n = PermSet.from_perms([act.translation(x) for x in range(6)])
-    hom = induced_action_hom(act, n)
+    hom = HGStructure(act, n).action_hom()
     assert hom.images[0] == 0
     assert len(set(hom.images)) == 6  # S3 has trivial center: image is Inn(S3)
 
@@ -125,7 +125,7 @@ def test_induced_action_abelian_galois_trivial():
     act = coset_action(ExtensionProblem.galois(g))
     from hopfgalois.perms import PermSet
     n = PermSet.from_perms([act.translation(x) for x in range(6)])
-    hom = induced_action_hom(act, n)
+    hom = HGStructure(act, n).action_hom()
     assert set(hom.images) == {0}
 
 
@@ -148,7 +148,7 @@ def test_induced_action_requires_normalized():
     from hopfgalois.perms import PermSet
     not_normalized = PermSet.closure([Perm.parse("(0 1)", degree=6)])
     with pytest.raises(ValueError):
-        induced_action_hom(act, not_normalized)
+        HGStructure(act, not_normalized).action_hom()
 
 
 def test_translation_structure():
@@ -190,14 +190,6 @@ def test_budget_exhaustion_is_loud():
     act = coset_action(ExtensionProblem.galois(cyclic(8)))
     with pytest.raises(BudgetExceeded):
         enumerate_regular_normalized(act, budget=NodeBudget(50))
-
-
-def test_worker_count_does_not_change_output():
-    act = coset_action(ExtensionProblem.galois(cyclic(8)))
-    keys = [s.perms.key() for s in enumerate_regular_normalized(act)]
-    for workers in (2, 4):
-        assert [s.perms.key() for s in
-                enumerate_regular_normalized(act, workers=workers)] == keys
 
 
 def test_generator_presentation_does_not_change_output():

@@ -146,6 +146,14 @@ def test_minimal_lower_bound_catalog(reports):
     assert minimal_lower_bound(probs["galois C8"]) == 0
     for name, report in reports.items():
         assert report.minimal_count >= report.normal_complement_bound, name
+        # classify reads the bound off its verdicts; this is the oracle
+        assert report.normal_complement_bound == minimal_lower_bound(probs[name]), name
+
+
+def test_node_count_repeats():
+    counts = {classify(ExtensionProblem.galois(dihedral(3))).nodes_used
+              for _ in range(2)}
+    assert len(counts) == 1 and counts.pop() > 0
 
 
 def test_certificate_characteristically_simple_holomorphs():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hopfgalois import CapExceeded, Perm, PermSet, compose, semiregular_cycle_type
+from hopfgalois import CapExceeded, Perm, PermSet
 
 perms = st.integers(min_value=1, max_value=7).flatmap(
     lambda n: st.permutations(range(n))).map(lambda xs: Perm(tuple(xs)))
@@ -73,9 +73,9 @@ def test_parse_errors():
 
 
 def test_semiregular_cycle_type():
-    assert semiregular_cycle_type(Perm.identity(4)) == 1
-    assert semiregular_cycle_type(Perm.parse("(0 1)(2 3)")) == 2
-    assert semiregular_cycle_type(Perm.parse("(0 1 2)", degree=4)) is None
+    assert Perm.identity(4).semiregular_cycle_length() == 1
+    assert Perm.parse("(0 1)(2 3)").semiregular_cycle_length() == 2
+    assert Perm.parse("(0 1 2)", degree=4).semiregular_cycle_length() is None
 
 
 def test_closure_empty_and_small():
