@@ -10,10 +10,12 @@ extension the pair models.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .catalog import iso_type
 from .errors import BudgetExceeded, CapExceeded, NotNormalClosure
-from .groups import FiniteGroup, GroupHom, SubgroupRef, automorphism_group
+from .groups import (FiniteGroup, GroupHom, SubgroupRef, _is_prime,
+                     automorphism_group)
 from .perms import Perm, PermSet
 
 DEGREE_CAP = 12
@@ -288,30 +290,95 @@ def _stable_closure(seed, gen_pairs, n, budget):
     return frozenset(els)
 
 
-def _viable_atoms(n, gen_pairs, budget):
-    """Stage 1: orbit inventory.
+def _semiregular_centralizer(sigma: Perm, d: int):
+    """Yield, as image tuples, each permutation commuting with sigma whose
+    cycles all have length d, exactly once.
 
-    Partition the semiregular permutations into conjugation orbits under
-    the translation generators; each orbit small enough to fit in a regular
-    subgroup is grown to the smallest translation-stable group containing
-    it.  Every regular normalized N is a union of such atoms.
+    Such a permutation c maps every cycle of sigma onto a cycle of the same
+    length l, shifted by some rotation s: c(z_j) = z'_{j+s}.  So c permutes
+    the cycles of length l, and a k-cycle of those cycles whose shifts add
+    up to r splits into cycles of length k * l / gcd(r, l).  Fixed points
+    are the case l = 1.  The cycles-of-cycles are chosen, length by length,
+    so that this comes out as d; nothing else is ever built.
+    """
+    by_length: dict[int, list[tuple[int, ...]]] = {}
+    for cycle in sigma.cycles(include_fixed=True):
+        by_length.setdefault(len(cycle), []).append(cycle)
+    classes = sorted(by_length.items())
+    images = [0] * sigma.degree
+
+    def rec(ci: int, free: tuple[int, ...]):
+        if not free:
+            if ci + 1 == len(classes):
+                yield tuple(images)
+            else:
+                yield from rec(ci + 1, tuple(range(len(classes[ci + 1][1]))))
+            return
+        l, cycles = classes[ci]
+        a, rest = free[0], free[1:]
+        for k in range(1, min(d, len(free)) + 1):
+            if d % k or l % (d // k):
+                continue
+            step = l * k // d
+            totals = [r for r in range(l) if math.gcd(r, l) == step]
+            for combo in itertools.permutations(rest, k - 1):
+                chain = (a,) + combo
+                left = tuple(x for x in rest if x not in combo)
+                for shifts in itertools.product(range(l), repeat=k - 1):
+                    partial = sum(shifts)
+                    for r in totals:
+                        for i, shift in enumerate(shifts + ((r - partial) % l,)):
+                            src = cycles[chain[i]]
+                            dst = cycles[chain[(i + 1) % k]]
+                            for j in range(l):
+                                images[src[j]] = dst[(j + shift) % l]
+                        yield from rec(ci, left)
+
+    yield from rec(0, tuple(range(len(classes[0][1]))))
+
+
+def _prime_order_translations(action: CosetAction) -> list[Perm]:
+    """The translation of one representative of each conjugacy class of
+    elements of prime order in G."""
+    g = action.problem.group
+    return [action.translation(cls[0]) for cls in g.conjugacy_classes()
+            if _is_prime(g.element_order(cls[0]))]
+
+
+def _viable_atoms(n, gen_pairs, seeds, budget):
+    """Stage 1: orbit inventory, seeded from centralizers.
+
+    Every translation-conjugation orbit of semiregular permutations small
+    enough to fit in a regular subgroup (at most n - 1 elements) is grown
+    to the smallest translation-stable group containing it.  Every regular
+    normalized N is a union of such atoms.
+
+    The orbits are found from `seeds`, the translations lambda(x) of one x
+    per class of prime-order elements of G.  Take t != 1 in such an orbit
+    O.  Then |O| <= n - 1 < |G|, so the centralizer of t in the translation
+    image is nontrivial and holds some lambda(y) of prime order; with
+    y = g x g^-1, the conjugate of t by lambda(g)^-1 lies in O and commutes
+    with lambda(x).  So walking the semiregular elements of the
+    centralizers of the seeds in Sym(n) meets every such orbit, and the
+    atoms are exactly those of a walk over all semiregular permutations.
     """
     id_t = tuple(range(n))
     atoms: set[frozenset] = set()
-    for d in _divisors(n):
-        visited: set[int] = set()
-        for t in _semiregular_tuples(n, d):
-            k = _key(t, n)
-            if k in visited:
-                continue
-            orbit = _conj_orbit(t, gen_pairs, n, budget)
-            visited.update(_key(o, n) for o in orbit)
-            if len(orbit) + 1 > n:
-                continue
-            orbit.add(id_t)
-            grown = _stable_closure(orbit, gen_pairs, n, budget)
-            if grown is not None:
-                atoms.add(grown)
+    visited: set[int] = set()
+    for sigma in seeds:
+        for d in _divisors(n):
+            for t in _semiregular_centralizer(sigma, d):
+                k = _key(t, n)
+                if k in visited:
+                    continue
+                orbit = _conj_orbit(t, gen_pairs, n, budget)
+                visited.update(_key(o, n) for o in orbit)
+                if len(orbit) + 1 > n:
+                    continue
+                orbit.add(id_t)
+                grown = _stable_closure(orbit, gen_pairs, n, budget)
+                if grown is not None:
+                    atoms.add(grown)
     return sorted(atoms, key=sorted)
 
 
@@ -364,7 +431,8 @@ def enumerate_regular_normalized(action: CosetAction, *,
         budget = NodeBudget()
     gen_perms = action.generator_perms()
     gen_pairs = [(p.images, p.inverse().images) for p in gen_perms]
-    atoms = _viable_atoms(n, gen_pairs, budget)
+    atoms = _viable_atoms(n, gen_pairs, _prime_order_translations(action),
+                          budget)
     groups = _combine_atoms(atoms, n, gen_pairs, budget)
     structures = []
     for fs in sorted(groups, key=sorted):

@@ -1,13 +1,21 @@
+import itertools
+from collections import Counter
+
 import pytest
 
 from hopfgalois import (BudgetExceeded, CapExceeded, ExtensionProblem,
                         HGStructure, NodeBudget, NotNormalClosure, Perm,
-                        alternating, coset_action, cyclic, dihedral,
-                        enumerate_regular_normalized, enumerate_via_transversal,
-                        symmetric, translation_structure)
+                        alternating, classify, coset_action, cyclic, dihedral,
+                        direct_product, enumerate_regular_normalized,
+                        enumerate_via_transversal, symmetric,
+                        translation_structure)
 from hopfgalois.dsl import build_text
+from hopfgalois.engine import (DEGREE_CAP, _conj_orbit, _divisors, _key,
+                               _prime_order_translations,
+                               _semiregular_centralizer, _semiregular_tuples,
+                               _stable_closure, _viable_atoms)
 
-from conftest import catalog_problems, stabilizer_problem
+from conftest import catalog_problems, complement_problem, stabilizer_problem
 
 
 def test_extension_problem_validation():
@@ -67,7 +75,7 @@ def test_enumerate_galois_c8():
         ["C8", "C8", "D4", "D4", "Q8", "Q8"]
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_enumerate_galois_prime(p):
     act = coset_action(ExtensionProblem.galois(cyclic(p)))
     structures = enumerate_regular_normalized(act)
@@ -217,3 +225,120 @@ def test_order_56_and_36_cases():
     act = coset_action(ExtensionProblem(b.group, b.complement))
     structures = enumerate_regular_normalized(act)
     assert [s.type_name for s in structures] == ["E(3,2)"]
+
+
+# -- stage 1 against the walk over every semiregular permutation -----------
+
+
+def brute_force_atoms(n, gen_pairs, budget):
+    """Reference stage 1: walk every semiregular permutation of degree n,
+    keep the translation-conjugation orbits of at most n - 1 elements and
+    grow each into the least translation-stable group containing it."""
+    id_t = tuple(range(n))
+    atoms = set()
+    visited = set()
+    for d in _divisors(n):
+        for t in _semiregular_tuples(n, d):
+            if _key(t, n) in visited:
+                continue
+            orbit = _conj_orbit(t, gen_pairs, n, budget)
+            visited.update(_key(o, n) for o in orbit)
+            if len(orbit) + 1 > n:
+                continue
+            orbit.add(id_t)
+            grown = _stable_closure(orbit, gen_pairs, n, budget)
+            if grown is not None:
+                atoms.add(grown)
+    return sorted(atoms, key=sorted)
+
+
+def _atoms_both_ways(prob):
+    act = coset_action(prob)
+    n = act.degree
+    gen_pairs = [(p.images, p.inverse().images) for p in act.generator_perms()]
+    budget = NodeBudget(200_000_000)
+    seeded = _viable_atoms(n, gen_pairs, _prime_order_translations(act), budget)
+    return seeded, brute_force_atoms(n, gen_pairs, budget)
+
+
+@pytest.mark.parametrize("name", sorted(catalog_problems()))
+def test_centralizer_seed_matches_brute_force_catalog(name):
+    seeded, reference = _atoms_both_ways(catalog_problems()[name])
+    assert seeded == reference
+
+
+@pytest.mark.parametrize("prob", [
+    pytest.param(lambda: ExtensionProblem.galois(cyclic(9)), id="C9 galois"),
+    pytest.param(lambda: ExtensionProblem.galois(
+        direct_product(cyclic(3), cyclic(3))), id="C3xC3 galois"),
+    pytest.param(lambda: complement_problem("Hol(C(9))"), id="Hol(C9) complement"),
+    pytest.param(lambda: ExtensionProblem.galois(cyclic(10)), id="C10 galois"),
+])
+def test_centralizer_seed_matches_brute_force_degree_9_and_10(prob):
+    problem = prob()
+    assert problem.degree in (9, 10)
+    seeded, reference = _atoms_both_ways(problem)
+    assert seeded == reference
+    assert seeded
+
+
+@pytest.mark.parametrize("cycles,n", [
+    ("()", 6),
+    ("(0 1)", 6),
+    ("(0 1)(2 3)(4 5)", 6),
+    ("(0 1 2 3 4 5)", 6),
+    ("(0 1 2)(3 4)", 7),
+    ("(0 1 2)(3 4 5)", 8),
+    ("(0 1)(2 3)(4 5 6 7)", 8),
+    ("(0 1 2 3)(4 5 6 7)", 8),
+])
+def test_semiregular_centralizer(cycles, n):
+    sigma = Perm.parse(cycles, degree=n)
+    rng = range(n)
+
+    def commutes(t):
+        return all(t[sigma(i)] == sigma(t[i]) for i in rng)
+
+    for d in _divisors(n):
+        got = list(_semiregular_centralizer(sigma, d))
+        assert len(got) == len(set(got)), (cycles, d)  # each exactly once
+        if n <= 7:
+            universe = (t for t in itertools.permutations(rng)
+                        if Perm(t).semiregular_cycle_length() == d)
+        else:
+            universe = _semiregular_tuples(n, d)
+        assert set(got) == {t for t in universe if commutes(t)}, (cycles, d)
+
+
+# -- degree 12 under the default budget and cap ----------------------------
+
+
+@pytest.mark.parametrize("group,count", [
+    # both counts are frozen from this engine
+    pytest.param(lambda: cyclic(12), 6, id="C12"),
+    pytest.param(lambda: alternating(4), 14, id="A4"),
+])
+def test_degree_12_galois_within_default_budget(group, count):
+    prob = ExtensionProblem.galois(group())
+    assert prob.degree == DEGREE_CAP
+    assert classify(prob).structure_count == count
+
+
+def test_degree_12_transposition_within_default_budget():
+    # the translation image holds a transposition, so the centralizer of
+    # a seed in Sym(12) has 2 * 10! elements; only its semiregular part is
+    # ever built
+    g = build_text("gens[(0 1), (0 2 4 6 8 10)(1 3 5 7 9 11)]").group
+    act = coset_action(stabilizer_problem(g))
+    assert act.degree == DEGREE_CAP
+    assert enumerate_regular_normalized(act) == []
+
+
+def test_degree_12_presentation_invariance():
+    # D6 and D3 x C2 are one group in two presentations
+    counts = []
+    for g in (dihedral(6), direct_product(dihedral(3), cyclic(2))):
+        act = coset_action(ExtensionProblem.galois(g))
+        counts.append(Counter(s.type_name for s in enumerate_regular_normalized(act)))
+    assert counts[0] == counts[1]
+    assert sum(counts[0].values()) == 40
