@@ -71,22 +71,67 @@ def minimal_lower_bound(problem: ExtensionProblem) -> int:
     return count
 
 
-def intermediate_subgroups(problem: ExtensionProblem) -> list[frozenset[int]]:
-    """All subgroups H with G' <= H <= G, both endpoints included."""
-    g = problem.group
-    base = frozenset(problem.subgroup.members)
-    seen = {base}
-    frontier = [base]
+def _minimal_block(seed: set[int], gens: list[tuple[int, ...]], n: int) -> frozenset[int]:
+    """The smallest block of the group generated by `gens` containing `seed`.
+
+    Atkinson's union-find: merge the seed into one class, then for every
+    pair merged so far merge their images under each generator, until the
+    partition is stable.  The class of the seed is the block.
+    """
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    root = min(seed)
+    pending = []
+    for a in seed:
+        if a != root:
+            parent[a] = root
+            pending.append((root, a))
+    while pending:
+        a, b = pending.pop()
+        for g in gens:
+            u, v = find(g[a]), find(g[b])
+            if u != v:
+                parent[v] = u
+                pending.append((u, v))
+    r = find(root)
+    return frozenset(a for a in range(n) if find(a) == r)
+
+
+def intermediate_subgroups(problem: ExtensionProblem,
+                           action: CosetAction | None = None) -> list[frozenset[int]]:
+    """All subgroups H with G' <= H <= G, both endpoints included.
+
+    They correspond one-to-one to the blocks of the action on G/G' that
+    contain point 0 (the coset G'), via H = {x : xG' in B}.  Every such
+    block is reached from {0} by repeatedly taking the minimal block
+    containing a found block and one more point.  Sorted by (order, member
+    set), a linear extension of inclusion.
+    """
+    if action is None:
+        action = coset_action(problem)
+    n = action.degree
+    gens = [p.images for p in action.generator_perms()]
+    seen = {frozenset([0])}
+    frontier = list(seen)
     while frontier:
-        h = frontier.pop()
-        for x in range(len(g)):
-            if x in h:
+        block = frontier.pop()
+        for a in range(n):
+            if a in block:
                 continue
-            k = g.closure_of(h | {x})
-            if k not in seen:
-                seen.add(k)
-                frontier.append(k)
-    return sorted(seen, key=lambda s: (len(s), sorted(s)))
+            bigger = _minimal_block(block | {a}, gens, n)
+            if bigger not in seen:
+                seen.add(bigger)
+                frontier.append(bigger)
+    coset_of = action.coset_of
+    subgroups = [frozenset(x for x, c in enumerate(coset_of) if c in block)
+                 for block in seen]
+    return sorted(subgroups, key=lambda s: (len(s), sorted(s)))
 
 
 def correspondence_stats(problem: ExtensionProblem,
@@ -96,7 +141,8 @@ def correspondence_stats(problem: ExtensionProblem,
     The first never exceeds the second: the fixed-field map embeds the
     sub-Hopf lattice into the intermediate-field lattice.
     """
-    return (len(g_stable_subgroups(structure)), len(intermediate_subgroups(problem)))
+    return (len(g_stable_subgroups(structure)),
+            len(intermediate_subgroups(problem, structure.action)))
 
 
 def holomorph_minimality_certificate(n: FiniteGroup) -> bool:
@@ -180,7 +226,7 @@ def classify(problem: ExtensionProblem, *, degree_cap: int = DEGREE_CAP,
     return ClassificationReport(
         problem=problem,
         verdicts=verdicts,
-        intermediate_count=len(intermediate_subgroups(problem)),
+        intermediate_count=len(intermediate_subgroups(problem, action)),
         normal_complement_bound=_complement_bound(action, verdicts),
         nodes_used=budget.used,
     )

@@ -24,6 +24,13 @@ def complement_problem(expr: str) -> ExtensionProblem:
     return ExtensionProblem(built.group, built.complement)
 
 
+def subgroup_problem(expr: str, subgroup_expr: str) -> ExtensionProblem:
+    """G' generated by the permutations of `subgroup_expr`, as --subgroup."""
+    group = build_text(expr).group
+    members = [group.index_of(r) for r in build_text(subgroup_expr).group.raw_elements()]
+    return ExtensionProblem(group, group.subgroup(members))
+
+
 def d4_point_problem() -> ExtensionProblem:
     # dihedral group on the square's vertices; G' a non-central reflection
     g = build_text("gens[(0 1 2 3), (1 3)]").group

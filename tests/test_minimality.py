@@ -1,13 +1,17 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from hopfgalois import (ExtensionProblem, HGStructure, alternating,
-                        characteristic_obstruction, classify, correspondence_stats,
-                        coset_action, cyclic, dihedral, elementary_abelian,
-                        enumerate_regular_normalized, g_stable_subgroups,
+from hopfgalois import (CapExceeded, ExtensionProblem, FiniteGroup, HGStructure,
+                        Perm, PermSet, alternating, characteristic_obstruction,
+                        classify, correspondence_stats, coset_action, cyclic,
+                        dihedral, elementary_abelian, enumerate_regular_normalized,
+                        enumerate_via_transversal, g_stable_subgroups,
                         holomorph_minimality_certificate, intermediate_subgroups,
                         is_minimal, minimal_lower_bound, normal_complements,
                         symmetric, translation_structure)
-from conftest import catalog_problems, stabilizer_problem
+from conftest import (catalog_problems, complement_problem, stabilizer_problem,
+                      subgroup_problem)
 
 
 def stable_subgroups_via_orbits(structure: HGStructure) -> set[frozenset]:
@@ -201,6 +205,101 @@ def test_intermediate_subgroups():
     assert [len(s) for s in subs] == [6, 24]
     prob = ExtensionProblem.galois(cyclic(8))
     assert [len(s) for s in intermediate_subgroups(prob)] == [1, 2, 4, 8]
+
+
+def closure_walk_intermediate(problem: ExtensionProblem) -> list[frozenset[int]]:
+    """Independent route, the former engine: close G' together with each
+    element outside it inside G, and repeat from every new subgroup."""
+    g = problem.group
+    base = frozenset(problem.subgroup.members)
+    seen = {base}
+    frontier = [base]
+    while frontier:
+        h = frontier.pop()
+        for x in range(len(g)):
+            if x in h:
+                continue
+            k = g.closure_of(h | {x})
+            if k not in seen:
+                seen.add(k)
+                frontier.append(k)
+    return sorted(seen, key=lambda s: (len(s), sorted(s)))
+
+
+# Beyond the catalog: a complement problem at degree 9 and a degree-10
+# problem whose G' (order 12) is far from a point stabilizer.
+_ORACLE_PROBLEMS = {
+    **catalog_problems(),
+    "Hol(C(9)) complement": complement_problem("Hol(C(9))"),
+    "S5 on G' order 12": subgroup_problem("S(5)", "gens[(0 1), (2 3 4), (2 3)]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_PROBLEMS))
+def test_intermediate_subgroups_match_closure_walk(name):
+    prob = _ORACLE_PROBLEMS[name]
+    assert intermediate_subgroups(prob) == closure_walk_intermediate(prob)
+
+
+_DEGREES = st.integers(min_value=2, max_value=6)
+_TRANSITIVE_ORDER_CAP = 120
+
+
+@st.composite
+def _generator_pairs(draw):
+    n = draw(_DEGREES)
+    return [Perm(tuple(draw(st.permutations(range(n))))) for _ in range(2)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(_generator_pairs())
+def test_random_transitive_groups(gens):
+    """Point-stabilizer problems of random transitive groups: the block
+    route against the closure walk, and the orbit engine against the
+    transversal engine."""
+    n = gens[0].degree
+    try:
+        closure = PermSet.closure(gens, cap=_TRANSITIVE_ORDER_CAP)
+    except CapExceeded:
+        assume(False)
+    assume({p.images[0] for p in closure.elements} == set(range(n)))
+    group = FiniteGroup.from_permutations([p.images for p in closure.elements])
+    prob = stabilizer_problem(group)
+    assert intermediate_subgroups(prob) == closure_walk_intermediate(prob)
+    act = coset_action(prob)
+    assert sorted(s.perms.key() for s in enumerate_regular_normalized(act)) == \
+        sorted(p.key() for p in enumerate_via_transversal(act))
+
+
+def test_hol_e23_complement():
+    # Hol(E(2,3)) = AGL(3,2), order 1344, on the 8 points of E(2,3): the
+    # translation structure is the only one, and it is minimal, as
+    # holomorph_minimality_certificate proves for E(2,3).  AGL(3,2) is
+    # primitive, so G' = GL(3,2) and G are the only intermediate subgroups;
+    # the translation subgroup is the one normal complement, and minimal.
+    rep = classify(complement_problem("Hol(E(2,3))"))
+    assert rep.structure_count == 1 and rep.minimal_count == 1
+    assert rep.types() == ["E(2,3)"]
+    assert rep.intermediate_count == 2
+    assert rep.normal_complement_bound == 1
+
+
+def test_s6_point_stabilizer():
+    # Greither-Pareigis: no group of order 6 is regular and normalized by
+    # S6, and S6 is primitive on 6 points, so G' = S5 and S6 alone lie
+    # between them.
+    rep = classify(stabilizer_problem(symmetric(6)))
+    assert rep.structure_count == 0
+    assert rep.intermediate_count == 2
+
+
+def test_intermediate_subgroups_degree_12():
+    # S6 on the cosets of a transitive A5 = PSL(2,5) (degree 12).  Its
+    # overgroups are PGL(2,5) (a transitive S5), A6 and S6: A5 < PGL(2,5)
+    # and A5 < A6 < S6, from the maximal subgroups of A6 and S6 in the
+    # ATLAS of Finite Groups.  The search (about 3 s) is not run here.
+    prob = subgroup_problem("S(6)", "gens[(0 1 2 3 4), (0 5)(1 4)]")
+    assert [len(h) for h in intermediate_subgroups(prob)] == [60, 120, 360, 720]
 
 
 def test_classify_s3_c2():
