@@ -185,18 +185,28 @@ class FiniteGroup:
         return self._gens
 
     def closure_of(self, indices: Iterable[int]) -> frozenset[int]:
-        gens = sorted(set(indices))
-        els = {0, *gens}
-        frontier = list(els)
-        while frontier:
-            new = []
-            for a in frontier:
+        """The subgroup generated by `indices` (Dimino's algorithm).
+
+        Each index outside the subgroup H built so far extends it to a
+        union of right cosets H r: a representative times a generator lies
+        in a coset already found or starts a new one.
+        """
+        mul = self.mul
+        els = {0}
+        gens: list[int] = []
+        for x in sorted(set(indices)):
+            if x in els:
+                continue
+            gens.append(x)
+            sub = tuple(els)
+            els.update(mul(h, x) for h in sub)
+            reps = [x]
+            for r in reps:
                 for g in gens:
-                    c = self.mul(a, g)
-                    if c not in els:
-                        els.add(c)
-                        new.append(c)
-            frontier = new
+                    y = mul(r, g)
+                    if y not in els:
+                        els.update(mul(h, y) for h in sub)
+                        reps.append(y)
         return frozenset(els)
 
     # -- subgroups ---------------------------------------------------------
@@ -211,62 +221,23 @@ class FiniteGroup:
         return SubgroupRef(self, range(len(self)), _checked=True)
 
     def subgroups(self, cap: int = SUBGROUP_CAP) -> list[SubgroupRef]:
-        """All subgroups, each exactly once, sorted by (order, member set).
-
-        Bottom-up: cyclic subgroups first, then repeated joins with cyclic
-        subgroups until no new subgroup appears.
-        """
+        """All subgroups, each exactly once, sorted by (order, member set)."""
         m = len(self)
         if m > cap:
             raise CapExceeded(f"subgroup enumeration capped at order {cap}, got {m}")
-        cyclics = sorted({self.closure_of([i]) for i in range(m)}, key=sorted)
-        subs = set(cyclics)
-        frontier = list(cyclics)
-        while frontier:
-            new = []
-            for a in frontier:
-                for c in cyclics:
-                    if c <= a:
-                        continue
-                    j = self.closure_of(a | c)
-                    if j not in subs:
-                        subs.add(j)
-                        new.append(j)
-            frontier = new
-        refs = [SubgroupRef(self, s, _checked=True) for s in subs]
-        refs.sort(key=lambda r: r.sort_key())
-        return refs
+        return self.stable_subgroups(())
 
-    def conjugacy_classes(self) -> list[tuple[int, ...]]:
-        if self._classes is None:
-            gens = self.generators()
-            seen = [False] * len(self)
-            classes = []
-            for i in range(len(self)):
-                if seen[i]:
-                    continue
-                orbit = {i}
-                stack = [i]
-                while stack:
-                    x = stack.pop()
-                    for g in gens:
-                        c = self.conj(g, x)
-                        if c not in orbit:
-                            orbit.add(c)
-                            stack.append(c)
-                for x in orbit:
-                    seen[x] = True
-                classes.append(tuple(sorted(orbit)))
-            self._classes = classes
-        return self._classes
+    def stable_subgroups(self, maps: Iterable[tuple[int, ...]]) -> list[SubgroupRef]:
+        """The subgroups that every automorphism table in `maps` carries
+        onto itself, sorted by (order, member set).
 
-    def normal_subgroups(self) -> list[SubgroupRef]:
-        """All normal subgroups, via joins of conjugacy-class closures."""
-        atoms = sorted({self.closure_of(cls) for cls in self.conjugacy_classes()},
-                       key=sorted)
-        subs = {frozenset({0})}
-        subs.update(atoms)
-        frontier = list(subs)
+        A stable subgroup is the join of the closures of the orbits of
+        `maps` on its elements, and each such closure is stable; so the
+        orbit closures are joined until no new subgroup appears.
+        """
+        atoms = {self.closure_of(orbit) for orbit in self._orbits(maps)}
+        subs = set(atoms)
+        frontier = list(atoms)
         while frontier:
             new = []
             for a in frontier:
@@ -281,6 +252,38 @@ class FiniteGroup:
         refs = [SubgroupRef(self, s, _checked=True) for s in subs]
         refs.sort(key=lambda r: r.sort_key())
         return refs
+
+    def _orbits(self, maps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        """The orbits of the group generated by the permutation tables
+        `maps`, each sorted, in order of their least element."""
+        maps = list(maps)
+        seen = [False] * len(self)
+        orbits = []
+        for i in range(len(self)):
+            if seen[i]:
+                continue
+            seen[i] = True
+            orbit = [i]
+            for x in orbit:
+                for t in maps:
+                    y = t[x]
+                    if not seen[y]:
+                        seen[y] = True
+                        orbit.append(y)
+            orbits.append(tuple(sorted(orbit)))
+        return orbits
+
+    def _inner_maps(self) -> list[tuple[int, ...]]:
+        return [inner_automorphism(self, x) for x in self.generators()]
+
+    def conjugacy_classes(self) -> list[tuple[int, ...]]:
+        if self._classes is None:
+            self._classes = self._orbits(self._inner_maps())
+        return self._classes
+
+    def normal_subgroups(self) -> list[SubgroupRef]:
+        """All normal subgroups: those stable under inner automorphisms."""
+        return self.stable_subgroups(self._inner_maps())
 
 
 class SubgroupRef:
@@ -681,16 +684,10 @@ def holomorph_copies(n: FiniteGroup) -> tuple[FiniteGroup, SubgroupRef, Subgroup
 # -- characteristic structure -------------------------------------------------
 
 
-def characteristic_subgroups(g: FiniteGroup, *, aut_cap: int = AUT_CAP,
-                             subgroup_cap: int = SUBGROUP_CAP) -> list[SubgroupRef]:
+def characteristic_subgroups(g: FiniteGroup) -> list[SubgroupRef]:
     """Subgroups stable under every automorphism of g."""
-    aut = automorphism_group(g, cap=aut_cap)
-    agens = [aut.raw(i) for i in aut.generators()]
-    out = []
-    for sub in g.subgroups(cap=subgroup_cap):
-        if all(frozenset(t[i] for i in sub.members) == sub._set for t in agens):
-            out.append(sub)
-    return out
+    aut = automorphism_group(g)
+    return g.stable_subgroups(aut.raw(i) for i in aut.generators())
 
 
 def is_characteristically_simple(g: FiniteGroup) -> bool:

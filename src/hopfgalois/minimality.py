@@ -25,12 +25,8 @@ def g_stable_subgroups(structure: HGStructure) -> list[SubgroupRef]:
     so the list always contains the trivial subgroup and N itself.  Sorted
     by (order, member set), a linear extension of inclusion.
     """
-    actions = [structure.conj_action(x) for x in structure.action.generators]
-    out = []
-    for sub in structure.group.subgroups():
-        if all(frozenset(t[i] for i in sub.members) == sub._set for t in actions):
-            out.append(sub)
-    return out
+    return structure.group.stable_subgroups(
+        structure.conj_action(x) for x in structure.action.generators)
 
 
 def is_minimal(structure: HGStructure) -> bool:
@@ -204,9 +200,11 @@ def _complement_bound(action: CosetAction, verdicts: list[StructureVerdict]) -> 
     normal complement M of G', and its stable subgroups are exactly the
     subgroups of M normal in G; so the minimal such N are counted.
     """
+    minimal = [v for v in verdicts if v.minimal]
+    if not minimal:
+        return 0
     image = {action.translation(x) for x in range(len(action.problem.group))}
-    return sum(1 for v in verdicts
-               if v.minimal and all(p in image for p in v.structure.perms))
+    return sum(1 for v in minimal if all(p in image for p in v.structure.perms))
 
 
 def classify(problem: ExtensionProblem, *, degree_cap: int = DEGREE_CAP,

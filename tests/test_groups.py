@@ -10,6 +10,7 @@ from hopfgalois import (CapExceeded, FiniteGroup, GroupHom, abelian_invariants,
                         holomorph_copies, inner_automorphism,
                         is_characteristically_simple, iso_type, quaternion,
                         semidirect_product, symmetric, unique_sylow)
+from test_minimality import stable_subgroups_via_filter
 
 # -- oracles ---------------------------------------------------------------
 
@@ -30,6 +31,11 @@ def check_axioms(g: FiniteGroup) -> None:
             for b in range(m):
                 for c in gens:
                     assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))
+
+
+def characteristic_via_filter(g: FiniteGroup) -> list:
+    # every subgroup, kept when every automorphism fixes it
+    return stable_subgroups_via_filter(g, automorphism_group(g).raw_elements())
 
 
 def brute_subgroups(g: FiniteGroup) -> set[frozenset]:
@@ -316,10 +322,13 @@ def test_characteristic_subgroups_are_normal():
 ])
 def test_characteristically_simple_catalog(group, simple):
     assert is_characteristically_simple(group) == simple
+    assert characteristic_subgroups(group) == characteristic_via_filter(group)
 
 
 def test_characteristically_simple_a5():
-    assert is_characteristically_simple(alternating(5))
+    a5 = alternating(5)
+    assert is_characteristically_simple(a5)
+    assert characteristic_subgroups(a5) == characteristic_via_filter(a5)
 
 
 def test_unique_sylow():

@@ -10,8 +10,17 @@ from hopfgalois import (CapExceeded, ExtensionProblem, FiniteGroup, HGStructure,
                         holomorph_minimality_certificate, intermediate_subgroups,
                         is_minimal, minimal_lower_bound, normal_complements,
                         symmetric, translation_structure)
+from hopfgalois.dsl import build_text
 from conftest import (catalog_problems, complement_problem, stabilizer_problem,
                       subgroup_problem)
+
+
+def stable_subgroups_via_filter(group: FiniteGroup, maps) -> list:
+    """Independent route: every subgroup, kept when each map carries it
+    onto itself."""
+    maps = list(maps)
+    return [h for h in group.subgroups()
+            if all({t[i] for i in h.members} == h._set for t in maps)]
 
 
 def stable_subgroups_via_orbits(structure: HGStructure) -> set[frozenset]:
@@ -80,8 +89,11 @@ def test_lattice_galois_c8_cyclic_type():
 def test_lattice_two_routes_agree(reports):
     for name, report in reports.items():
         for v in report.verdicts:
-            via_filter = {frozenset(u.members) for u in v.stable_subgroups}
-            assert via_filter == stable_subgroups_via_orbits(v.structure), name
+            s = v.structure
+            maps = [s.conj_action(x) for x in s.action.generators]
+            assert v.stable_subgroups == stable_subgroups_via_filter(s.group, maps), name
+            lattice = {frozenset(u.members) for u in v.stable_subgroups}
+            assert lattice == stable_subgroups_via_orbits(s), name
 
 
 def test_is_minimal_examples(reports):
@@ -255,8 +267,9 @@ def _generator_pairs(draw):
 @given(_generator_pairs())
 def test_random_transitive_groups(gens):
     """Point-stabilizer problems of random transitive groups: the block
-    route against the closure walk, and the orbit engine against the
-    transversal engine."""
+    route against the closure walk, the orbit engine against the
+    transversal engine, and the normal and sub-Hopf lattices against
+    filters over all subgroups."""
     n = gens[0].degree
     try:
         closure = PermSet.closure(gens, cap=_TRANSITIVE_ORDER_CAP)
@@ -266,9 +279,41 @@ def test_random_transitive_groups(gens):
     group = FiniteGroup.from_permutations([p.images for p in closure.elements])
     prob = stabilizer_problem(group)
     assert intermediate_subgroups(prob) == closure_walk_intermediate(prob)
+    assert group.normal_subgroups() == [h for h in group.subgroups() if h.is_normal()]
     act = coset_action(prob)
-    assert sorted(s.perms.key() for s in enumerate_regular_normalized(act)) == \
+    structures = enumerate_regular_normalized(act)
+    assert sorted(s.perms.key() for s in structures) == \
         sorted(p.key() for p in enumerate_via_transversal(act))
+    for s in structures:
+        maps = [s.conj_action(x) for x in act.generators]
+        assert g_stable_subgroups(s) == stable_subgroups_via_filter(s.group, maps)
+
+
+# Point i is renamed sigma[i]; sigma(0) != 0, so G' of the relabelled
+# problem is the stabilizer of another point of the original group.
+_SIGMA = {4: Perm((2, 0, 3, 1)), 6: Perm((2, 0, 3, 1, 5, 4))}
+
+
+@pytest.mark.parametrize("expr", [
+    "gens[(0 1 2 3), (1 3)]",
+    "gens[(0 1 2 3 4 5), (0 5)(1 4)(2 3)]",  # D6 on the hexagon
+    "S(4)",
+])
+def test_relabelling_invariance(expr):
+    group = build_text(expr).group
+    sigma = _SIGMA[group.perm_degree]
+    relabelled = FiniteGroup.from_permutations(
+        (sigma * Perm(p) * sigma.inverse()).images for p in group.raw_elements())
+
+    def summary(g):
+        rep = classify(stabilizer_problem(g))
+        return (rep.structure_count, sorted(rep.types()), rep.minimal_count,
+                sorted(v.subhopf_count for v in rep.verdicts),
+                rep.intermediate_count, rep.normal_complement_bound)
+
+    before = summary(group)
+    assert before[0] > 0
+    assert summary(relabelled) == before
 
 
 def test_hol_e23_complement():
