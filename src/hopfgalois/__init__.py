@@ -19,6 +19,6 @@ from .minimality import (ClassificationReport, StructureVerdict,
                          holomorph_minimality_certificate,
                          intermediate_subgroups, is_minimal,
                          minimal_lower_bound, normal_complements)
-from .perms import Perm, PermSet
+from .perms import Perm
 
 __version__ = "0.1.0"

@@ -21,11 +21,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .groups import (FiniteGroup, GroupHom, SubgroupRef, alternating,
-                     automorphism_group, cyclic, dihedral, direct_product,
-                     elementary_abelian, holomorph, quaternion,
+from .errors import CapExceeded
+from .groups import (GROUP_ORDER_CAP, FiniteGroup, GroupHom, SubgroupRef,
+                     alternating, automorphism_group, cyclic, dihedral,
+                     direct_product, elementary_abelian, holomorph, quaternion,
                      semidirect_product, symmetric)
-from .perms import Perm, PermSet
+from .perms import Perm
 
 
 class DslError(ValueError):
@@ -317,6 +318,29 @@ def _is_invertible(mat, p) -> bool:
     return True
 
 
+def _closure(gens: list, identity, mul) -> set:
+    """The group generated by `gens` under `mul` (breadth-first closure).
+
+    Raises CapExceeded as soon as it has more than GROUP_ORDER_CAP elements,
+    before anything is built from it.
+    """
+    els = {identity, *gens}
+    frontier = list(els)
+    while frontier:
+        new = []
+        for a in frontier:
+            for g in gens:
+                c = mul(a, g)
+                if c not in els:
+                    els.add(c)
+                    if len(els) > GROUP_ORDER_CAP:
+                        raise CapExceeded(
+                            f"group order exceeds cap {GROUP_ORDER_CAP}")
+                    new.append(c)
+        frontier = new
+    return els
+
+
 def _matrix_group(p: int, k: int, mats: MatrixList) -> FiniteGroup:
     gens = []
     for mat in mats.matrices:
@@ -327,18 +351,11 @@ def _matrix_group(p: int, k: int, mats: MatrixList) -> FiniteGroup:
             raise _err(f"matrix {list(map(list, mat.rows))} is not invertible mod {p}")
         gens.append(m)
     ident = tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
-    els = {ident, *gens}
-    frontier = list(els)
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                c = _mat_mul(a, g, p)
-                if c not in els:
-                    els.add(c)
-                    new.append(c)
-        frontier = new
-    return FiniteGroup(els, lambda a, b: _mat_mul(a, b, p), identity=ident,
+
+    def mul(a, b):
+        return _mat_mul(a, b, p)
+
+    return FiniteGroup(_closure(gens, ident, mul), mul, identity=ident,
                        name=f"matgrp({p},{k})")
 
 
@@ -382,10 +399,11 @@ def _build(expr) -> BuildResult:
         degree = max((max(c) for p in expr.perms for c in p if c), default=-1) + 1
         if degree < 1:
             raise _err("cannot infer the degree of gens[()]")
-        perms = [Perm.from_cycles(degree, p) for p in expr.perms]
-        closure = PermSet.closure(perms, degree=degree)
-        group = FiniteGroup.from_permutations(
-            [q.images for q in closure], name=f"gens(deg {degree})")
+        gens = [Perm.from_cycles(degree, p).images for p in expr.perms]
+        rng = range(degree)
+        closure = _closure(gens, tuple(rng),
+                           lambda a, b: tuple(a[b[i]] for i in rng))
+        group = FiniteGroup.from_permutations(closure, name=f"gens(deg {degree})")
         return BuildResult(group)
     if not isinstance(expr, Call):
         raise _err(f"expected a group expression, found {expr!r}")

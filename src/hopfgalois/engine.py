@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import Iterable
 
 from .catalog import iso_type
 from .errors import BudgetExceeded, CapExceeded, NotNormalClosure
 from .groups import (FiniteGroup, GroupHom, SubgroupRef, _is_prime,
                      automorphism_group)
-from .perms import Perm, PermSet
+from .perms import Perm, uniform_cycle_length
 
 DEGREE_CAP = 12
 CROSS_CHECK_CAP = 8
@@ -104,23 +105,26 @@ class CosetAction:
             else g.generators()
         if g.closure_of(self.generators) != frozenset(range(len(g))):
             raise ValueError("the given indices do not generate the group")
-        self._perm_cache: dict[int, Perm] = {}
+        self._translations: dict[int, tuple[int, ...]] = {}
 
     @property
     def degree(self) -> int:
         return self.problem.degree
 
-    def translation(self, x: int) -> Perm:
-        """The permutation of the cosets induced by left translation by x."""
-        p = self._perm_cache.get(x)
-        if p is None:
+    def translation(self, x: int) -> tuple[int, ...]:
+        """The image tuple of the cosets under left translation by x."""
+        t = self._translations.get(x)
+        if t is None:
             g = self.problem.group
-            p = Perm(tuple(self.coset_of[g.mul(x, r)] for r in self.reps))
-            self._perm_cache[x] = p
-        return p
+            t = tuple(self.coset_of[g.mul(x, r)] for r in self.reps)
+            self._translations[x] = t
+        return t
 
-    def generator_perms(self) -> list[Perm]:
-        return [self.translation(x) for x in self.generators]
+    def generator_pairs(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """(lambda(g), lambda(g^-1)) for each generator g of G."""
+        g = self.problem.group
+        return [(self.translation(x), self.translation(g.inv(x)))
+                for x in self.generators]
 
 
 def coset_action(problem: ExtensionProblem,
@@ -130,29 +134,34 @@ def coset_action(problem: ExtensionProblem,
 
 class HGStructure:
     """One Hopf-Galois structure: a regular, translation-normalized
-    permutation subgroup N together with its abstract group and type."""
+    permutation subgroup N, held as the group of its image tuples, and its
+    isomorphism type."""
 
-    def __init__(self, action: CosetAction, perms: PermSet):
+    def __init__(self, action: CosetAction, elements: Iterable[tuple[int, ...]]):
         self.action = action
-        self.perms = perms
         self.group = FiniteGroup.from_permutations(
-            [p.images for p in perms], name=f"N(deg {perms.degree})")
+            elements, name=f"N(deg {action.degree})")
         self.type_name = iso_type(self.group)
-        self._pos = {p.images: i for i, p in enumerate(perms.elements)}
         self._conj_cache: dict[int, tuple[int, ...]] = {}
         self._hom: GroupHom | None = None
 
-    def key(self) -> tuple:
-        return self.perms.key()
+    def key(self) -> tuple[tuple[int, ...], ...]:
+        """The image tuples of N in sorted order (the identity sorts first)."""
+        return self.group.raw_elements()
 
     def conj_action(self, x: int) -> tuple[int, ...]:
-        """Conjugation by the translation of x, as a map on N's indices."""
+        """Conjugation by the translation of x, as a map on N's indices.
+
+        Raises KeyError if that translation does not normalize N.
+        """
         out = self._conj_cache.get(x)
         if out is None:
             lam = self.action.translation(x)
-            lam_inv = lam.inverse()
-            out = tuple(self._pos[(lam * p * lam_inv).images]
-                        for p in self.perms.elements)
+            lam_inv = self.action.translation(self.action.problem.group.inv(x))
+            rng = range(len(lam))
+            index_of = self.group.index_of
+            out = tuple(index_of(tuple(lam[t[lam_inv[i]]] for i in rng))
+                        for t in self.group.raw_elements())
             self._conj_cache[x] = out
         return out
 
@@ -162,19 +171,36 @@ class HGStructure:
         Raises ValueError if N is not normalized by the translations.
         """
         if self._hom is None:
-            if not self.perms.is_normalized_by(self.action.generator_perms()):
-                raise ValueError("the subgroup is not normalized by the translations")
-            aut = automorphism_group(self.group)
             g = self.action.problem.group
-            self._hom = GroupHom(g, aut, [aut.index_of(self.conj_action(x))
-                                          for x in range(len(g))], check=False)
+            try:
+                tables = [self.conj_action(x) for x in range(len(g))]
+            except KeyError:
+                raise ValueError("the subgroup is not normalized by the "
+                                 "translations") from None
+            aut = automorphism_group(self.group)
+            self._hom = GroupHom(g, aut, [aut.index_of(t) for t in tables],
+                                 check=False)
         return self._hom
 
     def generator_strings(self) -> list[str]:
-        return [str(self.perms.elements[i]) for i in self.group.generators()]
+        return [str(Perm(self.group.raw(i))) for i in self.group.generators()]
 
     def __repr__(self) -> str:
-        return f"<HGStructure type {self.type_name} degree {self.perms.degree}>"
+        return f"<HGStructure type {self.type_name} degree {self.action.degree}>"
+
+
+def _regular_normalized(elements, n: int, gen_pairs) -> bool:
+    """The post-hoc check of a group given as a set of image tuples.
+
+    Regular: n elements whose images of point 0 are all distinct.
+    Normalized: g t g^-1 lies in the set for every element t and every
+    pair (g, g^-1) of `gen_pairs`.
+    """
+    if len(elements) != n or len({t[0] for t in elements}) != n:
+        return False
+    rng = range(n)
+    return all(tuple(g[t[gi[i]]] for i in rng) in elements
+               for g, gi in gen_pairs for t in elements)
 
 
 # -- the search ----------------------------------------------------------
@@ -202,26 +228,6 @@ def _semiregular_tuples(n: int, d: int):
             yield from rec(tuple(x for x in rest if x not in taken))
 
     yield from rec(tuple(range(n)))
-
-
-def _uniform_cycle_length(t: tuple[int, ...]) -> int | None:
-    n = len(t)
-    seen = bytearray(n)
-    d = 0
-    for s in range(n):
-        if seen[s]:
-            continue
-        ln = 0
-        x = s
-        while not seen[x]:
-            seen[x] = 1
-            x = t[x]
-            ln += 1
-        if d == 0:
-            d = ln
-        elif ln != d:
-            return None
-    return d
 
 
 def _key(t: tuple[int, ...], n: int) -> int:
@@ -265,7 +271,7 @@ def _stable_closure(seed, gen_pairs, n, budget):
                 ops += 2
                 for c in (tuple(a[b[i]] for i in rng), tuple(b[a[i]] for i in rng)):
                     if c not in els:
-                        if _uniform_cycle_length(c) is None:
+                        if uniform_cycle_length(c) is None:
                             budget.spend(ops)
                             return None
                         els.add(c)
@@ -277,7 +283,7 @@ def _stable_closure(seed, gen_pairs, n, budget):
                 ops += 1
                 c = tuple(g[a[gi[i]]] for i in rng)
                 if c not in els:
-                    if _uniform_cycle_length(c) is None:
+                    if uniform_cycle_length(c) is None:
                         budget.spend(ops)
                         return None
                     els.add(c)
@@ -290,8 +296,8 @@ def _stable_closure(seed, gen_pairs, n, budget):
     return frozenset(els)
 
 
-def _semiregular_centralizer(sigma: Perm, d: int):
-    """Yield, as image tuples, each permutation commuting with sigma whose
+def _semiregular_centralizer(sigma: tuple[int, ...], d: int):
+    """Yield each permutation commuting with the image tuple sigma whose
     cycles all have length d, exactly once.
 
     Such a permutation c maps every cycle of sigma onto a cycle of the same
@@ -302,10 +308,10 @@ def _semiregular_centralizer(sigma: Perm, d: int):
     so that this comes out as d; nothing else is ever built.
     """
     by_length: dict[int, list[tuple[int, ...]]] = {}
-    for cycle in sigma.cycles(include_fixed=True):
+    for cycle in Perm(sigma).cycles(include_fixed=True):
         by_length.setdefault(len(cycle), []).append(cycle)
     classes = sorted(by_length.items())
-    images = [0] * sigma.degree
+    images = [0] * len(sigma)
 
     def rec(ci: int, free: tuple[int, ...]):
         if not free:
@@ -337,7 +343,7 @@ def _semiregular_centralizer(sigma: Perm, d: int):
     yield from rec(0, tuple(range(len(classes[0][1]))))
 
 
-def _prime_order_translations(action: CosetAction) -> list[Perm]:
+def _prime_order_translations(action: CosetAction) -> list[tuple[int, ...]]:
     """The translation of one representative of each conjugacy class of
     elements of prime order in G."""
     g = action.problem.group
@@ -421,7 +427,7 @@ def enumerate_regular_normalized(action: CosetAction, *,
     """All regular subgroups of Perm(points) normalized by the translation
     image of G, each exactly once, in canonical order.
 
-    Every result is re-checked post hoc with the permutation-set predicates,
+    Every result is re-checked post hoc for regularity and normalization,
     independently of the pruning used by the search.
     """
     n = action.degree
@@ -429,18 +435,15 @@ def enumerate_regular_normalized(action: CosetAction, *,
         raise CapExceeded(f"enumeration capped at degree {degree_cap}, got {n}")
     if budget is None:
         budget = NodeBudget()
-    gen_perms = action.generator_perms()
-    gen_pairs = [(p.images, p.inverse().images) for p in gen_perms]
+    gen_pairs = action.generator_pairs()
     atoms = _viable_atoms(n, gen_pairs, _prime_order_translations(action),
                           budget)
-    groups = _combine_atoms(atoms, n, gen_pairs, budget)
     structures = []
-    for fs in sorted(groups, key=sorted):
-        perms = PermSet(n, tuple(sorted(Perm(t) for t in fs)))
-        if not (perms.is_regular() and perms.is_normalized_by(gen_perms)):
+    for fs in _combine_atoms(atoms, n, gen_pairs, budget):
+        if not _regular_normalized(fs, n, gen_pairs):
             raise RuntimeError("search produced an invalid subgroup; "
                                "this is a bug in the pruning")
-        structures.append(HGStructure(action, perms))
+        structures.append(HGStructure(action, fs))
     structures.sort(key=lambda s: (s.type_name, s.key()))
     return structures
 
@@ -451,31 +454,30 @@ def translation_structure(action: CosetAction, members) -> HGStructure:
     Valid whenever the image is regular and normalized (e.g. the image of a
     normal complement of G'); raises ValueError otherwise.
     """
-    perms = PermSet.from_perms({action.translation(x) for x in members},
-                               degree=action.degree)
-    if not perms.is_regular():
-        raise ValueError("translation image is not regular on the cosets")
-    if not perms.is_normalized_by(action.generator_perms()):
-        raise ValueError("translation image is not normalized")
-    return HGStructure(action, perms)
+    elements = {action.translation(x) for x in members}
+    if not _regular_normalized(elements, action.degree, action.generator_pairs()):
+        raise ValueError("translation image is not a regular, normalized "
+                         "subgroup")
+    return HGStructure(action, elements)
 
 
 def enumerate_via_transversal(action: CosetAction, *,
                               cap: int = CROSS_CHECK_CAP,
-                              budget: NodeBudget | None = None) -> list[PermSet]:
+                              budget: NodeBudget | None = None
+                              ) -> list[tuple[tuple[int, ...], ...]]:
     """Independent second engine for small degrees.
 
     Regularity forces one element per image of point 0, so backtrack over
     that transversal directly, closing the partial group after every choice.
-    Used to cross-check the orbit engine; returns the bare permutation sets.
+    Used to cross-check the orbit engine; returns each N as its sorted image
+    tuples (what `HGStructure.key` gives), in sorted order.
     """
     n = action.degree
     if n > cap:
         raise CapExceeded(f"transversal engine capped at degree {cap}, got {n}")
     if budget is None:
         budget = NodeBudget()
-    gen_perms = action.generator_perms()
-    gen_pairs = [(p.images, p.inverse().images) for p in gen_perms]
+    gen_pairs = action.generator_pairs()
     rng = range(n)
     id_t = tuple(rng)
 
@@ -496,7 +498,7 @@ def enumerate_via_transversal(action: CosetAction, *,
                     ops += 1
                     c = tuple(a[b[i]] for i in rng)
                     if c not in els:
-                        if _uniform_cycle_length(c) is None or len(els) >= n:
+                        if uniform_cycle_length(c) is None or len(els) >= n:
                             budget.spend(ops)
                             return None
                         els.add(c)
@@ -505,7 +507,7 @@ def enumerate_via_transversal(action: CosetAction, *,
                     ops += 1
                     c = tuple(g[a[gi[i]]] for i in rng)
                     if c not in els:
-                        if _uniform_cycle_length(c) is None or len(els) >= n:
+                        if uniform_cycle_length(c) is None or len(els) >= n:
                             budget.spend(ops)
                             return None
                         els.add(c)
@@ -529,10 +531,7 @@ def enumerate_via_transversal(action: CosetAction, *,
                 dfs(q)
 
     dfs(frozenset({id_t}))
-    out = []
-    for fs in sorted(results, key=sorted):
-        perms = PermSet(n, tuple(sorted(Perm(t) for t in fs)))
-        if not (perms.is_regular() and perms.is_normalized_by(gen_perms)):
+    for fs in results:
+        if not _regular_normalized(fs, n, gen_pairs):
             raise RuntimeError("transversal search produced an invalid subgroup")
-        out.append(perms)
-    return out
+    return sorted(tuple(sorted(fs)) for fs in results)

@@ -45,11 +45,13 @@ class FiniteGroup:
     def __init__(self, elements: Iterable, mul: Callable, inv: Callable | None = None,
                  *, identity, name: str | None = None, perm_degree: int | None = None,
                  distinguished: tuple[int, ...] | None = None):
-        raw = sorted(elements)
+        # at most one element past the cap is ever read
+        raw = list(itertools.islice(elements, GROUP_ORDER_CAP + 1))
         if len(raw) == 0:
             raise ValueError("a group needs at least one element")
         if len(raw) > GROUP_ORDER_CAP:
-            raise CapExceeded(f"group order {len(raw)} exceeds cap {GROUP_ORDER_CAP}")
+            raise CapExceeded(f"group order exceeds cap {GROUP_ORDER_CAP}")
+        raw.sort()
         try:
             raw.remove(identity)
         except ValueError:
@@ -80,7 +82,7 @@ class FiniteGroup:
     def from_permutations(cls, perms: Iterable[tuple[int, ...]],
                           name: str | None = None) -> FiniteGroup:
         """Group of permutations given as image tuples (must be closed)."""
-        elems = [tuple(p) for p in perms]
+        elems = [tuple(p) for p in itertools.islice(perms, GROUP_ORDER_CAP + 1)]
         n = len(elems[0])
         rng = range(n)
 
@@ -406,7 +408,7 @@ def dihedral(n: int) -> FiniteGroup:
         a, s = x
         return ((-a) % n if s == 0 else a, s)
 
-    elems = [(a, s) for a in range(n) for s in (0, 1)]
+    elems = ((a, s) for a in range(n) for s in (0, 1))
     return FiniteGroup(elems, mul, inv, identity=(0, 0), name=f"D{n}")
 
 
@@ -479,7 +481,7 @@ def dicyclic(m: int) -> FiniteGroup:
         return ((a + m) % n, 1)
 
     name = f"Q{4 * m}" if 4 * m & (4 * m - 1) == 0 else f"Dic{m}"
-    elems = [(a, s) for a in range(n) for s in (0, 1)]
+    elems = ((a, s) for a in range(n) for s in (0, 1))
     return FiniteGroup(elems, mul, inv, identity=(0, 0), name=name)
 
 

@@ -112,7 +112,7 @@ def intermediate_subgroups(problem: ExtensionProblem,
     if action is None:
         action = coset_action(problem)
     n = action.degree
-    gens = [p.images for p in action.generator_perms()]
+    gens = [lam for lam, _ in action.generator_pairs()]
     seen = {frozenset([0])}
     frontier = list(seen)
     while frontier:
@@ -204,7 +204,7 @@ def _complement_bound(action: CosetAction, verdicts: list[StructureVerdict]) -> 
     if not minimal:
         return 0
     image = {action.translation(x) for x in range(len(action.problem.group))}
-    return sum(1 for v in minimal if all(p in image for p in v.structure.perms))
+    return sum(1 for v in minimal if all(t in image for t in v.structure.key()))
 
 
 def classify(problem: ExtensionProblem, *, degree_cap: int = DEGREE_CAP,

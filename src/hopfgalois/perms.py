@@ -1,28 +1,24 @@
-"""Permutation arithmetic on a finite point set {0..n-1}."""
+"""Permutations of a finite point set {0..n-1}.
+
+Inside the package a permutation is its image tuple: ``t[i]`` is the image
+of point i, and the product ``p q`` (q applied first) is
+``tuple(p[q[i]] for i in range(n))``.  `Perm` wraps an image tuple for
+parsing and printing cycle notation.
+"""
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
-from math import lcm
-from typing import Iterable, Iterator
-
-from .errors import CapExceeded
-
-DEFAULT_CLOSURE_CAP = 10_000
+from typing import Iterable
 
 _TOKEN = re.compile(r"[()]|\d+|\S")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Perm:
-    """A bijection on {0..n-1}; ``images[i]`` is the image of point i.
-
-    Perms sort lexicographically by their image tuple.  That order is the
-    canonical one used for every set-valued result in this package; note
-    the identity is always the minimum within a group.
-    """
+    """A bijection on {0..n-1}, validated; ``images[i]`` is the image of
+    point i.  Used to read and write cycle notation."""
 
     images: tuple[int, ...]
 
@@ -111,21 +107,6 @@ class Perm:
             out[v] = i
         return Perm(tuple(out))
 
-    def __pow__(self, k: int) -> Perm:
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Perm.identity(self.degree)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def is_identity(self) -> bool:
-        return all(i == v for i, v in enumerate(self.images))
-
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Disjoint cycles, each starting at its minimum, sorted by minimum."""
         seen = [False] * len(self.images)
@@ -152,123 +133,28 @@ class Perm:
     def __str__(self) -> str:
         return self.cycle_string()
 
-    def order(self) -> int:
-        return lcm(*(len(c) for c in self.cycles(include_fixed=True)))
 
-    def semiregular_cycle_length(self) -> int | None:
-        """The common cycle length if all cycles agree, else None.
+def uniform_cycle_length(t: tuple[int, ...]) -> int | None:
+    """The common cycle length of the image tuple t if all its cycles agree,
+    else None.
 
-        The identity returns 1.  Elements of a regular permutation group are
-        exactly the permutations with uniform cycle length.
-        """
-        d = 0
-        for c in self.cycles(include_fixed=True):
-            if d == 0:
-                d = len(c)
-            elif len(c) != d:
-                return None
-        return d
-
-
-@dataclass(frozen=True)
-class PermSet:
-    """A canonically ordered set of permutations of one degree."""
-
-    degree: int
-    elements: tuple[Perm, ...]
-
-    @staticmethod
-    def from_perms(perms: Iterable[Perm], degree: int | None = None) -> PermSet:
-        elems = sorted(set(perms))
-        if degree is None:
-            if not elems:
-                raise ValueError("cannot infer the degree of an empty set")
-            degree = elems[0].degree
-        for p in elems:
-            if p.degree != degree:
-                raise ValueError(f"degree mismatch: {p.degree} vs {degree}")
-        return PermSet(degree, tuple(elems))
-
-    @staticmethod
-    def closure(generators: Iterable[Perm], degree: int | None = None,
-                cap: int = DEFAULT_CLOSURE_CAP) -> PermSet:
-        """The group generated by ``generators`` (breadth-first closure).
-
-        An empty generating set yields the trivial group, so ``degree`` is
-        required in that case.  Raises CapExceeded if the group would have
-        more than ``cap`` elements.
-        """
-        gens = sorted(set(generators))
-        if degree is None:
-            if not gens:
-                raise ValueError("degree required for an empty generating set")
-            degree = gens[0].degree
-        for g in gens:
-            if g.degree != degree:
-                raise ValueError(f"degree mismatch: {g.degree} vs {degree}")
-        els = {Perm.identity(degree)}
-        els.update(gens)
-        frontier = list(els)
-        while frontier:
-            new = []
-            for a in frontier:
-                for g in gens:
-                    c = a * g
-                    if c not in els:
-                        els.add(c)
-                        if len(els) > cap:
-                            raise CapExceeded(
-                                f"closure exceeded cap of {cap} elements")
-                        new.append(c)
-            frontier = new
-        return PermSet(degree, tuple(sorted(els)))
-
-    @cached_property
-    def _as_set(self) -> frozenset[Perm]:
-        return frozenset(self.elements)
-
-    def __contains__(self, p: Perm) -> bool:
-        return p in self._as_set
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self) -> Iterator[Perm]:
-        return iter(self.elements)
-
-    def key(self) -> tuple[tuple[int, ...], ...]:
-        """Canonical hashable key (the sorted image tuples)."""
-        return tuple(p.images for p in self.elements)
-
-    def is_group(self) -> bool:
-        """Exhaustive check: identity present and closed under composition.
-
-        Closure under inverses follows for finite sets of permutations.
-        """
-        if Perm.identity(self.degree) not in self._as_set:
-            return False
-        return all(a * b in self._as_set for a in self.elements for b in self.elements)
-
-    def is_regular(self) -> bool:
-        """True iff this group acts transitively with trivial point stabilizers.
-
-        For a group, that is equivalent to being transitive of order equal
-        to the degree.  The caller is responsible for passing a group.
-        """
-        if len(self.elements) != self.degree:
-            return False
-        orbit = {0}
-        for p in self.elements:
-            orbit.add(p(0))
-        return len(orbit) == self.degree
-
-    def is_normalized_by(self, generators: Iterable[Perm]) -> bool:
-        """True iff g S g^-1 == S for every generator g."""
-        for g in generators:
-            if g.degree != self.degree:
-                raise ValueError(f"degree mismatch: {g.degree} vs {self.degree}")
-            gi = g.inverse()
-            for p in self.elements:
-                if g * p * gi not in self._as_set:
-                    return False
-        return True
+    The identity returns 1.  Elements of a regular permutation group are
+    exactly the permutations with uniform cycle length.
+    """
+    n = len(t)
+    seen = bytearray(n)
+    d = 0
+    for s in range(n):
+        if seen[s]:
+            continue
+        ln = 0
+        x = s
+        while not seen[x]:
+            seen[x] = 1
+            x = t[x]
+            ln += 1
+        if d == 0:
+            d = ln
+        elif ln != d:
+            return None
+    return d

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hopfgalois.cli import main
 
 
@@ -59,6 +61,20 @@ def test_exit_code_cap(capsys):
     code, _, err = run(capsys, "enumerate", "C(16)", "--galois",
                        "--degree-cap", "12")
     assert code == 3
+    assert "cap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["S(12)", "--galois"],
+    # the matrix group's closure passes the order cap
+    ["SD(E(7,3), matgrp(7,3,[[[0,0,1],[1,0,0],[0,1,3]],[[1,1,0],[0,1,0],[0,0,1]]]))",
+     "--complement"],
+    ["gens[(0 1), (0 1 2 3 4 5 6 7 8 9 10 11)]", "--galois"],
+])
+def test_exit_code_group_order_cap(capsys, argv):
+    code, out, err = run(capsys, "enumerate", *argv)
+    assert code == 3
+    assert out == ""
     assert "cap" in err
 
 

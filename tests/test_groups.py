@@ -216,6 +216,21 @@ def test_aut_cap():
         automorphism_group(direct_product(alternating(5), cyclic(3)))
 
 
+# Far past GROUP_ORDER_CAP: each must raise after reading at most one
+# element beyond the cap, not after listing the whole group.
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: symmetric(11), id="S11"),
+    pytest.param(lambda: alternating(12), id="A12"),
+    pytest.param(lambda: cyclic(10**9), id="C(10**9)"),
+    pytest.param(lambda: dihedral(10**9), id="D(10**9)"),
+    pytest.param(lambda: dicyclic(10**9), id="Dic(10**9)"),
+    pytest.param(lambda: elementary_abelian(2, 40), id="E(2,40)"),
+])
+def test_order_cap_checked_before_building(build):
+    with pytest.raises(CapExceeded):
+        build()
+
+
 # -- holomorphs ----------------------------------------------------------
 
 

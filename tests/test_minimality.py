@@ -2,8 +2,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hopfgalois import (CapExceeded, ExtensionProblem, FiniteGroup, HGStructure,
-                        Perm, PermSet, alternating, characteristic_obstruction,
+from hopfgalois import (ExtensionProblem, FiniteGroup, HGStructure,
+                        Perm, alternating, characteristic_obstruction,
                         classify, correspondence_stats, coset_action, cyclic,
                         dihedral, elementary_abelian, enumerate_regular_normalized,
                         enumerate_via_transversal, g_stable_subgroups,
@@ -74,7 +74,7 @@ def test_lattice_galois_s3_both_symmetric_structures():
     # the centralizing copy gets the trivial action (all 6 subgroups)
     assert sizes == [3, 6]
     lam = {act.translation(x) for x in range(6)}
-    lam_structure = next(s for s in sym if set(s.perms) == lam)
+    lam_structure = next(s for s in sym if set(s.key()) == lam)
     orders = [u.order for u in g_stable_subgroups(lam_structure)]
     assert orders == [1, 3, 6]
 
@@ -271,19 +271,16 @@ def test_random_transitive_groups(gens):
     transversal engine, and the normal and sub-Hopf lattices against
     filters over all subgroups."""
     n = gens[0].degree
-    try:
-        closure = PermSet.closure(gens, cap=_TRANSITIVE_ORDER_CAP)
-    except CapExceeded:
-        assume(False)
-    assume({p.images[0] for p in closure.elements} == set(range(n)))
-    group = FiniteGroup.from_permutations([p.images for p in closure.elements])
+    # the lone fixed point (n-1) sets the degree to n
+    group = build_text(f"gens[{gens[0]}, {gens[1]}, ({n - 1})]").group
+    assume(len(group) <= _TRANSITIVE_ORDER_CAP)
+    assume({p[0] for p in group.raw_elements()} == set(range(n)))
     prob = stabilizer_problem(group)
     assert intermediate_subgroups(prob) == closure_walk_intermediate(prob)
     assert group.normal_subgroups() == [h for h in group.subgroups() if h.is_normal()]
     act = coset_action(prob)
     structures = enumerate_regular_normalized(act)
-    assert sorted(s.perms.key() for s in structures) == \
-        sorted(p.key() for p in enumerate_via_transversal(act))
+    assert sorted(s.key() for s in structures) == enumerate_via_transversal(act)
     for s in structures:
         maps = [s.conj_action(x) for x in act.generators]
         assert g_stable_subgroups(s) == stable_subgroups_via_filter(s.group, maps)

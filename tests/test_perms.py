@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hopfgalois import CapExceeded, Perm, PermSet
+from hopfgalois import CapExceeded, FiniteGroup, Perm
+from hopfgalois.dsl import build_text
+from hopfgalois.engine import _regular_normalized
+from hopfgalois.perms import uniform_cycle_length
 
 perms = st.integers(min_value=1, max_value=7).flatmap(
     lambda n: st.permutations(range(n))).map(lambda xs: Perm(tuple(xs)))
@@ -73,79 +76,97 @@ def test_parse_errors():
 
 
 def test_semiregular_cycle_type():
-    assert Perm.identity(4).semiregular_cycle_length() == 1
-    assert Perm.parse("(0 1)(2 3)").semiregular_cycle_length() == 2
-    assert Perm.parse("(0 1 2)", degree=4).semiregular_cycle_length() is None
+    assert uniform_cycle_length(Perm.identity(4).images) == 1
+    assert uniform_cycle_length(Perm.parse("(0 1)(2 3)").images) == 2
+    assert uniform_cycle_length(Perm.parse("(0 1 2)", degree=4).images) is None
+
+
+# -- closure: the group a gens[...] expression generates ---------------------
+
+
+def elements(text: str) -> tuple[tuple[int, ...], ...]:
+    return build_text(text).group.raw_elements()
 
 
 def test_closure_empty_and_small():
-    triv = PermSet.closure([], degree=3)
-    assert len(triv) == 1 and Perm.identity(3) in triv
-    s3 = PermSet.closure([Perm.parse("(0 1)", degree=3), Perm.parse("(1 2)", degree=3)])
-    assert len(s3) == 6
-    c4 = PermSet.closure([Perm.parse("(0 1 2 3)")])
-    assert len(c4) == 4
+    # a lone fixed point only sets the degree: the trivial group
+    assert elements("gens[(2)]") == ((0, 1, 2),)
+    assert len(elements("gens[(0 1), (1 2)]")) == 6
+    assert len(elements("gens[(0 1 2 3)]")) == 4
 
 
 def test_closure_cap():
-    gens = [Perm.parse("(0 1)", degree=5), Perm.parse("(0 1 2 3 4)")]
+    # S8 has 40320 elements; the closure stops once it passes the cap
     with pytest.raises(CapExceeded):
-        PermSet.closure(gens, cap=100)
+        build_text("gens[(0 1), (0 1 2 3 4 5 6 7)]")
 
 
 def test_closure_generator_order_independent():
-    gens = [Perm.parse("(0 1)", degree=4), Perm.parse("(0 1 2 3)")]
-    a = PermSet.closure(gens)
-    b = PermSet.closure(list(reversed(gens)))
-    assert a.elements == b.elements
+    assert elements("gens[(0 1), (0 1 2 3)]") == elements("gens[(0 1 2 3), (0 1)]")
 
 
 def test_closure_is_group_exhaustively():
-    s = PermSet.closure([Perm.parse("(0 1 2 3)"), Perm.parse("(1 3)", degree=4)])
-    assert s.is_group()
-    assert all(p.inverse() in s for p in s)
-    # dropping the identity breaks the group predicate
-    broken = PermSet(4, tuple(p for p in s if not p.is_identity()))
-    assert not broken.is_group()
+    s = elements("gens[(0 1 2 3), (1 3)]")
+    members = set(s)
+    rng = range(4)
+    assert s[0] == tuple(rng)
+    assert all(tuple(a[b[i]] for i in rng) in members for a in s for b in s)
+    assert all(Perm(p).inverse().images in members for p in s)
+    # dropping the identity leaves a set the group holder refuses
+    with pytest.raises(ValueError):
+        FiniteGroup.from_permutations(s[1:])
 
 
-KLEIN = PermSet.from_perms([Perm.identity(4),
-                            Perm.parse("(0 1)(2 3)"),
-                            Perm.parse("(0 2)(1 3)"),
-                            Perm.parse("(0 3)(1 2)")])
+# -- the post-hoc predicate: regular and normalized --------------------------
 
-S4_GENS = [Perm.parse("(0 1)", degree=4), Perm.parse("(0 1 2 3)")]
+
+def images(*texts: str, degree: int = 4) -> list[tuple[int, ...]]:
+    return [Perm.parse(t, degree=degree).images for t in texts]
+
+
+KLEIN = frozenset(images("()", "(0 1)(2 3)", "(0 2)(1 3)", "(0 3)(1 2)"))
+C4 = frozenset(elements("gens[(0 1 2 3)]"))
+S4 = elements("gens[(0 1), (0 1 2 3)]")
+
+
+def pairs(perms) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    return [(p, Perm(p).inverse().images) for p in perms]
+
+
+S4_GENS = pairs(images("(0 1)", "(0 1 2 3)"))
 
 
 def test_is_regular():
-    assert PermSet.closure([Perm.parse("(0 1 2 3)")]).is_regular()
-    assert not PermSet.closure([Perm.parse("(0 1)", degree=4)]).is_regular()
-    assert KLEIN.is_regular()
+    # no generators: only regularity is tested
+    assert _regular_normalized(C4, 4, [])
+    assert not _regular_normalized(frozenset(elements("gens[(0 1)(3)]")), 4, [])
+    # four elements, but point 0 only reaches {0, 1}
+    assert not _regular_normalized(frozenset(elements("gens[(0 1), (2 3)]")), 4, [])
+    assert _regular_normalized(KLEIN, 4, [])
 
 
 def test_regular_elements_are_semiregular():
-    for s in (KLEIN, PermSet.closure([Perm.parse("(0 1 2 3)")])):
-        assert s.is_regular()
-        assert len(s) == s.degree
+    for s in (KLEIN, C4):
+        assert _regular_normalized(s, 4, [])
+        assert len(s) == 4
         for p in s:
-            d = p.semiregular_cycle_length()
-            assert d is not None and s.degree % d == 0
-            assert d > 1 or p.is_identity()
+            d = uniform_cycle_length(p)
+            assert d is not None and 4 % d == 0
+            assert d > 1 or p == (0, 1, 2, 3)
 
 
 def test_is_normalized_by():
-    assert KLEIN.is_normalized_by(KLEIN.elements)  # self-normalization
-    assert KLEIN.is_normalized_by(S4_GENS)
-    c4 = PermSet.closure([Perm.parse("(0 1 2 3)")])
+    assert _regular_normalized(KLEIN, 4, pairs(KLEIN))  # self-normalization
+    assert _regular_normalized(KLEIN, 4, S4_GENS)
     # oracle: conjugating by (0 1) moves the 4-cycle out of the subgroup
     g = Perm.parse("(0 1)", degree=4)
-    conj = {g * p * g.inverse() for p in c4}
-    assert conj != set(c4.elements)
-    assert not c4.is_normalized_by(S4_GENS)
+    conj = {(g * Perm(p) * g.inverse()).images for p in C4}
+    assert conj != set(C4)
+    assert not _regular_normalized(C4, 4, S4_GENS)
 
 
 def test_normalized_by_generators_suffices():
-    s4 = PermSet.closure(S4_GENS)
-    assert KLEIN.is_normalized_by(S4_GENS) == KLEIN.is_normalized_by(s4.elements)
-    c4 = PermSet.closure([Perm.parse("(0 1 2 3)")])
-    assert c4.is_normalized_by(S4_GENS) == c4.is_normalized_by(s4.elements)
+    assert len(S4) == 24
+    for s in (KLEIN, C4):
+        assert _regular_normalized(s, 4, S4_GENS) == \
+            _regular_normalized(s, 4, pairs(S4))
