@@ -63,6 +63,19 @@ CANONICAL_SHA256 = {
         "04c72c2bf69e0b34c1a5a7f9e218d00ae479f7c9ae5194f78d72b935bb18b34d",
 }
 
+# Degree 12, past the corpus (which stops at degree 10); recorded before the
+# search pruned on point-0 collisions, the rule that changes the most work here.
+DEGREE_12_SHA256 = {
+    "C(12) --galois":
+        "c5df988015041a9da464fd9210045b1649c5e61c790bf10a3868e66846e0aa13",
+    "A(4) --galois":
+        "d21fd910ee4699a5473d96ade22a8f1b1f68ea718ab34b78a271ff7ccb7585a7",
+    "D(6) --galois":
+        "63a1f5de9c8d13c5122f4171c4c37356717b2e41fef45b93b22b228ae9bfc994",
+    "S(6) --subgroup gens[(0 1 2 3 4), (0 5)(1 4)]":
+        "1d624ceec80b42c1e7c1d242398b353e8bb858e234c1c10922f2f122eea8389e",
+}
+
 CATALOG_ALL_JSON_SHA256 = "558b30dc3683f69228888fc338c1e09d58edfebe20de1e23c8df2595694fc144"
 
 
@@ -75,6 +88,13 @@ def _stdout_digest(capsys, argv) -> str:
 def test_canonical_output_digest(capsys, row):
     argv = ["enumerate", row.expr, *row.flags, "--canonical"]
     assert _stdout_digest(capsys, argv) == CANONICAL_SHA256[row.label]
+
+
+@pytest.mark.parametrize("label", sorted(DEGREE_12_SHA256))
+def test_degree_12_output_digest(capsys, label):
+    expr, flag, *rest = label.split(" ", 2)
+    argv = ["enumerate", expr, flag, *rest, "--canonical"]
+    assert _stdout_digest(capsys, argv) == DEGREE_12_SHA256[label]
 
 
 def test_catalog_all_json_digest(capsys):
