@@ -139,7 +139,7 @@ def iso_type(g: FiniteGroup, cap: int = ISO_CAP) -> str:
         return fingerprint_label(g)
     if g.is_abelian():
         inv = abelian_invariants(g)
-        if len(inv) == 1:
+        if len(inv) <= 1:  # () for the trivial group
             return f"C{m}"
         d = inv[0]
         if _is_prime(d) and all(x == d for x in inv):

@@ -230,70 +230,73 @@ def _semiregular_tuples(n: int, d: int):
     yield from rec(tuple(range(n)))
 
 
-def _key(t: tuple[int, ...], n: int) -> int:
-    k = 0
-    for v in t:
-        k = k * n + v
-    return k
-
-
 def _conj_orbit(t0, gen_pairs, n, budget):
+    """The translation-conjugation orbit of t0, or None at the first two of
+    its elements that send point 0 to the same point (then the orbit lies
+    in no regular N)."""
     rng = range(n)
-    orb = {t0}
+    by0 = {t0[0]: t0}
     stack = [t0]
-    while stack:
-        a = stack.pop()
-        for g, gi in gen_pairs:
-            c = tuple(g[a[gi[i]]] for i in rng)
-            if c not in orb:
-                orb.add(c)
-                stack.append(c)
-    budget.spend(len(orb) * len(gen_pairs))
-    return orb
-
-
-def _stable_closure(seed, gen_pairs, n, budget):
-    """Close a set of image tuples under products and translation
-    conjugation; None as soon as it outgrows n elements or picks up a
-    non-semiregular element (neither can happen inside a regular N)."""
-    els = set(seed)
-    if len(els) > n:
-        budget.spend(len(els))
-        return None
-    rng = range(n)
-    frontier = list(els)
     ops = 0
-    while frontier:
-        new = []
-        snapshot = list(els)
-        for a in frontier:
-            for b in snapshot:
-                ops += 2
-                for c in (tuple(a[b[i]] for i in rng), tuple(b[a[i]] for i in rng)):
-                    if c not in els:
-                        if uniform_cycle_length(c) is None:
-                            budget.spend(ops)
-                            return None
-                        els.add(c)
-                        new.append(c)
-                        if len(els) > n:
-                            budget.spend(ops)
-                            return None
+    try:
+        while stack:
+            a = stack.pop()
             for g, gi in gen_pairs:
                 ops += 1
                 c = tuple(g[a[gi[i]]] for i in rng)
-                if c not in els:
-                    if uniform_cycle_length(c) is None:
-                        budget.spend(ops)
+                s = by0.setdefault(c[0], c)
+                if s is c:
+                    stack.append(c)
+                elif s != c:
+                    return None
+        return list(by0.values())
+    finally:
+        budget.spend(ops)
+
+
+def _closure(group, extra, n, budget):
+    """The group generated by the group `group` and the elements `extra`,
+    or None at the first two of its elements that send point 0 to the same
+    point.
+
+    The search only closes translation-stable sets (an orbit plus the
+    identity, or two stable groups), so the generated group H is normalized
+    by the translation image of G.  That image is transitive, so the point
+    stabilizers of H are conjugate: H is semiregular iff its stabilizer of
+    0 is trivial, i.e. iff no two elements agree on 0, and then |H| <= n.
+    Products among the elements of `group` are never recomputed.
+    """
+    rng = range(n)
+    els = list(group)
+    by0 = [None] * n
+    for t in els:
+        by0[t[0]] = t
+    for c in extra:
+        s = by0[c[0]]
+        if s is None:
+            by0[c[0]] = c
+            els.append(c)
+        elif s != c:
+            return None
+    ops = 0
+    try:
+        # every pair with a new element is multiplied, both ways, once
+        i = len(group)
+        while i < len(els):
+            a = els[i]
+            for b in els[:i + 1]:
+                ops += 2
+                for c in (tuple(a[b[x]] for x in rng), tuple(b[a[x]] for x in rng)):
+                    s = by0[c[0]]
+                    if s is None:
+                        by0[c[0]] = c
+                        els.append(c)
+                    elif s != c:
                         return None
-                    els.add(c)
-                    new.append(c)
-                    if len(els) > n:
-                        budget.spend(ops)
-                        return None
-        frontier = new
-    budget.spend(ops)
-    return frozenset(els)
+            i += 1
+        return frozenset(els)
+    finally:
+        budget.spend(ops)
 
 
 def _semiregular_centralizer(sigma: tuple[int, ...], d: int):
@@ -354,10 +357,10 @@ def _prime_order_translations(action: CosetAction) -> list[tuple[int, ...]]:
 def _viable_atoms(n, gen_pairs, seeds, budget):
     """Stage 1: orbit inventory, seeded from centralizers.
 
-    Every translation-conjugation orbit of semiregular permutations small
-    enough to fit in a regular subgroup (at most n - 1 elements) is grown
-    to the smallest translation-stable group containing it.  Every regular
-    normalized N is a union of such atoms.
+    Every translation-conjugation orbit of semiregular permutations whose
+    elements send point 0 to distinct points is grown to the group it
+    generates, kept when that group does too (see `_closure`).  Every
+    regular normalized N is a union of such atoms.
 
     The orbits are found from `seeds`, the translations lambda(x) of one x
     per class of prime-order elements of G.  Take t != 1 in such an orbit
@@ -368,27 +371,25 @@ def _viable_atoms(n, gen_pairs, seeds, budget):
     centralizers of the seeds in Sym(n) meets every such orbit, and the
     atoms are exactly those of a walk over all semiregular permutations.
     """
-    id_t = tuple(range(n))
+    trivial = (tuple(range(n)),)
     atoms: set[frozenset] = set()
-    visited: set[int] = set()
+    visited: set[tuple[int, ...]] = set()
     for sigma in seeds:
         for d in _divisors(n):
             for t in _semiregular_centralizer(sigma, d):
-                k = _key(t, n)
-                if k in visited:
+                if t in visited:
                     continue
                 orbit = _conj_orbit(t, gen_pairs, n, budget)
-                visited.update(_key(o, n) for o in orbit)
-                if len(orbit) + 1 > n:
+                if orbit is None:
                     continue
-                orbit.add(id_t)
-                grown = _stable_closure(orbit, gen_pairs, n, budget)
+                visited.update(orbit)
+                grown = _closure(trivial, orbit, n, budget)
                 if grown is not None:
                     atoms.add(grown)
     return sorted(atoms, key=sorted)
 
 
-def _combine_atoms(atoms, n, gen_pairs, budget):
+def _combine_atoms(atoms, n, budget):
     """Stage 2: depth-first unions of atoms, closing after every step."""
     results: set[frozenset] = set()
     smaller = []
@@ -407,7 +408,7 @@ def _combine_atoms(atoms, n, gen_pairs, budget):
             a = smaller[j]
             if a <= p:
                 continue
-            q = _stable_closure(p | a, gen_pairs, n, budget)
+            q = _closure(p, a, n, budget)
             if q is None:
                 continue
             state = (q, j + 1)
@@ -439,7 +440,7 @@ def enumerate_regular_normalized(action: CosetAction, *,
     atoms = _viable_atoms(n, gen_pairs, _prime_order_translations(action),
                           budget)
     structures = []
-    for fs in _combine_atoms(atoms, n, gen_pairs, budget):
+    for fs in _combine_atoms(atoms, n, budget):
         if not _regular_normalized(fs, n, gen_pairs):
             raise RuntimeError("search produced an invalid subgroup; "
                                "this is a bug in the pruning")

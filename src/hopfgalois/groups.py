@@ -83,7 +83,7 @@ class FiniteGroup:
                           name: str | None = None) -> FiniteGroup:
         """Group of permutations given as image tuples (must be closed)."""
         elems = [tuple(p) for p in itertools.islice(perms, GROUP_ORDER_CAP + 1)]
-        n = len(elems[0])
+        n = len(elems[0]) if elems else 0  # the constructor refuses no elements
         rng = range(n)
 
         def mul(a, b):

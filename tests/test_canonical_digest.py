@@ -1,7 +1,7 @@
 """Byte-identical output as a tier-1 check: the sha256 of
 `hopfgalois enumerate <row> --canonical` for every row of the benchmark
-corpus (bench/corpus.py, loaded from its file and only read), and of
-`hopfgalois catalog all --json`.
+corpus (bench/corpus.py, loaded from its file and only read), of four
+degree-12 rows, and of `hopfgalois catalog all --json`.
 
 The digests were recorded from the implementation before image tuples became
 its only permutation representation.  A change that alters any canonical

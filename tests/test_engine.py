@@ -1,3 +1,4 @@
+import functools
 import itertools
 from collections import Counter
 
@@ -10,10 +11,10 @@ from hopfgalois import (BudgetExceeded, CapExceeded, ExtensionProblem,
                         enumerate_via_transversal, symmetric,
                         translation_structure)
 from hopfgalois.dsl import build_text
-from hopfgalois.engine import (DEGREE_CAP, _conj_orbit, _divisors, _key,
+from hopfgalois.engine import (DEGREE_CAP, _closure, _conj_orbit, _divisors,
                                _prime_order_translations, _regular_normalized,
                                _semiregular_centralizer, _semiregular_tuples,
-                               _stable_closure, _viable_atoms)
+                               _viable_atoms)
 from hopfgalois.perms import uniform_cycle_length
 
 from conftest import catalog_problems, complement_problem, stabilizer_problem
@@ -233,56 +234,120 @@ def test_order_56_and_36_cases():
 # -- stage 1 against the walk over every semiregular permutation -----------
 
 
-def brute_force_atoms(n, gen_pairs, budget):
-    """Reference stage 1: walk every semiregular permutation of degree n,
-    keep the translation-conjugation orbits of at most n - 1 elements and
-    grow each into the least translation-stable group containing it."""
-    id_t = tuple(range(n))
-    atoms = set()
+def full_orbit(t0, gen_pairs, n):
+    """The whole translation-conjugation orbit of t0, with no early stop."""
+    rng = range(n)
+    orbit = {t0}
+    stack = [t0]
+    while stack:
+        a = stack.pop()
+        for g, gi in gen_pairs:
+            c = tuple(g[a[gi[i]]] for i in rng)
+            if c not in orbit:
+                orbit.add(c)
+                stack.append(c)
+    return orbit
+
+
+def plain_closure(elements, n):
+    """The group generated by `elements` under products, or None once it
+    has more than n elements or holds a nonidentity element with a fixed
+    point (it is then not semiregular, so in no regular N)."""
+    els = set(elements)
+    frontier = list(els)
+    while frontier:
+        new = []
+        for a in frontier:
+            for b in list(els):
+                for c in (tuple(a[i] for i in b), tuple(b[i] for i in a)):
+                    if c not in els:
+                        els.add(c)
+                        new.append(c)
+                        if len(els) > n:
+                            return None
+        frontier = new
+    identity = tuple(range(n))
+    if any(t[i] == i for t in els if t != identity for i in range(n)):
+        return None
+    return frozenset(els)
+
+
+def brute_force_orbits(n, gen_pairs):
+    """(t, orbit of t) for the first element t met of each orbit, walking
+    every semiregular permutation of degree n."""
     visited = set()
     for d in _divisors(n):
         for t in _semiregular_tuples(n, d):
-            if _key(t, n) in visited:
-                continue
-            orbit = _conj_orbit(t, gen_pairs, n, budget)
-            visited.update(_key(o, n) for o in orbit)
-            if len(orbit) + 1 > n:
-                continue
-            orbit.add(id_t)
-            grown = _stable_closure(orbit, gen_pairs, n, budget)
-            if grown is not None:
-                atoms.add(grown)
-    return sorted(atoms, key=sorted)
+            if t not in visited:
+                orbit = full_orbit(t, gen_pairs, n)
+                visited |= orbit
+                yield t, orbit
 
 
-def _atoms_both_ways(prob):
+def brute_force_atoms(n, gen_pairs):
+    """Reference stage 1: keep the orbits of at most n - 1 elements and
+    close each with the identity; the atoms are the semiregular closures."""
+    id_t = tuple(range(n))
+    atoms = {plain_closure(orbit | {id_t}, n)
+             for _, orbit in brute_force_orbits(n, gen_pairs)
+             if len(orbit) + 1 <= n}
+    return sorted(atoms - {None}, key=sorted)
+
+
+DEGREE_9_AND_10 = {
+    "C9 galois": lambda: ExtensionProblem.galois(cyclic(9)),
+    "C3xC3 galois": lambda: ExtensionProblem.galois(
+        direct_product(cyclic(3), cyclic(3))),
+    "Hol(C9) complement": lambda: complement_problem("Hol(C(9))"),
+    "C10 galois": lambda: ExtensionProblem.galois(cyclic(10)),
+}
+
+
+@functools.cache
+def oracle_search(name):
+    """(n, gen_pairs, seeded atoms, brute-force atoms) for a catalog or a
+    degree-9/10 problem."""
+    prob = DEGREE_9_AND_10[name]() if name in DEGREE_9_AND_10 \
+        else catalog_problems()[name]
     act = coset_action(prob)
     n = act.degree
     gen_pairs = act.generator_pairs()
-    budget = NodeBudget(200_000_000)
-    seeded = _viable_atoms(n, gen_pairs, _prime_order_translations(act), budget)
-    return seeded, brute_force_atoms(n, gen_pairs, budget)
+    seeded = _viable_atoms(n, gen_pairs, _prime_order_translations(act),
+                           NodeBudget(200_000_000))
+    return n, gen_pairs, seeded, brute_force_atoms(n, gen_pairs)
 
 
 @pytest.mark.parametrize("name", sorted(catalog_problems()))
 def test_centralizer_seed_matches_brute_force_catalog(name):
-    seeded, reference = _atoms_both_ways(catalog_problems()[name])
+    _, _, seeded, reference = oracle_search(name)
     assert seeded == reference
 
 
-@pytest.mark.parametrize("prob", [
-    pytest.param(lambda: ExtensionProblem.galois(cyclic(9)), id="C9 galois"),
-    pytest.param(lambda: ExtensionProblem.galois(
-        direct_product(cyclic(3), cyclic(3))), id="C3xC3 galois"),
-    pytest.param(lambda: complement_problem("Hol(C(9))"), id="Hol(C9) complement"),
-    pytest.param(lambda: ExtensionProblem.galois(cyclic(10)), id="C10 galois"),
-])
-def test_centralizer_seed_matches_brute_force_degree_9_and_10(prob):
-    problem = prob()
-    assert problem.degree in (9, 10)
-    seeded, reference = _atoms_both_ways(problem)
+@pytest.mark.parametrize("name", sorted(DEGREE_9_AND_10))
+def test_centralizer_seed_matches_brute_force_degree_9_and_10(name):
+    n, _, seeded, reference = oracle_search(name)
+    assert n in (9, 10)
     assert seeded == reference
     assert seeded
+
+
+@pytest.mark.parametrize("name", sorted(catalog_problems()) + sorted(DEGREE_9_AND_10))
+def test_point_0_rule_matches_unpruned_oracle(name):
+    # the search drops a set at its first two elements that agree on point
+    # 0; the oracle walks whole orbits and closes without that early stop
+    n, gen_pairs, _, atoms = oracle_search(name)
+    budget = NodeBudget(10**9)
+    trivial = (tuple(range(n)),)
+    for t, orbit in brute_force_orbits(n, gen_pairs):
+        got = _conj_orbit(t, gen_pairs, n, budget)
+        if len({o[0] for o in orbit}) < len(orbit):
+            assert got is None
+        else:
+            assert len(got) == len(orbit) and set(got) == orbit
+        assert _closure(trivial, orbit, n, budget) == \
+            plain_closure(orbit | set(trivial), n)
+    for a, b in itertools.product(atoms, repeat=2):
+        assert _closure(a, b, n, budget) == plain_closure(a | b, n)
 
 
 @pytest.mark.parametrize("cycles,n", [

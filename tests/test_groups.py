@@ -121,6 +121,11 @@ def test_constructor_validation():
         quaternion(4)
 
 
+def test_from_permutations_needs_an_element():
+    with pytest.raises(ValueError, match="a group needs at least one element"):
+        FiniteGroup.from_permutations([])
+
+
 def test_d3_is_s3_by_brute_force():
     assert brute_isomorphic(dihedral(3), symmetric(3))
     assert are_isomorphic(dihedral(3), symmetric(3))
@@ -399,6 +404,13 @@ def test_are_isomorphic_negative():
 ])
 def test_iso_type_names(group, name):
     assert iso_type(group) == name
+
+
+def test_iso_type_trivial_group():
+    # the trivial group has no abelian invariants at all
+    assert abelian_invariants(cyclic(1)) == ()
+    assert iso_type(cyclic(1)) == "C1"
+    assert iso_type(alternating(2)) == "C1"
 
 
 def test_iso_type_order_16_catalog_is_complete_and_distinct():
