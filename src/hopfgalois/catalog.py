@@ -132,10 +132,10 @@ def fingerprint_label(g: FiniteGroup) -> str:
     return f"G{len(g)}#{digest}"
 
 
-def iso_type(g: FiniteGroup, cap: int = ISO_CAP) -> str:
+def iso_type(g: FiniteGroup) -> str:
     """Canonical name of the isomorphism type, or a fingerprint label."""
     m = len(g)
-    if m > cap:
+    if m > ISO_CAP:
         return fingerprint_label(g)
     if g.is_abelian():
         inv = abelian_invariants(g)
@@ -147,7 +147,7 @@ def iso_type(g: FiniteGroup, cap: int = ISO_CAP) -> str:
         return " x ".join(f"C{d}" for d in inv)
     for name, cand in _nonabelian_candidates(m):
         try:
-            if are_isomorphic(g, cand, cap=cap):
+            if are_isomorphic(g, cand):
                 return name
         except CapExceeded:
             break

@@ -26,7 +26,7 @@ from .groups import (GROUP_ORDER_CAP, FiniteGroup, GroupHom, SubgroupRef,
                      alternating, automorphism_group, cyclic, dihedral,
                      direct_product, elementary_abelian, holomorph, quaternion,
                      semidirect_product, symmetric)
-from .perms import Perm
+from .perms import compose, format_cycles, from_cycles
 
 
 class DslError(ValueError):
@@ -259,11 +259,7 @@ def render(expr) -> str:
     if isinstance(expr, MatrixList):
         return "[" + ",".join(render(m) for m in expr.matrices) + "]"
     if isinstance(expr, Gens):
-        def perm_text(cycles):
-            if not cycles:
-                return "()"
-            return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
-        return "gens[" + ", ".join(perm_text(p) for p in expr.perms) + "]"
+        return "gens[" + ", ".join(format_cycles(p) for p in expr.perms) + "]"
     if isinstance(expr, Product):
         return " x ".join(render(f) for f in expr.factors)
     if isinstance(expr, Call):
@@ -399,10 +395,8 @@ def _build(expr) -> BuildResult:
         degree = max((max(c) for p in expr.perms for c in p if c), default=-1) + 1
         if degree < 1:
             raise _err("cannot infer the degree of gens[()]")
-        gens = [Perm.from_cycles(degree, p).images for p in expr.perms]
-        rng = range(degree)
-        closure = _closure(gens, tuple(rng),
-                           lambda a, b: tuple(a[b[i]] for i in rng))
+        gens = [from_cycles(degree, p) for p in expr.perms]
+        closure = _closure(gens, tuple(range(degree)), compose)
         group = FiniteGroup.from_permutations(closure, name=f"gens(deg {degree})")
         return BuildResult(group)
     if not isinstance(expr, Call):

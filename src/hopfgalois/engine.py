@@ -17,7 +17,8 @@ from .catalog import iso_type
 from .errors import BudgetExceeded, CapExceeded, NotNormalClosure
 from .groups import (FiniteGroup, GroupHom, SubgroupRef, _is_prime,
                      automorphism_group)
-from .perms import Perm, uniform_cycle_length
+from .perms import (compose, conjugate, cycle_string, cycles,
+                    uniform_cycle_length)
 
 DEGREE_CAP = 12
 CROSS_CHECK_CAP = 8
@@ -158,9 +159,8 @@ class HGStructure:
         if out is None:
             lam = self.action.translation(x)
             lam_inv = self.action.translation(self.action.problem.group.inv(x))
-            rng = range(len(lam))
             index_of = self.group.index_of
-            out = tuple(index_of(tuple(lam[t[lam_inv[i]]] for i in rng))
+            out = tuple(index_of(conjugate(lam, t, lam_inv))
                         for t in self.group.raw_elements())
             self._conj_cache[x] = out
         return out
@@ -183,7 +183,7 @@ class HGStructure:
         return self._hom
 
     def generator_strings(self) -> list[str]:
-        return [str(Perm(self.group.raw(i))) for i in self.group.generators()]
+        return [cycle_string(self.group.raw(i)) for i in self.group.generators()]
 
     def __repr__(self) -> str:
         return f"<HGStructure type {self.type_name} degree {self.action.degree}>"
@@ -230,11 +230,10 @@ def _semiregular_tuples(n: int, d: int):
     yield from rec(tuple(range(n)))
 
 
-def _conj_orbit(t0, gen_pairs, n, budget):
+def _conj_orbit(t0, gen_pairs, budget):
     """The translation-conjugation orbit of t0, or None at the first two of
     its elements that send point 0 to the same point (then the orbit lies
     in no regular N)."""
-    rng = range(n)
     by0 = {t0[0]: t0}
     stack = [t0]
     ops = 0
@@ -243,7 +242,7 @@ def _conj_orbit(t0, gen_pairs, n, budget):
             a = stack.pop()
             for g, gi in gen_pairs:
                 ops += 1
-                c = tuple(g[a[gi[i]]] for i in rng)
+                c = conjugate(g, a, gi)
                 s = by0.setdefault(c[0], c)
                 if s is c:
                     stack.append(c)
@@ -266,7 +265,6 @@ def _closure(group, extra, n, budget):
     0 is trivial, i.e. iff no two elements agree on 0, and then |H| <= n.
     Products among the elements of `group` are never recomputed.
     """
-    rng = range(n)
     els = list(group)
     by0 = [None] * n
     for t in els:
@@ -286,7 +284,7 @@ def _closure(group, extra, n, budget):
             a = els[i]
             for b in els[:i + 1]:
                 ops += 2
-                for c in (tuple(a[b[x]] for x in rng), tuple(b[a[x]] for x in rng)):
+                for c in (compose(a, b), compose(b, a)):
                     s = by0[c[0]]
                     if s is None:
                         by0[c[0]] = c
@@ -311,7 +309,7 @@ def _semiregular_centralizer(sigma: tuple[int, ...], d: int):
     so that this comes out as d; nothing else is ever built.
     """
     by_length: dict[int, list[tuple[int, ...]]] = {}
-    for cycle in Perm(sigma).cycles(include_fixed=True):
+    for cycle in cycles(sigma, include_fixed=True):
         by_length.setdefault(len(cycle), []).append(cycle)
     classes = sorted(by_length.items())
     images = [0] * len(sigma)
@@ -323,7 +321,7 @@ def _semiregular_centralizer(sigma: tuple[int, ...], d: int):
             else:
                 yield from rec(ci + 1, tuple(range(len(classes[ci + 1][1]))))
             return
-        l, cycles = classes[ci]
+        l, same_length = classes[ci]
         a, rest = free[0], free[1:]
         for k in range(1, min(d, len(free)) + 1):
             if d % k or l % (d // k):
@@ -337,8 +335,8 @@ def _semiregular_centralizer(sigma: tuple[int, ...], d: int):
                     partial = sum(shifts)
                     for r in totals:
                         for i, shift in enumerate(shifts + ((r - partial) % l,)):
-                            src = cycles[chain[i]]
-                            dst = cycles[chain[(i + 1) % k]]
+                            src = same_length[chain[i]]
+                            dst = same_length[chain[(i + 1) % k]]
                             for j in range(l):
                                 images[src[j]] = dst[(j + shift) % l]
                         yield from rec(ci, left)
@@ -379,7 +377,7 @@ def _viable_atoms(n, gen_pairs, seeds, budget):
             for t in _semiregular_centralizer(sigma, d):
                 if t in visited:
                     continue
-                orbit = _conj_orbit(t, gen_pairs, n, budget)
+                orbit = _conj_orbit(t, gen_pairs, budget)
                 if orbit is None:
                     continue
                 visited.update(orbit)
@@ -425,7 +423,7 @@ def _combine_atoms(atoms, n, budget):
 def enumerate_regular_normalized(action: CosetAction, *,
                                  degree_cap: int = DEGREE_CAP,
                                  budget: NodeBudget | None = None) -> list[HGStructure]:
-    """All regular subgroups of Perm(points) normalized by the translation
+    """All regular subgroups of Sym(points) normalized by the translation
     image of G, each exactly once, in canonical order.
 
     Every result is re-checked post hoc for regularity and normalization,
@@ -463,7 +461,6 @@ def translation_structure(action: CosetAction, members) -> HGStructure:
 
 
 def enumerate_via_transversal(action: CosetAction, *,
-                              cap: int = CROSS_CHECK_CAP,
                               budget: NodeBudget | None = None
                               ) -> list[tuple[tuple[int, ...], ...]]:
     """Independent second engine for small degrees.
@@ -474,8 +471,9 @@ def enumerate_via_transversal(action: CosetAction, *,
     tuples (what `HGStructure.key` gives), in sorted order.
     """
     n = action.degree
-    if n > cap:
-        raise CapExceeded(f"transversal engine capped at degree {cap}, got {n}")
+    if n > CROSS_CHECK_CAP:
+        raise CapExceeded(f"transversal engine capped at degree "
+                          f"{CROSS_CHECK_CAP}, got {n}")
     if budget is None:
         budget = NodeBudget()
     gen_pairs = action.generator_pairs()

@@ -13,6 +13,7 @@ import itertools
 from typing import Callable, Iterable, Iterator
 
 from .errors import CapExceeded
+from .perms import compose, cycles, inverse
 
 TABLE_MAX = 256          # orders up to this get an eager multiplication table
 GROUP_ORDER_CAP = 10_000
@@ -43,8 +44,7 @@ class FiniteGroup:
     """
 
     def __init__(self, elements: Iterable, mul: Callable, inv: Callable | None = None,
-                 *, identity, name: str | None = None, perm_degree: int | None = None,
-                 distinguished: tuple[int, ...] | None = None):
+                 *, identity, name: str | None = None, perm_degree: int | None = None):
         # at most one element past the cap is ever read
         raw = list(itertools.islice(elements, GROUP_ORDER_CAP + 1))
         if len(raw) == 0:
@@ -65,7 +65,7 @@ class FiniteGroup:
         self._inv_raw = inv
         self.name = name or f"G{len(raw)}"
         self.perm_degree = perm_degree
-        self.distinguished = distinguished
+        self.distinguished: tuple[int, ...] | None = None
         m = len(self._raw)
         self._inv_list: list[int | None] = [None] * m
         self._orders: list[int | None] = [None] * m
@@ -84,18 +84,8 @@ class FiniteGroup:
         """Group of permutations given as image tuples (must be closed)."""
         elems = [tuple(p) for p in itertools.islice(perms, GROUP_ORDER_CAP + 1)]
         n = len(elems[0]) if elems else 0  # the constructor refuses no elements
-        rng = range(n)
-
-        def mul(a, b):
-            return tuple(a[b[i]] for i in rng)
-
-        def inv(a):
-            out = [0] * n
-            for i, v in enumerate(a):
-                out[v] = i
-            return tuple(out)
-
-        return cls(elems, mul, inv, identity=tuple(rng), name=name, perm_degree=n)
+        return cls(elems, compose, inverse, identity=tuple(range(n)), name=name,
+                   perm_degree=n)
 
     # -- element access ------------------------------------------------
 
@@ -222,11 +212,12 @@ class FiniteGroup:
     def full_subgroup(self) -> SubgroupRef:
         return SubgroupRef(self, range(len(self)), _checked=True)
 
-    def subgroups(self, cap: int = SUBGROUP_CAP) -> list[SubgroupRef]:
+    def subgroups(self) -> list[SubgroupRef]:
         """All subgroups, each exactly once, sorted by (order, member set)."""
         m = len(self)
-        if m > cap:
-            raise CapExceeded(f"subgroup enumeration capped at order {cap}, got {m}")
+        if m > SUBGROUP_CAP:
+            raise CapExceeded(f"subgroup enumeration capped at order {SUBGROUP_CAP}, "
+                              f"got {m}")
         return self.stable_subgroups(())
 
     def stable_subgroups(self, maps: Iterable[tuple[int, ...]]) -> list[SubgroupRef]:
@@ -365,12 +356,10 @@ class GroupHom:
         src, tgt, im = self.source, self.target, self.images
         if im[0] != 0:
             raise ValueError("identity must map to the identity")
-        m = len(src)
-        # Full pairwise check when cheap; generator-based otherwise (a map
-        # multiplicative on gens x everything is multiplicative everywhere).
-        lefts = range(m) if m <= 128 else src.generators()
-        for a in lefts:
-            for b in range(m):
+        # Multiplicative on generators x everything, with 1 -> 1, extends to
+        # every product by induction on word length.
+        for a in src.generators():
+            for b in range(len(src)):
                 if im[src.mul(a, b)] != tgt.mul(im[a], im[b]):
                     raise ValueError("map is not multiplicative")
 
@@ -420,19 +409,7 @@ def symmetric(m: int) -> FiniteGroup:
 
 
 def _parity(p: tuple[int, ...]) -> int:
-    seen = [False] * len(p)
-    par = 0
-    for s in range(len(p)):
-        if seen[s]:
-            continue
-        ln = 0
-        x = s
-        while not seen[x]:
-            seen[x] = True
-            x = p[x]
-            ln += 1
-        par ^= (ln - 1) & 1
-    return par
+    return sum(len(c) - 1 for c in cycles(p)) & 1
 
 
 def alternating(m: int) -> FiniteGroup:
@@ -621,36 +598,25 @@ def _iso_image_maps(a: FiniteGroup, b: FiniteGroup) -> Iterator[tuple[int, ...]]
     yield from place(0, [])
 
 
-def are_isomorphic(a: FiniteGroup, b: FiniteGroup, cap: int = ISO_CAP) -> bool:
-    if max(len(a), len(b)) > cap:
-        raise CapExceeded(f"isomorphism test capped at order {cap}")
+def are_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
+    if max(len(a), len(b)) > ISO_CAP:
+        raise CapExceeded(f"isomorphism test capped at order {ISO_CAP}")
     if a is b:
         return True
     return next(_iso_image_maps(a, b), None) is not None
 
 
-def automorphism_group(g: FiniteGroup, cap: int = AUT_CAP) -> FiniteGroup:
+def automorphism_group(g: FiniteGroup) -> FiniteGroup:
     """Aut(g) as a group whose raw elements are image tuples on g's indices.
 
     The raw tuple of each element is its action table on ``g``.
     """
-    if len(g) > cap:
-        raise CapExceeded(f"automorphism search capped at order {cap}, got {len(g)}")
+    if len(g) > AUT_CAP:
+        raise CapExceeded(f"automorphism search capped at order {AUT_CAP}, "
+                          f"got {len(g)}")
     if g._aut is None:
-        m = len(g)
         maps = sorted(set(_iso_image_maps(g, g)))
-        rng = range(m)
-
-        def mul(s, t):  # composition: apply t first
-            return tuple(s[t[i]] for i in rng)
-
-        def inv(s):
-            out = [0] * m
-            for i, v in enumerate(s):
-                out[v] = i
-            return tuple(out)
-
-        g._aut = FiniteGroup(maps, mul, inv, identity=tuple(rng),
+        g._aut = FiniteGroup(maps, compose, inverse, identity=tuple(range(len(g))),
                              name=f"Aut({g.name})")
     return g._aut
 

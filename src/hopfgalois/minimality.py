@@ -220,7 +220,6 @@ def classify(problem: ExtensionProblem, *, degree_cap: int = DEGREE_CAP,
     for s in structures:
         lattice = g_stable_subgroups(s)
         verdicts.append(StructureVerdict(s, lattice, len(lattice) == 2))
-    verdicts.sort(key=lambda v: (v.structure.type_name, v.structure.key()))
     return ClassificationReport(
         problem=problem,
         verdicts=verdicts,

@@ -7,10 +7,17 @@ import pytest
 from hopfgalois import (ExtensionProblem, NodeBudget, alternating, classify,
                         cyclic, dihedral, symmetric)
 from hopfgalois.dsl import build_text
+from hopfgalois.perms import from_cycles
 
 ORDER_56_EXPR = "SD(E(2,3), matgrp(2,3,[[[1,1,1],[1,1,0],[1,0,0]]]))"
 ORDER_36_EXPR = "SD(E(3,2), matgrp(3,2,[[[0,1],[-1,0]]]))"
 ORDER_12_EXPR = "SD(E(2,2), matgrp(2,2,[[[1,1],[1,0]]]))"
+
+
+def read_cycles(text: str, degree: int) -> tuple[int, ...]:
+    """Cycle text such as ``(0 1 2)(3 4)`` as an image tuple of `degree`."""
+    return from_cycles(degree, [tuple(map(int, c.split()))
+                                for c in text.strip("()").split(")(") if c])
 
 
 def stabilizer_problem(group) -> ExtensionProblem:

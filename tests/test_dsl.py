@@ -52,6 +52,10 @@ def test_syntax_errors_carry_positions():
         parse("S(4")
     with pytest.raises(DslError, match="column"):
         parse("S(@)")
+    with pytest.raises(DslError):
+        parse("gens[(0 1]")
+    with pytest.raises(DslError):
+        parse("gens[(0 1))]")
 
 
 # random ASTs for the round-trip property
@@ -156,6 +160,8 @@ def test_gens_build():
     assert len(b.group) == 8  # dihedral action on the square
     assert b.group.perm_degree == 4
     assert len(build_text("gens[(0 1)]").group) == 2
+    with pytest.raises(DslError, match="cannot infer the degree"):
+        build_text("gens[()]")
 
 
 def test_product_order_always_multiplies():

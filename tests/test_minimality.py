@@ -3,7 +3,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hopfgalois import (ExtensionProblem, FiniteGroup, HGStructure,
-                        Perm, alternating, characteristic_obstruction,
+                        alternating, characteristic_obstruction,
                         classify, correspondence_stats, coset_action, cyclic,
                         dihedral, elementary_abelian, enumerate_regular_normalized,
                         enumerate_via_transversal, g_stable_subgroups,
@@ -11,6 +11,7 @@ from hopfgalois import (ExtensionProblem, FiniteGroup, HGStructure,
                         is_minimal, minimal_lower_bound, normal_complements,
                         symmetric, translation_structure)
 from hopfgalois.dsl import build_text
+from hopfgalois.perms import conjugate, cycle_string, inverse
 from conftest import (catalog_problems, complement_problem, stabilizer_problem,
                       subgroup_problem)
 
@@ -260,7 +261,7 @@ _TRANSITIVE_ORDER_CAP = 120
 @st.composite
 def _generator_pairs(draw):
     n = draw(_DEGREES)
-    return [Perm(tuple(draw(st.permutations(range(n))))) for _ in range(2)]
+    return [tuple(draw(st.permutations(range(n)))) for _ in range(2)]
 
 
 @settings(max_examples=25, deadline=None)
@@ -270,9 +271,10 @@ def test_random_transitive_groups(gens):
     route against the closure walk, the orbit engine against the
     transversal engine, and the normal and sub-Hopf lattices against
     filters over all subgroups."""
-    n = gens[0].degree
+    n = len(gens[0])
     # the lone fixed point (n-1) sets the degree to n
-    group = build_text(f"gens[{gens[0]}, {gens[1]}, ({n - 1})]").group
+    a, b = map(cycle_string, gens)
+    group = build_text(f"gens[{a}, {b}, ({n - 1})]").group
     assume(len(group) <= _TRANSITIVE_ORDER_CAP)
     assume({p[0] for p in group.raw_elements()} == set(range(n)))
     prob = stabilizer_problem(group)
@@ -288,7 +290,7 @@ def test_random_transitive_groups(gens):
 
 # Point i is renamed sigma[i]; sigma(0) != 0, so G' of the relabelled
 # problem is the stabilizer of another point of the original group.
-_SIGMA = {4: Perm((2, 0, 3, 1)), 6: Perm((2, 0, 3, 1, 5, 4))}
+_SIGMA = {4: (2, 0, 3, 1), 6: (2, 0, 3, 1, 5, 4)}
 
 
 @pytest.mark.parametrize("expr", [
@@ -299,8 +301,9 @@ _SIGMA = {4: Perm((2, 0, 3, 1)), 6: Perm((2, 0, 3, 1, 5, 4))}
 def test_relabelling_invariance(expr):
     group = build_text(expr).group
     sigma = _SIGMA[group.perm_degree]
+    sigma_inv = inverse(sigma)
     relabelled = FiniteGroup.from_permutations(
-        (sigma * Perm(p) * sigma.inverse()).images for p in group.raw_elements())
+        conjugate(sigma, p, sigma_inv) for p in group.raw_elements())
 
     def summary(g):
         rep = classify(stabilizer_problem(g))

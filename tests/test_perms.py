@@ -4,81 +4,98 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hopfgalois import CapExceeded, FiniteGroup, Perm
-from hopfgalois.dsl import build_text
+from hopfgalois import CapExceeded, FiniteGroup
+from hopfgalois.dsl import DslError, build_text
 from hopfgalois.engine import _regular_normalized
-from hopfgalois.perms import uniform_cycle_length
+from hopfgalois.perms import (compose, conjugate, cycle_string, cycles,
+                              from_cycles, inverse, uniform_cycle_length)
+
+from conftest import read_cycles
 
 perms = st.integers(min_value=1, max_value=7).flatmap(
-    lambda n: st.permutations(range(n))).map(lambda xs: Perm(tuple(xs)))
+    lambda n: st.permutations(range(n))).map(tuple)
 
 
-def brute_compose(p: Perm, q: Perm) -> Perm:
+def brute_compose(p, q):
     # oracle: evaluate p(q(i)) point by point
-    return Perm(tuple(p(q(i)) for i in range(p.degree)))
+    return tuple(p[q[i]] for i in range(len(p)))
 
 
-def test_perm_validation():
-    with pytest.raises(ValueError):
-        Perm((0, 0, 1))
-    with pytest.raises(ValueError):
-        Perm((0, 3))
+def widen(t, n):
+    return t + tuple(range(len(t), n))
 
 
 def test_compose_identity_and_inverse():
-    p = Perm.parse("(0 1 2)(3 4)", degree=5)
-    assert Perm.identity(5) * p == p
-    assert p * p.inverse() == Perm.identity(5)
+    p = read_cycles("(0 1 2)(3 4)", 5)
+    ident = tuple(range(5))
+    assert compose(ident, p) == compose(p, ident) == p
+    assert compose(p, inverse(p)) == ident
 
 
 def test_compose_oracle_on_transpositions():
-    p = Perm.parse("(0 1)", degree=3)
-    q = Perm.parse("(1 2)", degree=3)
-    assert p * q == brute_compose(p, q)
+    p = read_cycles("(0 1)", 3)
+    q = read_cycles("(1 2)", 3)
+    assert compose(p, q) == brute_compose(p, q)
     # q first: 2 -> 1 -> 0, 1 -> 2, 0 -> 1
-    assert (p * q).images == (1, 2, 0)
-
-
-def test_compose_degree_mismatch():
-    with pytest.raises(ValueError):
-        Perm.identity(3) * Perm.identity(4)
+    assert compose(p, q) == (1, 2, 0)
 
 
 @given(perms, perms, perms)
 def test_compose_associative(p, q, r):
-    n = max(p.degree, q.degree, r.degree)
-    p, q, r = (Perm(x.images + tuple(range(x.degree, n))) for x in (p, q, r))
-    assert (p * q) * r == p * (q * r)
-    assert brute_compose(p, q) == p * q
+    n = max(len(p), len(q), len(r))
+    p, q, r = (widen(x, n) for x in (p, q, r))
+    assert compose(compose(p, q), r) == compose(p, compose(q, r))
+    assert brute_compose(p, q) == compose(p, q)
 
 
 @given(perms)
 def test_inverse_roundtrip(p):
-    assert p * p.inverse() == Perm.identity(p.degree)
-    assert p.inverse().inverse() == p
+    assert compose(p, inverse(p)) == tuple(range(len(p)))
+    assert inverse(inverse(p)) == p
+
+
+@given(perms, perms)
+def test_conjugate_is_two_products(g, t):
+    n = max(len(g), len(t))
+    g, t = widen(g, n), widen(t, n)
+    gi = inverse(g)
+    assert conjugate(g, t, gi) == compose(compose(g, t), gi)
 
 
 def test_cycle_string_roundtrip():
-    for images in itertools.permutations(range(4)):
-        p = Perm(images)
-        assert Perm.parse(p.cycle_string(), degree=4) == p
-    assert Perm.identity(3).cycle_string() == "()"
-    assert str(Perm.parse("(0 1 2)(3 4)")) == "(0 1 2)(3 4)"
+    for n in range(1, 6):
+        for t in itertools.permutations(range(n)):
+            assert from_cycles(n, cycles(t)) == t
+            assert read_cycles(cycle_string(t), n) == t
+            assert from_cycles(n, cycles(t, include_fixed=True)) == t
+    assert cycle_string((0, 1, 2)) == "()"
+    assert cycle_string(read_cycles("(3 4)(0 1 2)", 5)) == "(0 1 2)(3 4)"
+    assert cycles((1, 0, 2), include_fixed=True) == [(0, 1), (2,)]
 
 
-def test_parse_errors():
-    with pytest.raises(ValueError):
-        Perm.parse("(0 1")
-    with pytest.raises(ValueError):
-        Perm.parse("(0 1))")
-    with pytest.raises(ValueError):
-        Perm.parse("()")  # identity needs an explicit degree
+def test_from_cycles_rejects_bad_points():
+    with pytest.raises(ValueError, match="out of range"):
+        from_cycles(3, [(0, 3)])
+    with pytest.raises(ValueError, match="out of range"):
+        from_cycles(3, [(0, -1)])
+    with pytest.raises(ValueError, match="two cycles"):
+        from_cycles(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="two cycles"):
+        from_cycles(3, [(0, 1, 0)])
+    # through the DSL: the degree is max point + 1, so only a negative
+    # point is out of range
+    with pytest.raises(DslError, match="out of range"):
+        build_text("gens[(0 -1)]")
+    with pytest.raises(DslError, match="two cycles"):
+        build_text("gens[(0 1)(1 2)]")
+    with pytest.raises(DslError, match="two cycles"):
+        build_text("gens[(0 1 2 0)]")
 
 
 def test_semiregular_cycle_type():
-    assert uniform_cycle_length(Perm.identity(4).images) == 1
-    assert uniform_cycle_length(Perm.parse("(0 1)(2 3)").images) == 2
-    assert uniform_cycle_length(Perm.parse("(0 1 2)", degree=4).images) is None
+    assert uniform_cycle_length(tuple(range(4))) == 1
+    assert uniform_cycle_length(read_cycles("(0 1)(2 3)", 4)) == 2
+    assert uniform_cycle_length(read_cycles("(0 1 2)", 4)) is None
 
 
 # -- closure: the group a gens[...] expression generates ---------------------
@@ -111,7 +128,7 @@ def test_closure_is_group_exhaustively():
     rng = range(4)
     assert s[0] == tuple(rng)
     assert all(tuple(a[b[i]] for i in rng) in members for a in s for b in s)
-    assert all(Perm(p).inverse().images in members for p in s)
+    assert all(inverse(p) in members for p in s)
     # dropping the identity leaves a set the group holder refuses
     with pytest.raises(ValueError):
         FiniteGroup.from_permutations(s[1:])
@@ -121,7 +138,7 @@ def test_closure_is_group_exhaustively():
 
 
 def images(*texts: str, degree: int = 4) -> list[tuple[int, ...]]:
-    return [Perm.parse(t, degree=degree).images for t in texts]
+    return [read_cycles(t, degree) for t in texts]
 
 
 KLEIN = frozenset(images("()", "(0 1)(2 3)", "(0 2)(1 3)", "(0 3)(1 2)"))
@@ -130,7 +147,7 @@ S4 = elements("gens[(0 1), (0 1 2 3)]")
 
 
 def pairs(perms) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    return [(p, Perm(p).inverse().images) for p in perms]
+    return [(p, inverse(p)) for p in perms]
 
 
 S4_GENS = pairs(images("(0 1)", "(0 1 2 3)"))
@@ -159,8 +176,8 @@ def test_is_normalized_by():
     assert _regular_normalized(KLEIN, 4, pairs(KLEIN))  # self-normalization
     assert _regular_normalized(KLEIN, 4, S4_GENS)
     # oracle: conjugating by (0 1) moves the 4-cycle out of the subgroup
-    g = Perm.parse("(0 1)", degree=4)
-    conj = {(g * Perm(p) * g.inverse()).images for p in C4}
+    g = read_cycles("(0 1)", 4)  # its own inverse
+    conj = {brute_compose(brute_compose(g, p), g) for p in C4}
     assert conj != set(C4)
     assert not _regular_normalized(C4, 4, S4_GENS)
 
