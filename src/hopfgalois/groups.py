@@ -15,7 +15,8 @@ from typing import Callable, Iterable, Iterator
 from .errors import CapExceeded
 from .perms import compose, cycles, inverse
 
-TABLE_MAX = 256          # orders up to this get an eager multiplication table
+TABLE_MAX = 256          # orders up to this get an eager Cayley table, built
+                         # from k generator rows: k*order raw products
 GROUP_ORDER_CAP = 10_000
 AUT_CAP = 120
 SUBGROUP_CAP = 200
@@ -36,9 +37,12 @@ def _is_prime(n: int) -> bool:
 class FiniteGroup:
     """A finite group with explicit element set and multiplication.
 
-    Groups of order up to TABLE_MAX get an eager Cayley table; larger
-    groups (e.g. holomorphs of order in the thousands) multiply on demand
-    from the raw pair representation and cache the results.
+    Groups of order up to TABLE_MAX get an eager Cayley table, built from
+    the rows of a few generators by composing integer rows (see
+    `_cayley_rows`): k*|G| raw products for k generators, not |G|^2, and
+    the element set is checked to be closed.  Larger groups (e.g.
+    holomorphs of order in the thousands) multiply on demand from the raw
+    pair representation and cache the results.
 
     Instances are immutable after construction.
     """
@@ -72,8 +76,7 @@ class FiniteGroup:
         self._mul_cache: dict[tuple[int, int], int] = {}
         self._table: list[list[int]] | None = None
         if m <= TABLE_MAX:
-            idx = self._index
-            self._table = [[idx[mul(a, b)] for b in self._raw] for a in self._raw]
+            self._table = self._cayley_rows()
         self._gens: tuple[int, ...] | None = None
         self._classes: list[tuple[int, ...]] | None = None
         self._aut: FiniteGroup | None = None
@@ -86,6 +89,45 @@ class FiniteGroup:
         n = len(elems[0]) if elems else 0  # the constructor refuses no elements
         return cls(elems, compose, inverse, identity=tuple(range(n)), name=name,
                    perm_degree=n)
+
+    def _cayley_rows(self) -> list[list[int]]:
+        """The Cayley table, row x holding the indices of x*z for every z.
+
+        The first element not yet reached becomes a generator g and costs
+        one raw product per element; every other row is composed from
+        rows already known, as row(g*x) = row(g) o row(x), since
+        (g*x)*z = g*(x*z).  Reaching the elements breadth-first from the
+        identity takes k*|G| raw products for k generators, not |G|^2.
+
+        The generator rows also check closure.  Every element is a
+        generator or is reached from the identity by left multiplication
+        by generators, so it lies in the group they generate; and if each
+        generator row stays inside the set, the set, which holds the
+        identity, contains that whole group.  So the set is the group.
+        """
+        raw, idx = self._raw, self._index
+        mul = self._mul_raw
+        rows: list[list[int] | None] = [None] * len(raw)
+        rows[0] = list(range(len(raw)))
+        reached = [0]
+        gens: list[list[int]] = []
+        for g in range(1, len(raw)):
+            if rows[g] is not None:
+                continue
+            a = raw[g]
+            row = [idx.get(mul(a, b)) for b in raw]
+            if None in row:
+                raise ValueError("the elements are not closed under the product")
+            gens.append(row)
+            rows[g] = row
+            reached.append(g)
+            for x in reached:
+                for r in gens:
+                    y = r[x]
+                    if rows[y] is None:
+                        rows[y] = [r[v] for v in rows[x]]
+                        reached.append(y)
+        return rows
 
     # -- element access ------------------------------------------------
 
@@ -293,10 +335,9 @@ class SubgroupRef:
         if not _checked:
             if 0 not in self._set:
                 raise ValueError("subgroup must contain the identity")
-            for a in members:
-                for b in members:
-                    if parent.mul(a, b) not in self._set:
-                        raise ValueError("set is not closed under multiplication")
+            # a set holding the identity is a subgroup iff it is its closure
+            if parent.closure_of(members) != self._set:
+                raise ValueError("set is not closed under multiplication")
 
     @property
     def order(self) -> int:

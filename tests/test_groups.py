@@ -2,7 +2,10 @@ import itertools
 from math import factorial
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import hopfgalois.groups as groups
 from hopfgalois import (CapExceeded, FiniteGroup, GroupHom, abelian_invariants,
                         alternating, are_isomorphic, automorphism_group,
                         characteristic_subgroups, cyclic, dicyclic, dihedral,
@@ -10,9 +13,24 @@ from hopfgalois import (CapExceeded, FiniteGroup, GroupHom, abelian_invariants,
                         holomorph_copies, inner_automorphism,
                         is_characteristically_simple, iso_type, quaternion,
                         semidirect_product, symmetric, unique_sylow)
+from hopfgalois.dsl import build_text
+from hopfgalois.perms import compose, cycle_string
+from conftest import ORDER_12_EXPR, ORDER_36_EXPR, ORDER_56_EXPR
 from test_minimality import stable_subgroups_via_filter
 
 # -- oracles ---------------------------------------------------------------
+
+
+def naive_table(g: FiniteGroup) -> list[list[int]]:
+    # every product taken raw: |G|^2 calls of the group's own product
+    raw, mul = g.raw_elements(), g._mul_raw
+    return [[g.index_of(mul(a, b)) for b in raw] for a in raw]
+
+
+def check_table(g: FiniteGroup) -> None:
+    assert len(g) <= groups.TABLE_MAX
+    m = len(g)
+    assert [[g.mul(a, b) for b in range(m)] for a in range(m)] == naive_table(g)
 
 
 def check_axioms(g: FiniteGroup) -> None:
@@ -124,6 +142,78 @@ def test_constructor_validation():
 def test_from_permutations_needs_an_element():
     with pytest.raises(ValueError, match="a group needs at least one element"):
         FiniteGroup.from_permutations([])
+
+
+def test_from_permutations_needs_closed_elements():
+    with pytest.raises(ValueError, match="not closed under the product"):
+        FiniteGroup.from_permutations([(0, 1, 2), (1, 2, 0)])
+    with pytest.raises(ValueError, match="not closed under the product"):
+        FiniteGroup.from_permutations([(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2)])
+    # a generated group short of one element is refused as well
+    s4 = [p for p in itertools.permutations(range(4)) if p != (3, 2, 1, 0)]
+    with pytest.raises(ValueError, match="not closed under the product"):
+        FiniteGroup.from_permutations(s4)
+
+
+# -- the Cayley table from generator rows -------------------------------------
+
+
+@pytest.mark.parametrize("expr", [
+    "C(1)", "C(2)", "C(12)", "C(256)", "D(3)", "D(8)", "D(64)",
+    "S(1)", "S(2)", "S(3)", "S(4)", "S(5)", "A(3)", "A(4)", "A(5)",
+    "E(2,1)", "E(2,4)", "E(2,8)", "E(3,2)", "E(3,4)", "E(5,2)",
+    "Q(8)", "Q(16)", "Q(128)",
+    "C(4) x C(2)", "S(3) x C(4)", "A(4) x C(3)", "D(4) x C(2) x C(2)",
+    "Q(8) x S(3)", "S(4) x E(2,3)",
+    "Hol(C(7))", "Hol(C(9))", "Hol(C(12))", "Hol(E(2,2))", "Hol(D(4))",
+    "Hol(Q(8))", "Hol(S(3))",
+    ORDER_12_EXPR, ORDER_36_EXPR, ORDER_56_EXPR,
+])
+def test_cayley_table_matches_naive(expr):
+    check_table(build_text(expr).group)
+
+
+def test_cayley_table_of_dicyclic_and_automorphism_groups():
+    check_table(dicyclic(3))
+    for g in [elementary_abelian(2, 2), elementary_abelian(2, 3),
+              elementary_abelian(3, 2), quaternion(8), dihedral(4)]:
+        check_table(automorphism_group(g))
+
+
+def test_cayley_table_of_order_16_candidates():
+    from hopfgalois.catalog import _nonabelian_candidates
+    for _, g in _nonabelian_candidates(16):
+        check_table(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda d: st.lists(st.permutations(range(d)).map(tuple), min_size=1, max_size=3)))
+def test_cayley_table_of_generated_groups(gens):
+    assume(any(p != tuple(range(len(p))) for p in gens))  # gens[()] has no degree
+    g = build_text("gens[" + ", ".join(cycle_string(p) for p in gens) + "]").group
+    if len(g) <= groups.TABLE_MAX:
+        check_table(g)
+    else:
+        assert g._table is None
+
+
+def test_cayley_table_takes_few_raw_products(monkeypatch):
+    # a table filled product by product would take |G|^2 = 14,400 and 28,224
+    calls = 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return compose(a, b)
+
+    monkeypatch.setattr(groups, "compose", counted)
+    assert len(symmetric(5)) == 120
+    assert 0 < calls <= 600
+    e23 = elementary_abelian(2, 3)
+    calls = 0
+    assert len(automorphism_group(e23)) == 168
+    assert 0 < calls <= 5 * 168
 
 
 def test_d3_is_s3_by_brute_force():
