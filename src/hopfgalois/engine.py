@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import KeysView
 from typing import Iterable
 
 from .catalog import iso_type
@@ -42,9 +43,43 @@ class NodeBudget:
             raise BudgetExceeded(f"search budget of {self.limit} nodes exhausted")
 
 
+def _cosets(group: FiniteGroup, members) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(reps, coset_of) for the left cosets of the subgroup `members`.
+
+    Coset 0 is the subgroup itself; the others are indexed by first
+    appearance while scanning G in canonical element order, which makes
+    every derived object deterministic.  Costs |G| products.
+    """
+    coset_of = [-1] * len(group)
+    reps = []
+    for x in range(len(group)):
+        if coset_of[x] >= 0:
+            continue
+        idx = len(reps)
+        reps.append(x)
+        for s in members:
+            coset_of[group.mul(x, s)] = idx
+    return tuple(reps), tuple(coset_of)
+
+
+def _core(group: FiniteGroup, members, reps, coset_of) -> list[int]:
+    """The core of the subgroup `members` (its largest subgroup normal in
+    G): the kernel of the action on its cosets, i.e. the h in it with
+    h r in the coset of r for every representative r.  `members` is sorted,
+    so the identity comes first and needs no test.  Costs at most
+    (|G'| - 1) n products, and for most h only two or three."""
+    mul = group.mul
+    return [0] + [h for h in members[1:]
+                  if all(coset_of[mul(h, r)] == i for i, r in enumerate(reps))]
+
+
 class ExtensionProblem:
     """A pair (G, G') with G' core-free, modeling a separable extension
-    together with its normal closure."""
+    together with its normal closure.
+
+    `reps` and `coset_of` describe the left cosets of G' (see `_cosets`);
+    the core-free check and every `CosetAction` read them.
+    """
 
     def __init__(self, group: FiniteGroup, subgroup: SubgroupRef):
         if subgroup.parent is not group:
@@ -56,21 +91,12 @@ class ExtensionProblem:
         self.degree = len(group) // subgroup.order
         if self.degree < 2:
             raise ValueError("degree-1 extensions are excluded")
-        core = self._core()
-        if core != {0}:
+        self.reps, self.coset_of = _cosets(group, subgroup.members)
+        core = _core(group, subgroup.members, self.reps, self.coset_of)
+        if len(core) > 1:
             raise NotNormalClosure(
                 "the subgroup contains a nontrivial normal subgroup of order "
                 f"{len(core)}; the pair does not model a normal closure")
-
-    def _core(self) -> set[int]:
-        g = self.group
-        core = set(self.subgroup.members)
-        for x in range(len(g)):
-            if core == {0}:
-                break
-            xi = g.inv(x)
-            core &= {g.mul(g.mul(x, m), xi) for m in core}
-        return core
 
     @staticmethod
     def galois(group: FiniteGroup) -> ExtensionProblem:
@@ -81,32 +107,25 @@ class ExtensionProblem:
 class CosetAction:
     """Left-translation action of G on the cosets of G'.
 
-    Point 0 is the coset G' itself; the remaining cosets are indexed by
-    first appearance while scanning G in canonical element order, which
-    makes every derived object deterministic.
+    The points are the problem's cosets: point 0 is G' itself, the others
+    are numbered as in `_cosets`.  The image lambda(G) is built on first
+    use, from the generator translations alone.
     """
 
     def __init__(self, problem: ExtensionProblem,
                  generators: tuple[int, ...] | None = None):
         self.problem = problem
         g = problem.group
-        sub = problem.subgroup.members
-        coset_of = [-1] * len(g)
-        reps = []
-        for x in range(len(g)):
-            if coset_of[x] >= 0:
-                continue
-            idx = len(reps)
-            reps.append(x)
-            for s in sub:
-                coset_of[g.mul(x, s)] = idx
-        self.reps = tuple(reps)
-        self.coset_of = tuple(coset_of)
-        self.generators = tuple(generators) if generators is not None \
-            else g.generators()
-        if g.closure_of(self.generators) != frozenset(range(len(g))):
-            raise ValueError("the given indices do not generate the group")
+        self.reps = problem.reps
+        self.coset_of = problem.coset_of
+        if generators is None:
+            self.generators = g.generators()
+        else:
+            self.generators = tuple(generators)
+            if g.closure_of(self.generators) != frozenset(range(len(g))):
+                raise ValueError("the given indices do not generate the group")
         self._translations: dict[int, tuple[int, ...]] = {}
+        self._image: dict[tuple[int, ...], None] | None = None
 
     @property
     def degree(self) -> int:
@@ -126,6 +145,33 @@ class CosetAction:
         g = self.problem.group
         return [(self.translation(x), self.translation(g.inv(x)))
                 for x in self.generators]
+
+    @property
+    def image(self) -> KeysView[tuple[int, ...]]:
+        """lambda(G) as a set-like view of image tuples, in breadth-first
+        order from the identity under the generator translations.
+
+        Built by closing the generator translations: |G| compositions of
+        n-tuples per generator and no product in G.  The action is faithful
+        (G' is core-free) and the generators generate G, so the image has
+        |G| elements; that is checked.
+        """
+        if self._image is None:
+            gens = [lam for lam, _ in self.generator_pairs()]
+            identity = tuple(range(self.degree))
+            image = {identity: None}
+            queue = [identity]
+            for a in queue:
+                for lam in gens:
+                    c = compose(lam, a)
+                    if c not in image:
+                        image[c] = None
+                        queue.append(c)
+            if len(image) != len(self.problem.group):
+                raise RuntimeError("the translation image does not have the "
+                                   "order of the group")
+            self._image = image
+        return self._image.keys()
 
 
 def coset_action(problem: ExtensionProblem,
@@ -344,12 +390,50 @@ def _semiregular_centralizer(sigma: tuple[int, ...], d: int):
     yield from rec(0, tuple(range(len(classes[0][1]))))
 
 
+def _has_prime_order(t: tuple[int, ...], identity: tuple[int, ...]) -> bool:
+    """Whether the permutation t != 1 has prime order: the cycle through
+    its first moved point has prime length p, and t^p = 1."""
+    i = 0
+    while t[i] == i:
+        i += 1
+    p, j = 1, t[i]
+    while j != i:
+        p, j = p + 1, t[j]
+    if not _is_prime(p):
+        return False
+    u = t
+    for _ in range(p - 1):
+        u = compose(t, u)
+    return u == identity
+
+
 def _prime_order_translations(action: CosetAction) -> list[tuple[int, ...]]:
-    """The translation of one representative of each conjugacy class of
-    elements of prime order in G."""
-    g = action.problem.group
-    return [action.translation(cls[0]) for cls in g.conjugacy_classes()
-            if _is_prime(g.element_order(cls[0]))]
+    """One element of each conjugacy class of lambda(G) whose elements have
+    prime order, read from the image alone.
+
+    lambda is faithful, so these are the translations of one representative
+    of each class of prime-order elements of G.  Each class is walked by
+    conjugating with the generator pairs; the element of it met first in
+    `action.image` is kept.
+    """
+    identity = tuple(range(action.degree))
+    gen_pairs = action.generator_pairs()
+    met = {identity}
+    seeds = []
+    for t in action.image:
+        if t in met or not _has_prime_order(t, identity):
+            continue
+        seeds.append(t)
+        met.add(t)
+        stack = [t]
+        while stack:
+            a = stack.pop()
+            for g, gi in gen_pairs:
+                c = conjugate(g, a, gi)
+                if c not in met:
+                    met.add(c)
+                    stack.append(c)
+    return seeds
 
 
 def _viable_atoms(n, gen_pairs, seeds, budget):
@@ -361,11 +445,11 @@ def _viable_atoms(n, gen_pairs, seeds, budget):
     regular normalized N is a union of such atoms.
 
     The orbits are found from `seeds`, the translations lambda(x) of one x
-    per class of prime-order elements of G.  Take t != 1 in such an orbit
-    O.  Then |O| <= n - 1 < |G|, so the centralizer of t in the translation
-    image is nontrivial and holds some lambda(y) of prime order; with
-    y = g x g^-1, the conjugate of t by lambda(g)^-1 lies in O and commutes
-    with lambda(x).  So walking the semiregular elements of the
+    per class of prime-order elements of G, any x of the class.  Take
+    t != 1 in such an orbit O.  Then |O| <= n - 1 < |G|, so the centralizer
+    of t in the translation image is nontrivial and holds some lambda(y) of
+    prime order; with y = g x g^-1, the conjugate of t by lambda(g)^-1 lies
+    in O and commutes with lambda(x).  So walking the semiregular elements of the
     centralizers of the seeds in Sym(n) meets every such orbit, and the
     atoms are exactly those of a walk over all semiregular permutations.
     """

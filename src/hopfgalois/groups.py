@@ -42,7 +42,8 @@ class FiniteGroup:
     `_cayley_rows`): k*|G| raw products for k generators, not |G|^2, and
     the element set is checked to be closed.  Larger groups (e.g.
     holomorphs of order in the thousands) multiply on demand from the raw
-    pair representation and cache the results.
+    pair representation and cache the results; there a product or inverse
+    outside the element set raises the table's ValueError.
 
     Instances are immutable after construction.
     """
@@ -161,15 +162,24 @@ class FiniteGroup:
         key = (i, j)
         out = self._mul_cache.get(key)
         if out is None:
-            out = self._index[self._mul_raw(self._raw[i], self._raw[j])]
+            out = self._lookup(self._mul_raw(self._raw[i], self._raw[j]))
             self._mul_cache[key] = out
         return out
+
+    def _lookup(self, value) -> int:
+        """The index of a product or inverse computed on demand; a value
+        outside the element set means the set is not a group."""
+        try:
+            return self._index[value]
+        except KeyError:
+            raise ValueError("the elements are not closed under the product") \
+                from None
 
     def inv(self, i: int) -> int:
         out = self._inv_list[i]
         if out is None:
             if self._inv_raw is not None:
-                out = self._index[self._inv_raw(self._raw[i])]
+                out = self._lookup(self._inv_raw(self._raw[i]))
             elif self._table is not None:
                 out = self._table[i].index(0)
             else:

@@ -203,7 +203,7 @@ def _complement_bound(action: CosetAction, verdicts: list[StructureVerdict]) -> 
     minimal = [v for v in verdicts if v.minimal]
     if not minimal:
         return 0
-    image = {action.translation(x) for x in range(len(action.problem.group))}
+    image = action.image
     return sum(1 for v in minimal if all(t in image for t in v.structure.key()))
 
 

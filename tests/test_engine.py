@@ -4,21 +4,25 @@ from collections import Counter
 
 import pytest
 
+import hopfgalois
 from hopfgalois import (BudgetExceeded, CapExceeded, ExtensionProblem,
-                        HGStructure, NodeBudget, NotNormalClosure,
+                        FiniteGroup, HGStructure, NodeBudget, NotNormalClosure,
                         alternating, classify, coset_action, cyclic, dihedral,
-                        direct_product, enumerate_regular_normalized,
-                        enumerate_via_transversal, symmetric,
+                        direct_product, dsl, enumerate_regular_normalized,
+                        enumerate_via_transversal, quaternion, symmetric,
                         translation_structure)
 from hopfgalois.dsl import build_text
-from hopfgalois.engine import (DEGREE_CAP, _closure, _conj_orbit, _divisors,
+from hopfgalois.engine import (DEGREE_CAP, CosetAction, _closure, _conj_orbit,
+                               _core, _cosets, _divisors,
                                _prime_order_translations, _regular_normalized,
                                _semiregular_centralizer, _semiregular_tuples,
                                _viable_atoms)
+from hopfgalois.groups import _is_prime
 from hopfgalois.perms import uniform_cycle_length
 
 from conftest import (catalog_problems, complement_problem, read_cycles,
                       stabilizer_problem)
+from test_corpus import ROWS
 
 
 def test_extension_problem_validation():
@@ -230,6 +234,126 @@ def test_order_56_and_36_cases():
     act = coset_action(ExtensionProblem(b.group, b.complement))
     structures = enumerate_regular_normalized(act)
     assert [s.type_name for s in structures] == ["E(3,2)"]
+
+
+# -- G's side read from the degree-n action, against the routes on G ------
+
+
+def naive_core(group, members):
+    """The core of G' as the intersection of its conjugates over all of G."""
+    core = set(members)
+    for x in range(len(group)):
+        xi = group.inv(x)
+        core &= {group.mul(group.mul(x, m), xi) for m in core}
+    return core
+
+
+@pytest.mark.parametrize("group", [
+    pytest.param(symmetric(4), id="S4"),
+    pytest.param(dihedral(4), id="D4"),
+    pytest.param(alternating(4), id="A4"),
+    pytest.param(quaternion(8), id="Q8"),
+    pytest.param(dihedral(6), id="D6"),
+])
+def test_core_is_the_kernel_of_the_coset_action(group):
+    # every subgroup, core-free or not: S4 over a subgroup holding V4 has
+    # core V4 (order 4), D4 over its center has core C2
+    orders = set()
+    for sub in group.subgroups():
+        reps, coset_of = _cosets(group, sub.members)
+        core = naive_core(group, sub.members)
+        assert set(_core(group, sub.members, reps, coset_of)) == core
+        if sub.is_full():
+            continue
+        if len(core) > 1:
+            orders.add(len(core))
+            with pytest.raises(NotNormalClosure, match=f"of order {len(core)};"):
+                ExtensionProblem(group, sub)
+        else:
+            assert ExtensionProblem(group, sub).coset_of == coset_of
+    assert orders
+
+
+@functools.cache
+def oracle_problem(name):
+    if name.startswith("corpus: "):
+        row = next(r for _, r in ROWS if r.label == name[len("corpus: "):])
+        return row.build(hopfgalois, dsl)
+    return catalog_problems()[name]
+
+
+ORACLE_NAMES = sorted(catalog_problems()) + sorted(
+    {"corpus: " + row.label for _, row in ROWS})
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_action_read_from_the_image_matches_the_routes_on_g(name):
+    prob = oracle_problem(name)
+    g = prob.group
+    assert naive_core(g, prob.subgroup.members) == {0}
+    act = coset_action(prob)
+    lam = {act.translation(x): x for x in range(len(g))}
+    assert act.image == {act.translation(x) for x in range(len(g))}
+    assert list(act.image)[0] == tuple(range(act.degree))
+    # the seeds meet each class of prime-order elements of G once
+    classes = g.conjugacy_classes()
+    class_of = {x: i for i, cls in enumerate(classes) for x in cls}
+    prime = [i for i, cls in enumerate(classes)
+             if _is_prime(g.element_order(cls[0]))]
+    met = [class_of[lam[t]] for t in _prime_order_translations(act)]
+    assert sorted(met) == prime
+
+
+@pytest.mark.parametrize("expr,mode", [("A(6)", "point"),
+                                       ("Hol(E(3,2))", "complement")])
+def test_group_side_takes_few_raw_products(expr, mode, monkeypatch):
+    # both groups are above TABLE_MAX, so every new product is a raw one.
+    # Read on G, the same answers take 3,947 and 2,478 raw products for the
+    # core (conjugates of G' over all of G), and 3,336 and 8,476 for
+    # classify (G's conjugacy classes, one translation per element of G).
+    built = build_text(expr)
+    g = built.group
+    calls = 0
+    raw_mul = g._mul_raw
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return raw_mul(a, b)
+
+    monkeypatch.setattr(g, "_mul_raw", counted)
+    if mode == "point":
+        sub = g.subgroup(i for i in range(len(g)) if g.raw(i)[0] == 0)
+    else:
+        sub = built.complement
+    calls = 0
+    prob = ExtensionProblem(g, sub)
+    assert calls <= 2 * len(g)  # the coset scan is |G|
+
+    classes_of_g = 0
+    translated = set()
+    conjugacy_classes = FiniteGroup.conjugacy_classes
+    translation = CosetAction.translation
+
+    def counted_classes(self):
+        nonlocal classes_of_g
+        classes_of_g += self is g
+        return conjugacy_classes(self)
+
+    def counted_translation(self, x):
+        translated.add(x)
+        return translation(self, x)
+
+    monkeypatch.setattr(FiniteGroup, "conjugacy_classes", counted_classes)
+    monkeypatch.setattr(CosetAction, "translation", counted_translation)
+    calls = 0
+    report = classify(prob)
+    # most of it is G.generators(): the order of every element
+    assert calls <= 6 * len(g)
+    assert classes_of_g == 0
+    gens = g.generators()
+    assert translated <= set(gens) | {g.inv(x) for x in gens}
+    assert report.normal_complement_bound == report.minimal_count
 
 
 # -- stage 1 against the walk over every semiregular permutation -----------

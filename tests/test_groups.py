@@ -153,6 +153,18 @@ def test_from_permutations_needs_closed_elements():
     s4 = [p for p in itertools.permutations(range(4)) if p != (3, 2, 1, 0)]
     with pytest.raises(ValueError, match="not closed under the product"):
         FiniteGroup.from_permutations(s4)
+    # above TABLE_MAX products are taken on demand: the first product or
+    # inverse that leaves the set is refused the same way
+    s6 = list(itertools.permutations(range(6)))
+    no_reversal = FiniteGroup.from_permutations(
+        p for p in s6 if p != (5, 4, 3, 2, 1, 0))
+    assert len(no_reversal) == 719 > groups.TABLE_MAX
+    with pytest.raises(ValueError, match="not closed under the product"):
+        no_reversal.generators()
+    no_3_cycle = FiniteGroup.from_permutations(
+        p for p in s6 if p != (1, 2, 0, 3, 4, 5))
+    with pytest.raises(ValueError, match="not closed under the product"):
+        no_3_cycle.inv(no_3_cycle.index_of((2, 0, 1, 3, 4, 5)))
 
 
 # -- the Cayley table from generator rows -------------------------------------
