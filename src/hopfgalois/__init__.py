@@ -6,13 +6,13 @@ from .engine import (CosetAction, ExtensionProblem, HGStructure, NodeBudget,
                      coset_action, enumerate_regular_normalized,
                      enumerate_via_transversal, translation_structure)
 from .errors import BudgetExceeded, CapExceeded, NotNormalClosure
-from .groups import (FiniteGroup, GroupHom, SubgroupRef, abelian_invariants,
+from .groups import (FiniteGroup, SubgroupRef, abelian_invariants,
                      alternating, are_isomorphic, automorphism_group,
                      characteristic_subgroups, cyclic, dicyclic, dihedral,
                      direct_product, elementary_abelian, holomorph,
                      holomorph_copies, inner_automorphism,
                      is_characteristically_simple, quaternion,
-                     semidirect_product, symmetric, unique_sylow)
+                     semidirect_product, symmetric)
 from .minimality import (ClassificationReport, StructureVerdict,
                          characteristic_obstruction, classify,
                          correspondence_stats, g_stable_subgroups,

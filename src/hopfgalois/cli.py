@@ -17,11 +17,13 @@ import time
 
 from .dsl import DslError, build_text
 from .engine import (DEGREE_CAP, DEFAULT_NODE_BUDGET, ExtensionProblem,
-                     NodeBudget)
+                     NodeBudget, coset_action, translation_structure)
 from .errors import BudgetExceeded, CapExceeded, NotNormalClosure
 from .groups import (FiniteGroup, are_isomorphic, automorphism_group,
                      holomorph, holomorph_copies, symmetric)
-from .minimality import ClassificationReport, classify
+from .minimality import (ClassificationReport, classify,
+                         intermediate_subgroups, is_minimal,
+                         minimal_lower_bound)
 
 SCHEMA_VERSION = 1
 
@@ -274,12 +276,45 @@ def _conjugation_identity_holds(n: FiniteGroup, aut: FiniteGroup,
     return left == right
 
 
+def _fixture_example6(_budget: NodeBudget, _args) -> list[dict]:
+    # N = E(2,4) under an irreducible H in GL(4,2): its only H-invariant
+    # subspaces are 0 and N, so the translation structure is minimal.  No
+    # full search: degree 16 is over the default degree cap.
+    checks: list[dict] = []
+    c5 = "[[0,0,0,1],[1,0,0,1],[0,1,0,1],[0,0,1,1]]"    # x^4+x^3+x^2+x+1
+    c15 = "[[0,0,0,1],[1,0,0,1],[0,1,0,0],[0,0,1,0]]"   # x^4+x+1
+    frobenius = "[[1,0,1,0],[0,0,1,0],[0,1,0,1],[0,0,0,1]]"
+    for mats, order in [(c5, 80), (c15, 240), (f"{c15},{frobenius}", 960)]:
+        expr = f"SD(E(2,4), matgrp(2,4,[{mats}]))"
+        built = build_text(expr)
+        _check(checks, f"{expr}: order", order, len(built.group))
+        try:
+            problem = ExtensionProblem(built.group, built.complement)
+        except NotNormalClosure:
+            _check(checks, f"{expr}: complement is core-free", True, False)
+            continue
+        _check(checks, f"{expr}: complement is core-free", True, True)
+        action = coset_action(problem)
+        _check(checks, f"{expr}: two intermediate subgroups", 2,
+               len(intermediate_subgroups(problem, action)))
+        base = [built.group.index_of((x, 0)) for x in range(16)]
+        structure = translation_structure(action, base)
+        _check(checks, f"{expr}: translation structure type", "E(2,4)",
+               structure.type_name)
+        _check(checks, f"{expr}: translation structure is minimal", True,
+               is_minimal(structure))
+        _check(checks, f"{expr}: normal-complement bound", 1,
+               minimal_lower_bound(problem))
+    return checks
+
+
 _FIXTURES = {
     "example1": _fixture_example1,
     "example2": _fixture_example2,
     "example3": _fixture_example3,
     "example4": _fixture_example4,
     "example5": _fixture_example5,
+    "example6": _fixture_example6,
 }
 
 
@@ -336,7 +371,7 @@ def main(argv=None) -> int:
     enum.set_defaults(func=cmd_enumerate)
 
     cat = sub.add_parser("catalog", help="run the named example fixtures")
-    cat.add_argument("name", help="example1..example5 or 'all'")
+    cat.add_argument("name", help="example1..example6 or 'all'")
     cat.add_argument("--n", help="group expression for example5 (default S(3))")
     cat.add_argument("--json", action="store_true")
     cat.set_defaults(func=cmd_catalog)

@@ -22,10 +22,9 @@ import re
 from dataclasses import dataclass
 
 from .errors import CapExceeded
-from .groups import (GROUP_ORDER_CAP, FiniteGroup, GroupHom, SubgroupRef,
-                     alternating, automorphism_group, cyclic, dihedral,
-                     direct_product, elementary_abelian, holomorph, quaternion,
-                     semidirect_product, symmetric)
+from .groups import (GROUP_ORDER_CAP, FiniteGroup, SubgroupRef, alternating,
+                     cyclic, dihedral, direct_product, elementary_abelian,
+                     holomorph, quaternion, semidirect_product, symmetric)
 from .perms import compose, format_cycles, from_cycles
 
 
@@ -355,21 +354,21 @@ def _matrix_group(p: int, k: int, mats: MatrixList) -> FiniteGroup:
                        name=f"matgrp({p},{k})")
 
 
-def _matrix_action_hom(h: FiniteGroup, base: FiniteGroup, p: int, k: int) -> GroupHom:
-    aut = automorphism_group(base)
-    images = []
-    for i in range(len(h)):
-        mat = h.raw(i)
+def _matrix_tables(h: FiniteGroup, base: FiniteGroup, p: int,
+                   k: int) -> list[tuple[int, ...]]:
+    """The action table of each matrix of h on the indices of E(p, k).
+
+    The action is faithful without a check: two matrices that differ mod p
+    differ on some basis vector, so their tables differ.
+    """
+    tables = []
+    for mat in h.raw_elements():
         table = []
-        for v_idx in range(len(base)):
-            v = base.raw(v_idx)
+        for v in base.raw_elements():
             w = tuple(sum(mat[r][c] * v[c] for c in range(k)) % p for r in range(k))
             table.append(base.index_of(w))
-        images.append(aut.index_of(tuple(table)))
-    hom = GroupHom(h, aut, images, check=False)
-    if not hom.is_injective():
-        raise _err("matrix group does not act faithfully")
-    return hom
+        tables.append(tuple(table))
+    return tables
 
 
 def build(expr) -> BuildResult:
@@ -448,8 +447,7 @@ def _build(expr) -> BuildResult:
             raise _err(f"matgrp({ap},{ak}) does not act on E({p},{k})")
         base = elementary_abelian(p, k)
         h = build(act_expr).group
-        phi = _matrix_action_hom(h, base, p, k)
-        group = semidirect_product(base, h, phi)
+        group = semidirect_product(base, h, _matrix_tables(h, base, p, k))
         return BuildResult(group, group.subgroup(group.distinguished))
     raise _err(f"unknown constructor {name!r}")
 

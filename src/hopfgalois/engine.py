@@ -16,8 +16,7 @@ from typing import Iterable
 
 from .catalog import iso_type
 from .errors import BudgetExceeded, CapExceeded, NotNormalClosure
-from .groups import (FiniteGroup, GroupHom, SubgroupRef, _is_prime,
-                     automorphism_group)
+from .groups import FiniteGroup, SubgroupRef, _is_prime
 from .perms import (compose, conjugate, cycle_string, cycles,
                     uniform_cycle_length)
 
@@ -190,7 +189,6 @@ class HGStructure:
             elements, name=f"N(deg {action.degree})")
         self.type_name = iso_type(self.group)
         self._conj_cache: dict[int, tuple[int, ...]] = {}
-        self._hom: GroupHom | None = None
 
     def key(self) -> tuple[tuple[int, ...], ...]:
         """The image tuples of N in sorted order (the identity sorts first)."""
@@ -210,23 +208,6 @@ class HGStructure:
                         for t in self.group.raw_elements())
             self._conj_cache[x] = out
         return out
-
-    def action_hom(self) -> GroupHom:
-        """The homomorphism G -> Aut(N) induced by translation conjugation.
-
-        Raises ValueError if N is not normalized by the translations.
-        """
-        if self._hom is None:
-            g = self.action.problem.group
-            try:
-                tables = [self.conj_action(x) for x in range(len(g))]
-            except KeyError:
-                raise ValueError("the subgroup is not normalized by the "
-                                 "translations") from None
-            aut = automorphism_group(self.group)
-            self._hom = GroupHom(g, aut, [aut.index_of(t) for t in tables],
-                                 check=False)
-        return self._hom
 
     def generator_strings(self) -> list[str]:
         return [cycle_string(self.group.raw(i)) for i in self.group.generators()]

@@ -390,40 +390,6 @@ class SubgroupRef:
                            perm_degree=g.perm_degree)
 
 
-class GroupHom:
-    """A homomorphism, stored as the image index of every source element."""
-
-    def __init__(self, source: FiniteGroup, target: FiniteGroup,
-                 images: Iterable[int], *, check: bool = True):
-        self.source = source
-        self.target = target
-        self.images = tuple(images)
-        if len(self.images) != len(source):
-            raise ValueError("one image per source element required")
-        if check:
-            self._verify()
-
-    def _verify(self) -> None:
-        src, tgt, im = self.source, self.target, self.images
-        if im[0] != 0:
-            raise ValueError("identity must map to the identity")
-        # Multiplicative on generators x everything, with 1 -> 1, extends to
-        # every product by induction on word length.
-        for a in src.generators():
-            for b in range(len(src)):
-                if im[src.mul(a, b)] != tgt.mul(im[a], im[b]):
-                    raise ValueError("map is not multiplicative")
-
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
-    def image_indices(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.images)))
-
-    def is_injective(self) -> bool:
-        return len(set(self.images)) == len(self.images)
-
-
 # -- constructors -----------------------------------------------------------
 
 
@@ -542,37 +508,45 @@ def _is_automorphism_map(g: FiniteGroup, t: tuple[int, ...]) -> bool:
     return all(t[g.mul(a, b)] == g.mul(t[a], t[b]) for a in range(m) for b in range(m))
 
 
-def semidirect_product(n: FiniteGroup, h: FiniteGroup, phi: GroupHom,
+def semidirect_product(n: FiniteGroup, h: FiniteGroup,
+                       tables: Iterable[tuple[int, ...]],
                        name: str | None = None) -> FiniteGroup:
-    """Semidirect product with law (x, s)(y, t) = (x * phi(s)(y), s t).
+    """Semidirect product with law (x, s)(y, t) = (x * tables[s][y], s t).
 
-    ``phi`` must map ``h`` into an automorphism group of ``n`` (a group whose
-    raw elements are image tuples on the indices of ``n``), e.g. the result
-    of :func:`automorphism_group`.
+    ``tables[s]`` is the image tuple of h's element s on n's indices.  The
+    checks: one permutation per element of h, ``tables[0]`` the identity, the
+    table of each generator a of h an automorphism of n, and
+    ``tables[a b] == tables[a] o tables[b]`` for every b.  They suffice:
+    every element of h is a word a1 ... ak in the generators, so by
+    induction on k, ``tables[a1 ... ak y] = tables[a1] o ... o tables[ak] o
+    tables[y]`` for every y.  With y = 1 each table is a product of
+    automorphisms, hence one; and s -> tables[s] is a homomorphism.
     """
-    if phi.source is not h:
-        raise ValueError("phi must be defined on the acting group")
-    aut = phi.target
-    for i in set(phi.images):
-        t = aut.raw(i)
-        if not (isinstance(t, tuple) and len(t) == len(n)
-                and _is_automorphism_map(n, t)):
-            raise ValueError("phi does not land in automorphisms of the base group")
+    tables = [tuple(t) for t in tables]
+    ident = tuple(range(len(n)))
+    if len(tables) != len(h) or any(tuple(sorted(t)) != ident for t in tables):
+        raise ValueError("one permutation of the base group's indices per "
+                         "element of the acting group required")
+    if tables[0] != ident:
+        raise ValueError("the identity must act as the identity")
+    for a in h.generators():
+        if not _is_automorphism_map(n, tables[a]):
+            raise ValueError("the action is not by automorphisms of the base group")
+        for b in range(len(h)):
+            if tables[h.mul(a, b)] != compose(tables[a], tables[b]):
+                raise ValueError("the action tables are not a homomorphism")
     if len(n) * len(h) > GROUP_ORDER_CAP:
         raise CapExceeded(f"product order {len(n) * len(h)} exceeds cap")
-
-    def act(s: int, x: int) -> int:
-        return aut.raw(phi(s))[x]
 
     def mul(u, v):
         x, s = u
         y, t = v
-        return (n.mul(x, act(s, y)), h.mul(s, t))
+        return (n.mul(x, tables[s][y]), h.mul(s, t))
 
     def inv(u):
         x, s = u
         si = h.inv(s)
-        return (act(si, n.inv(x)), si)
+        return (tables[si][n.inv(x)], si)
 
     elems = itertools.product(range(len(n)), range(len(h)))
     g = FiniteGroup(elems, mul, inv, identity=(0, 0),
@@ -680,8 +654,7 @@ def inner_automorphism(g: FiniteGroup, x: int) -> tuple[int, ...]:
 def holomorph(n: FiniteGroup) -> FiniteGroup:
     """The semidirect product of n by its full automorphism group."""
     aut = automorphism_group(n)
-    phi = GroupHom(aut, aut, range(len(aut)), check=False)
-    return semidirect_product(n, aut, phi, name=f"Hol({n.name})")
+    return semidirect_product(n, aut, aut.raw_elements(), name=f"Hol({n.name})")
 
 
 def holomorph_copies(n: FiniteGroup) -> tuple[FiniteGroup, SubgroupRef, SubgroupRef]:
@@ -713,34 +686,6 @@ def is_characteristically_simple(g: FiniteGroup) -> bool:
     if len(g) == 1:
         return False
     return len(characteristic_subgroups(g)) == 2
-
-
-def unique_sylow(g: FiniteGroup, p: int) -> SubgroupRef | None:
-    """The Sylow p-subgroup if it is unique (equivalently normal), else None.
-
-    The subgroup generated by all elements of p-power order contains every
-    Sylow p-subgroup, so it has order p^a exactly when the Sylow subgroup
-    is unique.
-    """
-    m = len(g)
-    if not _is_prime(p) or m % p != 0:
-        raise ValueError(f"{p} is not a prime divisor of the group order {m}")
-    pe = 1
-    mm = m
-    while mm % p == 0:
-        pe *= p
-        mm //= p
-
-    def is_p_power(o: int) -> bool:
-        while o % p == 0:
-            o //= p
-        return o == 1
-
-    pelems = [i for i in range(m) if is_p_power(g.element_order(i))]
-    s = g.closure_of(pelems)
-    if len(s) == pe:
-        return SubgroupRef(g, s, _checked=True)
-    return None
 
 
 def abelian_invariants(g: FiniteGroup) -> tuple[int, ...]:

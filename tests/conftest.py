@@ -13,6 +13,16 @@ ORDER_56_EXPR = "SD(E(2,3), matgrp(2,3,[[[1,1,1],[1,1,0],[1,0,0]]]))"
 ORDER_36_EXPR = "SD(E(3,2), matgrp(3,2,[[[0,1],[-1,0]]]))"
 ORDER_12_EXPR = "SD(E(2,2), matgrp(2,2,[[[1,1],[1,0]]]))"
 
+# E(2,4) under irreducible subgroups of GL(4,2), keyed by the order of G:
+# the companion matrices of x^4+x^3+x^2+x+1 (C5) and x^4+x+1 (C15), and the
+# latter with the Frobenius map (GammaL(1,16) = C15 : C4)
+_C5 = "[[0,0,0,1],[1,0,0,1],[0,1,0,1],[0,0,1,1]]"
+_C15 = "[[0,0,0,1],[1,0,0,1],[0,1,0,0],[0,0,1,0]]"
+_FROBENIUS = "[[1,0,1,0],[0,0,1,0],[0,1,0,1],[0,0,0,1]]"
+E24_EXPRS = {order: f"SD(E(2,4), matgrp(2,4,[{mats}]))"
+             for order, mats in [(80, _C5), (240, _C15),
+                                 (960, f"{_C15},{_FROBENIUS}")]}
+
 
 def read_cycles(text: str, degree: int) -> tuple[int, ...]:
     """Cycle text such as ``(0 1 2)(3 4)`` as an image tuple of `degree`."""

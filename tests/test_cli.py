@@ -3,6 +3,9 @@ import json
 import pytest
 
 from hopfgalois.cli import main
+from hopfgalois.engine import DEGREE_CAP
+
+from conftest import E24_EXPRS
 
 
 def run(capsys, *argv):
@@ -62,6 +65,14 @@ def test_exit_code_cap(capsys):
                        "--degree-cap", "12")
     assert code == 3
     assert "cap" in err
+
+
+def test_exit_code_degree_cap_e24(capsys):
+    code, out, err = run(capsys, "enumerate", E24_EXPRS[240], "--complement")
+    assert code == 3
+    assert out == ""
+    assert f"degree {DEGREE_CAP}, got 16" in err
+    assert "order" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -134,7 +145,8 @@ def test_canonical_json_is_byte_stable_across_runs(capsys):
 def test_catalog_all(capsys):
     code, out, _ = run(capsys, "catalog", "all")
     assert code == 0
-    for name in ("example1", "example2", "example3", "example4", "example5"):
+    for name in ("example1", "example2", "example3", "example4", "example5",
+                 "example6"):
         assert f"fixture {name}: PASS" in out
 
 

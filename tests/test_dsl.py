@@ -6,6 +6,8 @@ from hopfgalois import are_isomorphic, alternating, elementary_abelian
 from hopfgalois.dsl import (Call, DslError, Gens, IntArg, Matrix, MatrixList,
                             Product, build, build_text, parse, render)
 
+from conftest import E24_EXPRS
+
 
 def test_parse_simple_calls():
     assert parse("S(4)") == Call("S", (IntArg(4),))
@@ -131,6 +133,15 @@ def test_build_order_56_case():
     b = build_text("SD(E(2,3), matgrp(2,3,[[[1,1,1],[1,1,0],[1,0,0]]]))")
     assert len(b.group) == 56
     assert b.complement.order == 7
+
+
+def test_build_e24_family():
+    # GL(4,2) has order 20,160, over the group order cap: SD builds from the
+    # matrices' own action tables and never builds it
+    for order, expr in E24_EXPRS.items():
+        b = build_text(expr)
+        assert len(b.group) == order
+        assert b.complement.order == order // 16
 
 
 def test_matgrp_orders():

@@ -6,13 +6,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hopfgalois.groups as groups
-from hopfgalois import (CapExceeded, FiniteGroup, GroupHom, abelian_invariants,
+from hopfgalois import (CapExceeded, FiniteGroup, abelian_invariants,
                         alternating, are_isomorphic, automorphism_group,
                         characteristic_subgroups, cyclic, dicyclic, dihedral,
                         direct_product, elementary_abelian, holomorph,
                         holomorph_copies, inner_automorphism,
                         is_characteristically_simple, iso_type, quaternion,
-                        semidirect_product, symmetric, unique_sylow)
+                        semidirect_product, symmetric)
 from hopfgalois.dsl import build_text
 from hopfgalois.perms import compose, cycle_string
 from conftest import ORDER_12_EXPR, ORDER_36_EXPR, ORDER_56_EXPR
@@ -83,16 +83,6 @@ def brute_normal_subgroups(g: FiniteGroup) -> set[frozenset]:
     return out
 
 
-def brute_subgroups_of_size(g: FiniteGroup, size: int) -> set[frozenset]:
-    # subset scan restricted to one cardinality, with early abort
-    out = set()
-    for combo in itertools.combinations(range(1, len(g)), size - 1):
-        s = frozenset((0,) + combo)
-        if all(g.mul(a, b) in s for a in combo for b in combo):
-            out.add(s)
-    return out
-
-
 def brute_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
     # all identity-fixing bijections, checked for multiplicativity
     if len(a) != len(b):
@@ -103,15 +93,6 @@ def brute_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
         if all(f[a.mul(x, y)] == b.mul(f[x], f[y]) for x in range(m) for y in range(m)):
             return True
     return False
-
-
-def brute_sylow_count(g: FiniteGroup, p: int) -> int:
-    pe = 1
-    m = len(g)
-    while m % p == 0:
-        pe *= p
-        m //= p
-    return len(brute_subgroups_of_size(g, pe))
 
 
 # -- constructors ------------------------------------------------------------
@@ -245,12 +226,10 @@ def test_direct_product():
 
 def test_semidirect_product_a4():
     base = elementary_abelian(2, 2)
-    aut = automorphism_group(base)
     # the order-3 automorphism cycling the three involutions
-    theta = next(i for i in range(len(aut)) if aut.element_order(i) == 3)
+    theta = (0, 2, 3, 1)
     h = cyclic(3)
-    phi = GroupHom(h, aut, [0, theta, aut.mul(theta, theta)])
-    g = semidirect_product(base, h, phi)
+    g = semidirect_product(base, h, [(0, 1, 2, 3), theta, compose(theta, theta)])
     assert len(g) == 12
     check_axioms(g)
     assert are_isomorphic(g, alternating(4))
@@ -261,9 +240,7 @@ def test_semidirect_product_a4():
 
 def test_semidirect_with_trivial_action_is_direct():
     n, h = cyclic(4), cyclic(2)
-    aut = automorphism_group(n)
-    phi = GroupHom(h, aut, [0, 0])
-    sd = semidirect_product(n, h, phi)
+    sd = semidirect_product(n, h, [(0, 1, 2, 3)] * 2)
     dp = direct_product(n, h)
     # identical under the canonical pairing of raw index pairs
     assert sd.raw_elements() == dp.raw_elements()
@@ -271,21 +248,26 @@ def test_semidirect_with_trivial_action_is_direct():
                for a in range(8) for b in range(8))
 
 
+def _times(k: int, m: int) -> tuple[int, ...]:
+    # multiplication by k on the indices of cyclic(m)
+    return tuple(k * x % m for x in range(m))
+
+
 def test_semidirect_rejects_bad_action():
-    n, h = cyclic(4), cyclic(2)
-    bad_target = cyclic(2)  # raw elements are not automorphism tables
-    phi = GroupHom(h, bad_target, [0, 1])
-    with pytest.raises(ValueError):
-        semidirect_product(n, h, phi)
-
-
-def test_group_hom_validates_multiplicativity():
-    with pytest.raises(ValueError):
-        GroupHom(cyclic(4), cyclic(4), [0, 1, 0, 1])  # f(1)+f(1) = 2 but f(2) = 0
-    with pytest.raises(ValueError):
-        GroupHom(cyclic(2), cyclic(2), [1, 0])  # identity must map to identity
-    hom = GroupHom(cyclic(4), cyclic(2), [0, 1, 0, 1])  # reduction mod 2
-    assert hom.image_indices() == (0, 1) and not hom.is_injective()
+    for n, h, tables in [
+        # not a homomorphism: tables[1] o tables[1] is x4, but tables[2] is x1
+        (cyclic(5), cyclic(4), [_times(1, 5), _times(2, 5)] * 2),
+        # the identity of h must act as the identity
+        (cyclic(4), cyclic(2), [_times(3, 4), _times(1, 4)]),
+        # a permutation fixing 0 that is not an automorphism
+        (cyclic(4), cyclic(2), [_times(1, 4), (0, 2, 1, 3)]),
+        # an image outside n's indices
+        (cyclic(4), cyclic(2), [_times(1, 4), (0, 1, 2, 5)]),
+        # one table per element of h
+        (cyclic(4), cyclic(2), [_times(1, 4)]),
+    ]:
+        with pytest.raises(ValueError):
+            semidirect_product(n, h, tables)
 
 
 # -- automorphisms --------------------------------------------------------
@@ -453,30 +435,11 @@ def test_characteristically_simple_a5():
     assert characteristic_subgroups(a5) == characteristic_via_filter(a5)
 
 
-def test_unique_sylow():
-    d5 = unique_sylow(dihedral(5), 5)
-    assert d5 is not None and d5.order == 5
-    assert unique_sylow(symmetric(4), 2) is None
-    assert brute_sylow_count(symmetric(4), 2) == 3
-    c6 = unique_sylow(cyclic(6), 3)
-    assert c6 is not None and c6.order == 3
-    with pytest.raises(ValueError):
-        unique_sylow(symmetric(3), 5)
-
-
-def test_unique_sylow_agrees_with_brute_force():
-    for g in (dihedral(5), symmetric(3), alternating(4), dicyclic(3)):
-        for p in (2, 3, 5):
-            if len(g) % p:
-                continue
-            assert (unique_sylow(g, p) is not None) == (brute_sylow_count(g, p) == 1)
-
-
 def test_order_mp_has_characteristic_sylow():
     # order mp with p prime and p > m > 1 forces a unique, characteristic Sylow
     for g, p in [(dihedral(5), 5), (cyclic(6), 3), (dihedral(7), 7), (cyclic(20), 5)]:
-        syl = unique_sylow(g, p)
-        assert syl is not None
+        # the brute-force Sylow subgroup: p > m, so it has order p
+        [syl] = [s for s in g.subgroups() if s.order == p]
         char = {frozenset(s.members) for s in characteristic_subgroups(g)}
         assert frozenset(syl.members) in char
 
