@@ -181,14 +181,26 @@ def coset_action(problem: ExtensionProblem,
 class HGStructure:
     """One Hopf-Galois structure: a regular, translation-normalized
     permutation subgroup N, held as the group of its image tuples, and its
-    isomorphism type."""
+    isomorphism type.
 
-    def __init__(self, action: CosetAction, elements: Iterable[tuple[int, ...]]):
+    `stable_subgroups` is N's sub-Hopf lattice when the search supplied it
+    (see `enumerate_regular_normalized`), else None.
+    """
+
+    def __init__(self, action: CosetAction, elements: Iterable[tuple[int, ...]],
+                 stable_subgroups: Iterable[Iterable[tuple[int, ...]]] | None = None):
         self.action = action
         self.group = FiniteGroup.from_permutations(
             elements, name=f"N(deg {action.degree})")
         self.type_name = iso_type(self.group)
         self._conj_cache: dict[int, tuple[int, ...]] = {}
+        self.stable_subgroups: list[SubgroupRef] | None = None
+        if stable_subgroups is not None:
+            index_of = self.group.index_of
+            refs = [SubgroupRef(self.group, [index_of(t) for t in q], _checked=True)
+                    for q in stable_subgroups]
+            refs.sort(key=SubgroupRef.sort_key)
+            self.stable_subgroups = refs
 
     def key(self) -> tuple[tuple[int, ...], ...]:
         """The image tuples of N in sorted order (the identity sorts first)."""
@@ -453,7 +465,19 @@ def _viable_atoms(n, gen_pairs, seeds, budget):
 
 
 def _combine_atoms(atoms, n, budget):
-    """Stage 2: depth-first unions of atoms, closing after every step."""
+    """Stage 2: depth-first unions of atoms, closing after every step.
+
+    Returns (results, formed): the regular groups found, and every group
+    formed on the way, the atoms and each `q` of `seen`.  A regular N's
+    sub-Hopf lattice is {1} plus the formed groups inside N.  Let M be a
+    G-stable subgroup of N.  M is semiregular and lambda(G)-stable, so for
+    each t in M the lambda(G)-orbit of t lies in M and generates a
+    semiregular group, a stage-1 atom.  So M is the join of the atoms
+    inside it.  Stage 2 reaches M by adding those atoms in index order:
+    every partial join stays inside M, so it is never pruned, and each one
+    is an atom or the `q` of some state (q, j + 1) in `seen`.  N itself is
+    an atom or a `q`.
+    """
     results: set[frozenset] = set()
     smaller = []
     for a in atoms:
@@ -482,7 +506,23 @@ def _combine_atoms(atoms, n, budget):
 
     for j in range(len(smaller)):
         extend(smaller[j], j + 1)
-    return results
+    formed = set(atoms)
+    formed.update(q for q, _ in seen)
+    return results, formed
+
+
+def _by_least_element(groups) -> dict[tuple[int, ...], list[frozenset]]:
+    """The groups keyed by their least non-identity element.
+
+    Every group here is semiregular, so its identity is the one element
+    fixing point 0 (and the least tuple); the key is the least t with
+    t[0] != 0.  A subgroup of N has its key in N, so looking up N's n
+    elements finds each subgroup of N once, without a scan of every group.
+    """
+    index: dict[tuple[int, ...], list[frozenset]] = {}
+    for q in groups:
+        index.setdefault(min(t for t in q if t[0]), []).append(q)
+    return index
 
 
 def enumerate_regular_normalized(action: CosetAction, *,
@@ -492,7 +532,9 @@ def enumerate_regular_normalized(action: CosetAction, *,
     image of G, each exactly once, in canonical order.
 
     Every result is re-checked post hoc for regularity and normalization,
-    independently of the pruning used by the search.
+    independently of the pruning used by the search.  Each carries its
+    sub-Hopf lattice as `stable_subgroups`, read from the groups stage 2
+    formed (see `_combine_atoms`).
     """
     n = action.degree
     if n > degree_cap:
@@ -502,12 +544,18 @@ def enumerate_regular_normalized(action: CosetAction, *,
     gen_pairs = action.generator_pairs()
     atoms = _viable_atoms(n, gen_pairs, _prime_order_translations(action),
                           budget)
+    results, formed = _combine_atoms(atoms, n, budget)
+    index = _by_least_element(formed)
+    trivial = (tuple(range(n)),)
     structures = []
-    for fs in _combine_atoms(atoms, n, budget):
+    for fs in results:
         if not _regular_normalized(fs, n, gen_pairs):
             raise RuntimeError("search produced an invalid subgroup; "
                                "this is a bug in the pruning")
-        structures.append(HGStructure(action, fs))
+        lattice = [trivial]
+        for t in fs:
+            lattice.extend(q for q in index.get(t, ()) if q <= fs)
+        structures.append(HGStructure(action, fs, lattice))
     structures.sort(key=lambda s: (s.type_name, s.key()))
     return structures
 

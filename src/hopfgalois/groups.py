@@ -10,6 +10,7 @@ canonical ordering and display.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Iterable, Iterator
 
 from .errors import CapExceeded
@@ -192,14 +193,16 @@ class FiniteGroup:
         return self.mul(self.mul(g, x), self.inv(g))
 
     def element_order(self, i: int) -> int:
+        """The order m of i; the walk over its powers also records the
+        order m / gcd(k, m) of each power i^k."""
         out = self._orders[i]
         if out is None:
-            out = 1
-            x = i
-            while x != 0:
-                x = self.mul(x, i)
-                out += 1
-            self._orders[i] = out
+            powers = [i]
+            while powers[-1] != 0:
+                powers.append(self.mul(powers[-1], i))
+            out = len(powers)
+            for k, x in enumerate(powers, start=1):
+                self._orders[x] = out // math.gcd(k, out)
         return out
 
     def is_abelian(self) -> bool:
@@ -640,9 +643,10 @@ def automorphism_group(g: FiniteGroup) -> FiniteGroup:
         raise CapExceeded(f"automorphism search capped at order {AUT_CAP}, "
                           f"got {len(g)}")
     if g._aut is None:
-        maps = sorted(set(_iso_image_maps(g, g)))
-        g._aut = FiniteGroup(maps, compose, inverse, identity=tuple(range(len(g))),
-                             name=f"Aut({g.name})")
+        # each isomorphism is yielded once (its generator images fix it),
+        # and the constructor reads at most one map past the order cap
+        g._aut = FiniteGroup(_iso_image_maps(g, g), compose, inverse,
+                             identity=tuple(range(len(g))), name=f"Aut({g.name})")
     return g._aut
 
 

@@ -5,6 +5,11 @@ algebras; group-theoretically, when N has no proper nontrivial subgroup
 stable under the translation action of G.  Minimality is always decided
 from that stable-subgroup lattice; the characteristic-subgroup shortcut is
 computed separately so the implication can be cross-checked.
+
+`classify` reads each lattice from the search, which has formed every
+stable subgroup of every N it finds (see `engine._combine_atoms`).
+`g_stable_subgroups` computes it independently, from N and the action
+alone, for structures that do not come from a search.
 """
 
 from __future__ import annotations
@@ -216,10 +221,8 @@ def classify(problem: ExtensionProblem, *, degree_cap: int = DEGREE_CAP,
         action = coset_action(problem)
     structures = enumerate_regular_normalized(
         action, degree_cap=degree_cap, budget=budget)
-    verdicts = []
-    for s in structures:
-        lattice = g_stable_subgroups(s)
-        verdicts.append(StructureVerdict(s, lattice, len(lattice) == 2))
+    verdicts = [StructureVerdict(s, s.stable_subgroups, len(s.stable_subgroups) == 2)
+                for s in structures]
     return ClassificationReport(
         problem=problem,
         verdicts=verdicts,

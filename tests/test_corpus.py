@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import hopfgalois
-from hopfgalois import dsl
+from hopfgalois import dsl, g_stable_subgroups
 
 CORPUS_PATH = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
 
@@ -40,3 +40,6 @@ def test_corpus_row(workload, row):
            report.intermediate_count, report.normal_complement_bound)
     assert got == (row.structures, row.minimal, row.types, row.intermediate,
                    row.bound), row.source
+    # the lattices the search supplies, against the independent computation
+    for v in report.verdicts:
+        assert v.stable_subgroups == g_stable_subgroups(v.structure)

@@ -120,6 +120,28 @@ def test_constructor_validation():
         quaternion(4)
 
 
+def naive_order(g: FiniteGroup, i: int) -> int:
+    # the power walk from i alone, nothing read from other elements' orders
+    out, x = 1, i
+    while x != 0:
+        out, x = out + 1, g.mul(x, i)
+    return out
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: alternating(6), id="A6"),
+    pytest.param(lambda: symmetric(5), id="S5"),
+    pytest.param(lambda: holomorph(elementary_abelian(3, 2)), id="Hol(E(3,2))"),
+    pytest.param(lambda: dihedral(4), id="D4"),
+])
+def test_element_order_fills_powers_correctly(build):
+    # element_order records the order of every power it walks past; the
+    # orders, queried in index order, must equal an independent walk
+    g = build()
+    assert [g.element_order(i) for i in range(len(g))] == \
+        [naive_order(g, i) for i in range(len(g))]
+
+
 def test_from_permutations_needs_an_element():
     with pytest.raises(ValueError, match="a group needs at least one element"):
         FiniteGroup.from_permutations([])
@@ -303,6 +325,24 @@ def test_aut_elements_are_automorphisms():
 def test_aut_cap():
     with pytest.raises(CapExceeded):
         automorphism_group(direct_product(alternating(5), cyclic(3)))
+
+
+def test_aut_stops_one_map_past_the_order_cap(monkeypatch):
+    # |Aut(E(2,4))| = |GL(4,2)| = 20,160 > GROUP_ORDER_CAP: the maps are
+    # read lazily, so the cap is hit at most one map past it
+    yielded = 0
+    original = groups._iso_image_maps
+
+    def counted(a, b):
+        nonlocal yielded
+        for t in original(a, b):
+            yielded += 1
+            yield t
+
+    monkeypatch.setattr(groups, "_iso_image_maps", counted)
+    with pytest.raises(CapExceeded, match="group order exceeds cap 10000"):
+        automorphism_group(elementary_abelian(2, 4))
+    assert 0 < yielded <= groups.GROUP_ORDER_CAP + 1
 
 
 # Far past GROUP_ORDER_CAP: each must raise after reading at most one

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from hopfgalois.dsl import build_text
 from hopfgalois.perms import conjugate, cycle_string, inverse
 from conftest import (catalog_problems, complement_problem, stabilizer_problem,
                       subgroup_problem)
+from test_canonical_digest import DEGREE_12_SHA256
 
 
 def stable_subgroups_via_filter(group: FiniteGroup, maps) -> list:
@@ -95,6 +98,31 @@ def test_lattice_two_routes_agree(reports):
             assert v.stable_subgroups == stable_subgroups_via_filter(s.group, maps), name
             lattice = {frozenset(u.members) for u in v.stable_subgroups}
             assert lattice == stable_subgroups_via_orbits(s), name
+
+
+@pytest.mark.parametrize("label", sorted(DEGREE_12_SHA256))
+def test_search_lattices_match_oracle_degree_12(label):
+    expr, flag, *rest = label.split(" ", 2)
+    if flag == "--galois":
+        prob = ExtensionProblem.galois(build_text(expr).group)
+    else:
+        prob = subgroup_problem(expr, *rest)
+    for v in classify(prob).verdicts:
+        assert v.stable_subgroups == g_stable_subgroups(v.structure), label
+
+
+def test_classify_does_not_rebuild_lattices(monkeypatch):
+    # every lattice comes from the search: with the route through
+    # conj_action and stable_subgroups shut, classify still answers
+    def shut(*args, **kwargs):
+        raise AssertionError("classify rebuilt a sub-Hopf lattice")
+
+    monkeypatch.setattr(FiniteGroup, "stable_subgroups", shut)
+    monkeypatch.setattr(HGStructure, "conj_action", shut)
+    rep = classify(ExtensionProblem.galois(elementary_abelian(2, 3)))
+    assert rep.structure_count == 106
+    # as g_stable_subgroups gives them
+    assert Counter(v.subhopf_count for v in rep.verdicts) == {6: 42, 8: 63, 16: 1}
 
 
 def test_is_minimal_examples(reports):
@@ -285,7 +313,9 @@ def test_random_transitive_groups(gens):
     assert sorted(s.key() for s in structures) == enumerate_via_transversal(act)
     for s in structures:
         maps = [s.conj_action(x) for x in act.generators]
-        assert g_stable_subgroups(s) == stable_subgroups_via_filter(s.group, maps)
+        lattice = g_stable_subgroups(s)
+        assert lattice == stable_subgroups_via_filter(s.group, maps)
+        assert s.stable_subgroups == lattice  # as the search supplies it
 
 
 # Point i is renamed sigma[i]; sigma(0) != 0, so G' of the relabelled
