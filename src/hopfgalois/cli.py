@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 the pair does not model a normal closure, 3 a size
 cap or the search budget was exhausted, 1 anything else (usage error, bad
 expression, unknown fixture, expectation mismatch).  Diagnostics go to
-stderr; reports go to stdout.  The environment variable HG_NODE_BUDGET
-overrides the search budget.
+stderr; reports go to stdout.  The environment variable HG_NODE_BUDGET, a
+positive integer, overrides the search budget; any other value is a usage
+error.
 """
 
 from __future__ import annotations
@@ -33,9 +34,12 @@ def _budget_from_env() -> int:
     if raw is None:
         return DEFAULT_NODE_BUDGET
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError:
-        raise ValueError(f"HG_NODE_BUDGET must be an integer, got {raw!r}")
+        limit = 0  # refused below, with the non-positive values
+    if limit < 1:
+        raise ValueError(f"HG_NODE_BUDGET must be a positive integer, got {raw!r}")
+    return limit
 
 
 def _problem(built, mode: str, subgroup_text: str | None = None) -> ExtensionProblem:

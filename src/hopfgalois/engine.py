@@ -292,46 +292,78 @@ def _conj_orbit(t0, gen_pairs, budget):
         budget.spend(ops)
 
 
-def _closure(group, extra, n, budget):
-    """The group generated by the group `group` and the elements `extra`,
-    or None at the first two of its elements that send point 0 to the same
-    point.
+def _closure(group, gens, extra, n, budget):
+    """(K, generators of K) for K the group generated by the group `group`,
+    which `gens` generates, and the elements `extra`; or None at the first
+    two elements of K found that send point 0 to the same point.
 
     The search only closes translation-stable sets (an orbit plus the
-    identity, or two stable groups), so the generated group H is normalized
-    by the translation image of G.  That image is transitive, so the point
-    stabilizers of H are conjugate: H is semiregular iff its stabilizer of
-    0 is trivial, i.e. iff no two elements agree on 0, and then |H| <= n.
-    Products among the elements of `group` are never recomputed.
+    identity, or two stable groups), so K is normalized by the translation
+    image of G.  That image is transitive, so the point stabilizers of K
+    are conjugate: K is semiregular iff its stabilizer of 0 is trivial,
+    i.e. iff no two elements agree on 0, and then |K| <= n.
+
+    K is built by Dimino's algorithm, as in `FiniteGroup.closure_of`.  Each
+    x of `extra` outside the group H built so far becomes a generator, and
+    H grows to a union of right cosets: first H x, then, for each
+    representative r and each generator g, r g lies in a coset already
+    found or opens a new one, H r g.  `by0` holds each found element under
+    its image of 0, so membership is one lookup, and every element found
+    is checked there and against `known`, the elements of `extra` by their
+    image of 0, which lie in K too.  This keeps the point-0 rule exact.
+    Until the first collision, the found set is a union of whole cosets of
+    H, so a y with `by0[y[0]]` empty is new and so is all of H y, and the
+    cosets list K.  If K is semiregular nothing collides and K is listed
+    in full; if not, two of its elements agree on 0 and the later one found
+    collides, often early, with an element of `extra`.  Each generator at
+    least doubles the group, so there are at most log2 |K|.
     """
     els = list(group)
+    gens = list(gens)
     by0 = [None] * n
     for t in els:
         by0[t[0]] = t
-    for c in extra:
-        s = by0[c[0]]
-        if s is None:
-            by0[c[0]] = c
-            els.append(c)
-        elif s != c:
-            return None
     ops = 0
+    known = {}
+    for x in extra:
+        if known.setdefault(x[0], x) != x:
+            return None
+
+    def add_coset(sub, r) -> bool:
+        nonlocal ops
+        coset = [compose(h, r) for h in sub]
+        ops += len(coset)
+        for c in coset:
+            if by0[c[0]] is not None or known.get(c[0], c) != c:
+                return False
+            by0[c[0]] = c
+        els.extend(coset)
+        return True
+
     try:
-        # every pair with a new element is multiplied, both ways, once
-        i = len(group)
-        while i < len(els):
-            a = els[i]
-            for b in els[:i + 1]:
-                ops += 2
-                for c in (compose(a, b), compose(b, a)):
-                    s = by0[c[0]]
+        for x in extra:
+            s = by0[x[0]]
+            if s is not None:
+                if s != x:
+                    return None
+                continue
+            sub = tuple(els)
+            gens.append(x)
+            if not add_coset(sub, x):
+                return None
+            reps = [x]
+            for r in reps:
+                for g in gens:
+                    ops += 1
+                    y = compose(r, g)
+                    s = by0[y[0]]
                     if s is None:
-                        by0[c[0]] = c
-                        els.append(c)
-                    elif s != c:
+                        if not add_coset(sub, y):
+                            return None
+                        reps.append(y)
+                    elif s != y:
                         return None
-            i += 1
-        return frozenset(els)
+        return frozenset(els), tuple(gens)
     finally:
         budget.spend(ops)
 
@@ -435,7 +467,9 @@ def _viable_atoms(n, gen_pairs, seeds, budget):
     Every translation-conjugation orbit of semiregular permutations whose
     elements send point 0 to distinct points is grown to the group it
     generates, kept when that group does too (see `_closure`).  Every
-    regular normalized N is a union of such atoms.
+    regular normalized N is a union of such atoms.  Returns (atom, its
+    generators) pairs, sorted by atom; an atom reached from several orbits
+    keeps the generators of the first.
 
     The orbits are found from `seeds`, the translations lambda(x) of one x
     per class of prime-order elements of G, any x of the class.  Take
@@ -447,7 +481,7 @@ def _viable_atoms(n, gen_pairs, seeds, budget):
     atoms are exactly those of a walk over all semiregular permutations.
     """
     trivial = (tuple(range(n)),)
-    atoms: set[frozenset] = set()
+    atoms: dict[frozenset, tuple] = {}
     visited: set[tuple[int, ...]] = set()
     for sigma in seeds:
         for d in _divisors(n):
@@ -458,14 +492,19 @@ def _viable_atoms(n, gen_pairs, seeds, budget):
                 if orbit is None:
                     continue
                 visited.update(orbit)
-                grown = _closure(trivial, orbit, n, budget)
+                grown = _closure(trivial, (), orbit, n, budget)
                 if grown is not None:
-                    atoms.add(grown)
-    return sorted(atoms, key=sorted)
+                    atoms.setdefault(*grown)
+    return sorted(atoms.items(), key=lambda item: sorted(item[0]))
 
 
 def _combine_atoms(atoms, n, budget):
     """Stage 2: depth-first unions of atoms, closing after every step.
+
+    `atoms` holds (atom, generators) pairs, as `_viable_atoms` returns them.
+    Each group formed carries its generators, so the join of p and an atom
+    a is closed from p's generators plus a's (see `_closure`): they
+    generate the same group as p and a.
 
     Returns (results, formed): the regular groups found, and every group
     formed on the way, the atoms and each `q` of `seen`.  A regular N's
@@ -480,33 +519,34 @@ def _combine_atoms(atoms, n, budget):
     """
     results: set[frozenset] = set()
     smaller = []
-    for a in atoms:
+    for a, a_gens in atoms:
         if len(a) == n:
             results.add(a)
         else:
-            smaller.append(a)
+            smaller.append((a, a_gens))
     seen = set()
 
-    def extend(p, start):
+    def extend(p, p_gens, start):
         if len(p) == n:
             results.add(p)
             return
         for j in range(start, len(smaller)):
-            a = smaller[j]
+            a, a_gens = smaller[j]
             if a <= p:
                 continue
-            q = _closure(p, a, n, budget)
-            if q is None:
+            grown = _closure(p, p_gens, a_gens, n, budget)
+            if grown is None:
                 continue
+            q, q_gens = grown
             state = (q, j + 1)
             if state in seen:
                 continue
             seen.add(state)
-            extend(q, j + 1)
+            extend(q, q_gens, j + 1)
 
-    for j in range(len(smaller)):
-        extend(smaller[j], j + 1)
-    formed = set(atoms)
+    for j, (a, a_gens) in enumerate(smaller):
+        extend(a, a_gens, j + 1)
+    formed = {a for a, _ in atoms}
     formed.update(q for q, _ in seen)
     return results, formed
 

@@ -82,6 +82,7 @@ class FiniteGroup:
         self._gens: tuple[int, ...] | None = None
         self._classes: list[tuple[int, ...]] | None = None
         self._aut: FiniteGroup | None = None
+        self._fp: tuple | None = None
 
     @classmethod
     def from_permutations(cls, perms: Iterable[tuple[int, ...]],
@@ -562,13 +563,16 @@ def semidirect_product(n: FiniteGroup, h: FiniteGroup,
 
 
 def _fingerprint(g: FiniteGroup) -> tuple:
-    hist: dict[int, int] = {}
-    for i in range(len(g)):
-        o = g.element_order(i)
-        hist[o] = hist.get(o, 0) + 1
-    class_sizes = tuple(sorted(len(c) for c in g.conjugacy_classes()))
-    return (len(g), tuple(sorted(hist.items())), g.is_abelian(),
-            len(g.center()), class_sizes)
+    """Isomorphism invariants of g, computed once per group."""
+    if g._fp is None:
+        hist: dict[int, int] = {}
+        for i in range(len(g)):
+            o = g.element_order(i)
+            hist[o] = hist.get(o, 0) + 1
+        class_sizes = tuple(sorted(len(c) for c in g.conjugacy_classes()))
+        g._fp = (len(g), tuple(sorted(hist.items())), g.is_abelian(),
+                 len(g.center()), class_sizes)
+    return g._fp
 
 
 def _iso_image_maps(a: FiniteGroup, b: FiniteGroup) -> Iterator[tuple[int, ...]]:

@@ -97,6 +97,17 @@ def test_exit_code_budget(capsys, monkeypatch):
     assert out == ""  # no partial report on error
 
 
+@pytest.mark.parametrize("raw", ["0", "-5", "ten"])
+def test_exit_code_budget_not_positive(capsys, monkeypatch, raw):
+    # a usage error, not an exhausted search
+    monkeypatch.setenv("HG_NODE_BUDGET", raw)
+    code, out, err = run(capsys, "enumerate", "C(8)", "--galois")
+    assert code == 1
+    assert out == ""
+    assert "HG_NODE_BUDGET must be a positive integer" in err
+    assert "exhausted" not in err
+
+
 def test_exit_code_syntax_error(capsys):
     code, _, err = run(capsys, "enumerate", "Hol(E(3,2)", "--galois")
     assert code == 1

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -229,6 +230,24 @@ def test_cayley_table_takes_few_raw_products(monkeypatch):
     calls = 0
     assert len(automorphism_group(e23)) == 168
     assert 0 < calls <= 5 * 168
+
+
+def test_fingerprint_computed_once_per_group(monkeypatch):
+    # iso_type compares N's fingerprint with each catalog candidate's; each
+    # group's is computed on its first comparison only
+    calls = []
+    center = FiniteGroup.center
+
+    def counted(self):
+        calls.append(id(self))
+        return center(self)
+
+    monkeypatch.setattr(FiniteGroup, "center", counted)
+    g = direct_product(dihedral(3), cyclic(2))
+    names = {iso_type(g) for _ in range(3)}
+    assert len(names) == 1
+    assert calls.count(id(g)) == 1
+    assert set(Counter(calls).values()) == {1}
 
 
 def test_d3_is_s3_by_brute_force():
