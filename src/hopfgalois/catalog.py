@@ -13,8 +13,9 @@ import math
 
 from .errors import CapExceeded
 from .groups import (ISO_CAP, FiniteGroup, _fingerprint, _is_prime,
-                     abelian_invariants, alternating, are_isomorphic, dicyclic,
-                     dihedral, direct_product, holomorph, quaternion, symmetric)
+                     abelian_invariants, alternating, are_isomorphic, cyclic,
+                     dicyclic, dihedral, direct_product, holomorph, quaternion,
+                     symmetric)
 
 
 def _metacyclic_2(n: int, t: int, name: str) -> FiniteGroup:
@@ -26,12 +27,8 @@ def _metacyclic_2(n: int, t: int, name: str) -> FiniteGroup:
         b, t_ = y
         return ((a + (t if s else 1) * b) % n, s ^ t_)
 
-    def inv(x):
-        a, s = x
-        return ((-a) % n if s == 0 else (-t * a) % n, s)
-
     elems = [(a, s) for a in range(n) for s in (0, 1)]
-    return FiniteGroup(elems, mul, inv, identity=(0, 0), name=name)
+    return FiniteGroup(elems, mul, identity=(0, 0), name=name)
 
 
 def _c4_by_c4() -> FiniteGroup:
@@ -42,7 +39,7 @@ def _c4_by_c4() -> FiniteGroup:
         return ((a + (b if s % 2 == 0 else -b)) % 4, (s + t) % 4)
 
     elems = [(a, s) for a in range(4) for s in range(4)]
-    return FiniteGroup(elems, mul, None, identity=(0, 0), name="C4 : C4")
+    return FiniteGroup(elems, mul, identity=(0, 0), name="C4 : C4")
 
 
 def _klein_by_c4() -> FiniteGroup:
@@ -55,7 +52,7 @@ def _klein_by_c4() -> FiniteGroup:
         return (((a1 + b1) % 2, (a2 + b2) % 2), (s + t) % 4)
 
     elems = [((a1, a2), s) for a1 in (0, 1) for a2 in (0, 1) for s in range(4)]
-    return FiniteGroup(elems, mul, None, identity=((0, 0), 0), name="(C2 x C2) : C4")
+    return FiniteGroup(elems, mul, identity=((0, 0), 0), name="(C2 x C2) : C4")
 
 
 # Central product of the order-8 dihedral group with C4 (identified centers).
@@ -71,12 +68,8 @@ def _central_product_16() -> FiniteGroup:
         t, q = y
         return ((s + t + _OMEGA.get((p, q), 0)) % 4, p ^ q)
 
-    def inv(x):
-        s, p = x
-        return ((-s) % 4, p)
-
     elems = [(s, p) for s in range(4) for p in range(4)]
-    return FiniteGroup(elems, mul, inv, identity=(0, 0), name="D4 o C4")
+    return FiniteGroup(elems, mul, identity=(0, 0), name="D4 o C4")
 
 
 def _totient(n: int) -> int:
@@ -110,21 +103,15 @@ def _nonabelian_candidates(m: int) -> list[tuple[str, FiniteGroup]]:
             ("M16", _metacyclic_2(8, 5, "M16")),
             ("C4 : C4", _c4_by_c4()),
             ("(C2 x C2) : C4", _klein_by_c4()),
-            ("D4 x C2", direct_product(dihedral(4), _cyclic2())),
-            ("Q8 x C2", direct_product(quaternion(8), _cyclic2())),
+            ("D4 x C2", direct_product(dihedral(4), cyclic(2))),
+            ("Q8 x C2", direct_product(quaternion(8), cyclic(2))),
             ("D4 o C4", _central_product_16()),
         ])
     for k in range(3, 25):
         if k * _totient(k) == m:
-            from .groups import cyclic
             out.append((f"Hol(C{k})", holomorph(cyclic(k))))
     _CANDIDATE_CACHE[m] = out
     return out
-
-
-def _cyclic2() -> FiniteGroup:
-    from .groups import cyclic
-    return cyclic(2)
 
 
 def fingerprint_label(g: FiniteGroup) -> str:

@@ -20,8 +20,9 @@ from .dsl import DslError, build_text
 from .engine import (DEGREE_CAP, DEFAULT_NODE_BUDGET, ExtensionProblem,
                      NodeBudget, coset_action, translation_structure)
 from .errors import BudgetExceeded, CapExceeded, NotNormalClosure
-from .groups import (FiniteGroup, are_isomorphic, automorphism_group,
-                     holomorph, holomorph_copies, symmetric)
+from .groups import (FiniteGroup, alternating, are_isomorphic,
+                     automorphism_group, holomorph, holomorph_copies,
+                     inner_automorphism, symmetric)
 from .minimality import (ClassificationReport, classify,
                          intermediate_subgroups, is_minimal,
                          minimal_lower_bound)
@@ -230,7 +231,6 @@ def _fixture_example4(budget: NodeBudget, _args) -> list[dict]:
         _check(checks, f"{expr}: minimal structure of type {typ}",
                True, typ in minimal_types)
     a4 = build_text("SD(E(2,2), matgrp(2,2,[[[1,1],[1,0]]]))").group
-    from .groups import alternating
     _check(checks, "order-12 case is the alternating group", True,
            are_isomorphic(a4, alternating(4)))
     hol_klein = holomorph(build_text("E(2,2)").group)
@@ -267,7 +267,6 @@ def _fixture_example5(_budget: NodeBudget, args) -> list[dict]:
 def _conjugation_identity_holds(n: FiniteGroup, aut: FiniteGroup,
                                 hol: FiniteGroup, x: int, g: int, th: int) -> bool:
     """(x,t) (g^-1, conj_g) (t^-1(x^-1), t^-1) == (t(g^-1), conj_{t(g)})."""
-    from .groups import inner_automorphism
     t_table = aut.raw(th)
     th_inv = aut.inv(th)
     t_inv_table = aut.raw(th_inv)

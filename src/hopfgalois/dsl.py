@@ -21,10 +21,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import CapExceeded
-from .groups import (GROUP_ORDER_CAP, FiniteGroup, SubgroupRef, alternating,
-                     cyclic, dihedral, direct_product, elementary_abelian,
-                     holomorph, quaternion, semidirect_product, symmetric)
+from .groups import (FiniteGroup, SubgroupRef, alternating, cyclic, dihedral,
+                     direct_product, elementary_abelian, generated, holomorph,
+                     quaternion, semidirect_product, symmetric)
 from .perms import compose, format_cycles, from_cycles
 
 
@@ -313,29 +312,6 @@ def _is_invertible(mat, p) -> bool:
     return True
 
 
-def _closure(gens: list, identity, mul) -> set:
-    """The group generated by `gens` under `mul` (breadth-first closure).
-
-    Raises CapExceeded as soon as it has more than GROUP_ORDER_CAP elements,
-    before anything is built from it.
-    """
-    els = {identity, *gens}
-    frontier = list(els)
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                c = mul(a, g)
-                if c not in els:
-                    els.add(c)
-                    if len(els) > GROUP_ORDER_CAP:
-                        raise CapExceeded(
-                            f"group order exceeds cap {GROUP_ORDER_CAP}")
-                    new.append(c)
-        frontier = new
-    return els
-
-
 def _matrix_group(p: int, k: int, mats: MatrixList) -> FiniteGroup:
     gens = []
     for mat in mats.matrices:
@@ -350,7 +326,7 @@ def _matrix_group(p: int, k: int, mats: MatrixList) -> FiniteGroup:
     def mul(a, b):
         return _mat_mul(a, b, p)
 
-    return FiniteGroup(_closure(gens, ident, mul), mul, identity=ident,
+    return FiniteGroup(generated(gens, ident, mul), mul, identity=ident,
                        name=f"matgrp({p},{k})")
 
 
@@ -395,7 +371,7 @@ def _build(expr) -> BuildResult:
         if degree < 1:
             raise _err("cannot infer the degree of gens[()]")
         gens = [from_cycles(degree, p) for p in expr.perms]
-        closure = _closure(gens, tuple(range(degree)), compose)
+        closure = generated(gens, tuple(range(degree)), compose)
         group = FiniteGroup.from_permutations(closure, name=f"gens(deg {degree})")
         return BuildResult(group)
     if not isinstance(expr, Call):

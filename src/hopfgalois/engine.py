@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .catalog import iso_type
 from .errors import BudgetExceeded, CapExceeded, NotNormalClosure
-from .groups import FiniteGroup, SubgroupRef, _is_prime
+from .groups import FiniteGroup, SubgroupRef, _is_prime, generated
 from .perms import (compose, conjugate, cycle_string, cycles,
                     uniform_cycle_length)
 
@@ -156,16 +156,8 @@ class CosetAction:
         |G| elements; that is checked.
         """
         if self._image is None:
-            gens = [lam for lam, _ in self.generator_pairs()]
-            identity = tuple(range(self.degree))
-            image = {identity: None}
-            queue = [identity]
-            for a in queue:
-                for lam in gens:
-                    c = compose(lam, a)
-                    if c not in image:
-                        image[c] = None
-                        queue.append(c)
+            image = generated((lam for lam, _ in self.generator_pairs()),
+                              tuple(range(self.degree)), compose)
             if len(image) != len(self.problem.group):
                 raise RuntimeError("the translation image does not have the "
                                    "order of the group")

@@ -1,10 +1,11 @@
 """Finite groups as indexed element tables.
 
-Constructors for the standard families, direct and semidirect products,
-holomorphs, automorphism groups, and subgroup machinery.  Elements are
-indexed 0..order-1 with index 0 the identity; all arithmetic happens on
-indices, and the raw element values are used only for construction,
-canonical ordering and display.
+A group is given by its elements and its product; inverses come from the
+power walk.  Constructors for the standard families, direct and semidirect
+products, holomorphs, automorphism groups, and subgroup machinery.
+Elements are indexed 0..order-1 with index 0 the identity; all arithmetic
+happens on indices, and the raw element values are used only for
+construction, canonical ordering and display.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from typing import Callable, Iterable, Iterator
 
 from .errors import CapExceeded
-from .perms import compose, cycles, inverse
+from .perms import compose, cycles
 
 TABLE_MAX = 256          # orders up to this get an eager Cayley table, built
                          # from k generator rows: k*order raw products
@@ -35,6 +36,28 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def generated(gens: Iterable, identity, mul: Callable) -> dict:
+    """The group generated by `gens` under `mul`, as a dict of its elements
+    (values None) in the order a breadth-first walk from the identity,
+    taking mul(g, a) for each generator g, first meets them.
+
+    Raises CapExceeded once it has more than GROUP_ORDER_CAP elements (at
+    most len(gens) past it), before anything is built from it.
+    """
+    gens = list(gens)
+    els = {identity: None}
+    queue = [identity]
+    for a in queue:
+        for g in gens:
+            c = mul(g, a)
+            if c not in els:
+                els[c] = None
+                queue.append(c)
+        if len(els) > GROUP_ORDER_CAP:
+            raise CapExceeded(f"group order exceeds cap {GROUP_ORDER_CAP}")
+    return els
+
+
 class FiniteGroup:
     """A finite group with explicit element set and multiplication.
 
@@ -43,14 +66,15 @@ class FiniteGroup:
     `_cayley_rows`): k*|G| raw products for k generators, not |G|^2, and
     the element set is checked to be closed.  Larger groups (e.g.
     holomorphs of order in the thousands) multiply on demand from the raw
-    pair representation and cache the results; there a product or inverse
-    outside the element set raises the table's ValueError.
+    pair representation and cache the results; there a product outside
+    the element set raises the table's ValueError.  Inverses are read
+    from the walk over the powers of i that `element_order` takes.
 
     Instances are immutable after construction.
     """
 
-    def __init__(self, elements: Iterable, mul: Callable, inv: Callable | None = None,
-                 *, identity, name: str | None = None, perm_degree: int | None = None):
+    def __init__(self, elements: Iterable, mul: Callable, *, identity,
+                 name: str | None = None, perm_degree: int | None = None):
         # at most one element past the cap is ever read
         raw = list(itertools.islice(elements, GROUP_ORDER_CAP + 1))
         if len(raw) == 0:
@@ -68,7 +92,6 @@ class FiniteGroup:
         if len(self._index) != len(self._raw):
             raise ValueError("duplicate elements")
         self._mul_raw = mul
-        self._inv_raw = inv
         self.name = name or f"G{len(raw)}"
         self.perm_degree = perm_degree
         self.distinguished: tuple[int, ...] | None = None
@@ -90,7 +113,7 @@ class FiniteGroup:
         """Group of permutations given as image tuples (must be closed)."""
         elems = [tuple(p) for p in itertools.islice(perms, GROUP_ORDER_CAP + 1)]
         n = len(elems[0]) if elems else 0  # the constructor refuses no elements
-        return cls(elems, compose, inverse, identity=tuple(range(n)), name=name,
+        return cls(elems, compose, identity=tuple(range(n)), name=name,
                    perm_degree=n)
 
     def _cayley_rows(self) -> list[list[int]]:
@@ -150,9 +173,6 @@ class FiniteGroup:
     def index_of(self, value) -> int:
         return self._index[value]
 
-    def label(self, i: int) -> str:
-        return str(self._raw[i])
-
     def __repr__(self) -> str:
         return f"<FiniteGroup {self.name} order {len(self._raw)}>"
 
@@ -169,8 +189,8 @@ class FiniteGroup:
         return out
 
     def _lookup(self, value) -> int:
-        """The index of a product or inverse computed on demand; a value
-        outside the element set means the set is not a group."""
+        """The index of a product computed on demand; a value outside the
+        element set means the set is not a group."""
         try:
             return self._index[value]
         except KeyError:
@@ -178,16 +198,9 @@ class FiniteGroup:
                 from None
 
     def inv(self, i: int) -> int:
-        out = self._inv_list[i]
-        if out is None:
-            if self._inv_raw is not None:
-                out = self._lookup(self._inv_raw(self._raw[i]))
-            elif self._table is not None:
-                out = self._table[i].index(0)
-            else:
-                out = next(j for j in range(len(self._raw)) if self.mul(i, j) == 0)
-            self._inv_list[i] = out
-        return out
+        if self._inv_list[i] is None:
+            self.element_order(i)
+        return self._inv_list[i]
 
     def conj(self, g: int, x: int) -> int:
         """g x g^-1."""
@@ -195,15 +208,17 @@ class FiniteGroup:
 
     def element_order(self, i: int) -> int:
         """The order m of i; the walk over its powers also records the
-        order m / gcd(k, m) of each power i^k."""
+        order m / gcd(k, m) and the inverse i^(m-k) of each power i^k."""
         out = self._orders[i]
         if out is None:
             powers = [i]
             while powers[-1] != 0:
                 powers.append(self.mul(powers[-1], i))
             out = len(powers)
+            orders, invs = self._orders, self._inv_list
             for k, x in enumerate(powers, start=1):
-                self._orders[x] = out // math.gcd(k, out)
+                orders[x] = out // math.gcd(k, out)
+                invs[x] = powers[out - k - 1]
         return out
 
     def is_abelian(self) -> bool:
@@ -389,7 +404,7 @@ class SubgroupRef:
 
     def as_group(self, name: str | None = None) -> FiniteGroup:
         g = self.parent
-        return FiniteGroup([g.raw(i) for i in self.members], g._mul_raw, g._inv_raw,
+        return FiniteGroup([g.raw(i) for i in self.members], g._mul_raw,
                            identity=g.raw(0), name=name or f"{g.name}-sub{self.order}",
                            perm_degree=g.perm_degree)
 
@@ -400,8 +415,8 @@ class SubgroupRef:
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic group needs n >= 1")
-    return FiniteGroup(range(n), lambda a, b: (a + b) % n, lambda a: (-a) % n,
-                       identity=0, name=f"C{n}")
+    return FiniteGroup(range(n), lambda a, b: (a + b) % n, identity=0,
+                       name=f"C{n}")
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -414,12 +429,8 @@ def dihedral(n: int) -> FiniteGroup:
         b, t = y
         return ((a + b) % n if s == 0 else (a - b) % n, s ^ t)
 
-    def inv(x):
-        a, s = x
-        return ((-a) % n if s == 0 else a, s)
-
     elems = ((a, s) for a in range(n) for s in (0, 1))
-    return FiniteGroup(elems, mul, inv, identity=(0, 0), name=f"D{n}")
+    return FiniteGroup(elems, mul, identity=(0, 0), name=f"D{n}")
 
 
 def symmetric(m: int) -> FiniteGroup:
@@ -451,10 +462,7 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
     def add(a, b):
         return tuple((x + y) % p for x, y in zip(a, b))
 
-    def neg(a):
-        return tuple((-x) % p for x in a)
-
-    return FiniteGroup(elems, add, neg, identity=(0,) * k, name=f"E({p},{k})")
+    return FiniteGroup(elems, add, identity=(0,) * k, name=f"E({p},{k})")
 
 
 def dicyclic(m: int) -> FiniteGroup:
@@ -472,15 +480,9 @@ def dicyclic(m: int) -> FiniteGroup:
             return ((a - b) % n, 1)
         return ((a - b + m) % n, 0)
 
-    def inv(x):
-        a, s = x
-        if s == 0:
-            return ((-a) % n, 0)
-        return ((a + m) % n, 1)
-
     name = f"Q{4 * m}" if 4 * m & (4 * m - 1) == 0 else f"Dic{m}"
     elems = ((a, s) for a in range(n) for s in (0, 1))
-    return FiniteGroup(elems, mul, inv, identity=(0, 0), name=name)
+    return FiniteGroup(elems, mul, identity=(0, 0), name=name)
 
 
 def quaternion(order: int) -> FiniteGroup:
@@ -497,11 +499,8 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     def mul(x, y):
         return (a.mul(x[0], y[0]), b.mul(x[1], y[1]))
 
-    def inv(x):
-        return (a.inv(x[0]), b.inv(x[1]))
-
     elems = itertools.product(range(len(a)), range(len(b)))
-    return FiniteGroup(elems, mul, inv, identity=(0, 0),
+    return FiniteGroup(elems, mul, identity=(0, 0),
                        name=f"{a.name} x {b.name}")
 
 
@@ -547,13 +546,8 @@ def semidirect_product(n: FiniteGroup, h: FiniteGroup,
         y, t = v
         return (n.mul(x, tables[s][y]), h.mul(s, t))
 
-    def inv(u):
-        x, s = u
-        si = h.inv(s)
-        return (tables[si][n.inv(x)], si)
-
     elems = itertools.product(range(len(n)), range(len(h)))
-    g = FiniteGroup(elems, mul, inv, identity=(0, 0),
+    g = FiniteGroup(elems, mul, identity=(0, 0),
                     name=name or f"{n.name} : {h.name}")
     g.distinguished = tuple(sorted(g.index_of((0, s)) for s in range(len(h))))
     return g
@@ -649,7 +643,7 @@ def automorphism_group(g: FiniteGroup) -> FiniteGroup:
     if g._aut is None:
         # each isomorphism is yielded once (its generator images fix it),
         # and the constructor reads at most one map past the order cap
-        g._aut = FiniteGroup(_iso_image_maps(g, g), compose, inverse,
+        g._aut = FiniteGroup(_iso_image_maps(g, g), compose,
                              identity=tuple(range(len(g))), name=f"Aut({g.name})")
     return g._aut
 

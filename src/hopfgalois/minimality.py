@@ -213,12 +213,10 @@ def _complement_bound(action: CosetAction, verdicts: list[StructureVerdict]) -> 
 
 
 def classify(problem: ExtensionProblem, *, degree_cap: int = DEGREE_CAP,
-             budget: NodeBudget | None = None,
-             action: CosetAction | None = None) -> ClassificationReport:
+             budget: NodeBudget | None = None) -> ClassificationReport:
     if budget is None:
         budget = NodeBudget()
-    if action is None:
-        action = coset_action(problem)
+    action = coset_action(problem)
     structures = enumerate_regular_normalized(
         action, degree_cap=degree_cap, budget=budget)
     verdicts = [StructureVerdict(s, s.stable_subgroups, len(s.stable_subgroups) == 2)

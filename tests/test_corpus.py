@@ -1,5 +1,6 @@
 """Every row of the benchmark corpus (bench/corpus.py), classified here so
-that its hand-written table of expected answers stays tied to the engine.
+that its hand-written table of expected answers stays tied to the engine,
+and the corpus cross-check script (bench/crosscheck.py) run as it is.
 
 The corpus module is loaded from its file and only read.
 """
@@ -7,6 +8,7 @@ The corpus module is loaded from its file and only read.
 from __future__ import annotations
 
 import importlib.util
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -16,7 +18,8 @@ import pytest
 import hopfgalois
 from hopfgalois import dsl, g_stable_subgroups
 
-CORPUS_PATH = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+CORPUS_PATH = BENCH_DIR / "corpus.py"
 
 
 def _load_corpus():
@@ -43,3 +46,14 @@ def test_corpus_row(workload, row):
     # the lattices the search supplies, against the independent computation
     for v in report.verdicts:
         assert v.stable_subgroups == g_stable_subgroups(v.structure)
+
+
+def test_crosscheck_script_passes():
+    # the transversal engine, through the public API, agrees with every
+    # corpus row of degree <= 8
+    run = subprocess.run([sys.executable, str(BENCH_DIR / "crosscheck.py")],
+                         cwd=BENCH_DIR.parent, capture_output=True, text=True,
+                         timeout=300)
+    lines = run.stdout.splitlines()
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert lines and not any(line.startswith("FAIL") for line in lines)

@@ -19,6 +19,9 @@ from hopfgalois.perms import compose, cycle_string
 from conftest import ORDER_12_EXPR, ORDER_36_EXPR, ORDER_56_EXPR
 from test_minimality import stable_subgroups_via_filter
 
+# an order-480 subgroup of GL(2,5), above TABLE_MAX
+MATGRP_480 = "matgrp(5,2,[[[2,0],[0,1]],[[-1,1],[-1,0]]])"
+
 # -- oracles ---------------------------------------------------------------
 
 
@@ -106,6 +109,10 @@ def brute_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
     (elementary_abelian(2, 2), 4), (elementary_abelian(2, 3), 8),
     (elementary_abelian(3, 2), 9),
     (quaternion(8), 8), (quaternion(16), 16), (dicyclic(3), 12),
+    # above TABLE_MAX: products on demand, inverses from the power walk
+    (alternating(6), 360), (holomorph(elementary_abelian(3, 2)), 432),
+    (direct_product(alternating(5), cyclic(5)), 300),
+    (build_text(MATGRP_480).group, 480),
 ])
 def test_constructor_orders_and_axioms(group, order):
     assert len(group) == order
@@ -141,6 +148,27 @@ def test_element_order_fills_powers_correctly(build):
     g = build()
     assert [g.element_order(i) for i in range(len(g))] == \
         [naive_order(g, i) for i in range(len(g))]
+
+
+def test_inverses_come_from_power_walks(monkeypatch):
+    # each walk over the powers of i records the inverse of every power, so
+    # inverting the whole group takes O(|G|) raw products, where a scan for
+    # the j with i j = 1 takes about |G|^2 / 2 (115,440 here)
+    g = build_text(MATGRP_480).group
+    assert len(g) > groups.TABLE_MAX
+    calls = 0
+    raw_mul = g._mul_raw
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return raw_mul(a, b)
+
+    monkeypatch.setattr(g, "_mul_raw", counted)
+    inverses = [g.inv(i) for i in range(len(g))]
+    assert calls <= 3 * len(g)
+    monkeypatch.setattr(g, "_mul_raw", raw_mul)
+    assert all(g.mul(i, j) == 0 for i, j in enumerate(inverses))
 
 
 def test_from_permutations_needs_an_element():
