@@ -505,10 +505,21 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
 
 
 def _is_automorphism_map(g: FiniteGroup, t: tuple[int, ...]) -> bool:
-    m = len(g)
-    if len(set(t)) != m or t[0] != 0:
-        return False
-    return all(t[g.mul(a, b)] == g.mul(t[a], t[b]) for a in range(m) for b in range(m))
+    """Whether the permutation t of g's indices is an automorphism of g.
+
+    It tests t(x s) = t(x) t(s) for every x and each generator s of g:
+    |g|*k products for k generators, not |g|^2.  That suffices.  Taking
+    x = 1 gives t(s) = t(1) t(s), so t(1) = 1.  Then t(x w) = t(x) t(w)
+    for every x and every word w in the generators, by induction on the
+    length of w: t(x w s) = t(x w) t(s) = t(x) t(w) t(s) = t(x) t(w s).
+    So t is a homomorphism, and a permutation one is an automorphism;
+    that t is a permutation is for the caller to check (semidirect_product
+    checks it for every table).
+    """
+    mul = g.mul
+    gens = g.generators()
+    return all(t[mul(x, s)] == mul(t[x], t[s])
+               for x in range(len(g)) for s in gens)
 
 
 def semidirect_product(n: FiniteGroup, h: FiniteGroup,
@@ -517,14 +528,18 @@ def semidirect_product(n: FiniteGroup, h: FiniteGroup,
     """Semidirect product with law (x, s)(y, t) = (x * tables[s][y], s t).
 
     ``tables[s]`` is the image tuple of h's element s on n's indices.  The
-    checks: one permutation per element of h, ``tables[0]`` the identity, the
-    table of each generator a of h an automorphism of n, and
+    order cap is checked first, so an oversized product costs no product
+    of n.  The checks: one permutation per element of h, ``tables[0]`` the
+    identity, the table of each generator a of h an automorphism of n
+    (|n| products per generator of n, see `_is_automorphism_map`), and
     ``tables[a b] == tables[a] o tables[b]`` for every b.  They suffice:
     every element of h is a word a1 ... ak in the generators, so by
     induction on k, ``tables[a1 ... ak y] = tables[a1] o ... o tables[ak] o
     tables[y]`` for every y.  With y = 1 each table is a product of
     automorphisms, hence one; and s -> tables[s] is a homomorphism.
     """
+    if len(n) * len(h) > GROUP_ORDER_CAP:
+        raise CapExceeded(f"product order {len(n) * len(h)} exceeds cap")
     tables = [tuple(t) for t in tables]
     ident = tuple(range(len(n)))
     if len(tables) != len(h) or any(tuple(sorted(t)) != ident for t in tables):
@@ -538,8 +553,6 @@ def semidirect_product(n: FiniteGroup, h: FiniteGroup,
         for b in range(len(h)):
             if tables[h.mul(a, b)] != compose(tables[a], tables[b]):
                 raise ValueError("the action tables are not a homomorphism")
-    if len(n) * len(h) > GROUP_ORDER_CAP:
-        raise CapExceeded(f"product order {len(n) * len(h)} exceeds cap")
 
     def mul(u, v):
         x, s = u
@@ -691,50 +704,33 @@ def is_characteristically_simple(g: FiniteGroup) -> bool:
 
 
 def abelian_invariants(g: FiniteGroup) -> tuple[int, ...]:
-    """Invariant factors (d1 | d2 | ...) of an abelian group, ascending."""
+    """Invariant factors (d1 | d2 | ...) of an abelian group, ascending.
+
+    For each prime p, |A[p^j]| / |A[p^(j-1)]| = p^r, where A[q] is the set
+    of elements of order dividing q and r is the number of factors whose
+    p-part is at least p^j; so step j multiplies the r largest factors by p.
+    """
     if not g.is_abelian():
         raise ValueError("invariant factors are defined for abelian groups")
-    m = len(g)
-    primary: dict[int, list[int]] = {}
-    mm = m
-    p = 2
-    while p * p <= mm:
-        if mm % p == 0:
-            while mm % p == 0:
-                mm //= p
-            primary[p] = []
-        p += 1
-    if mm > 1:
-        primary[mm] = []
-    orders = [g.element_order(i) for i in range(m)]
-    for p in primary:
-        # counts[j] = #{x : order(x) divides p^j}; the increments of
-        # log_p(counts) give the number of cyclic factors of order >= p^j.
-        counts = [1]
-        while counts[-1] < m:
-            j = len(counts)
-            c = sum(1 for o in orders if (p ** j) % o == 0)
-            if c == counts[-1]:
-                break
-            counts.append(c)
-        at_least = []
-        for j in range(1, len(counts)):
-            ratio = counts[j] // counts[j - 1]
-            e = 0
+    orders = [g.element_order(i) for i in range(len(g))]
+    factors: list[int] = []  # descending
+    rest, p = len(g), 2
+    while rest > 1:
+        if rest % p:
+            p += 1
+            continue
+        while rest % p == 0:
+            rest //= p
+        below, q = 1, p
+        while True:
+            count = sum(1 for o in orders if q % o == 0)
+            ratio, r = count // below, 0
             while ratio > 1:
                 ratio //= p
-                e += 1
-            at_least.append(e)  # number of factors with exponent >= j
-        exps = []
-        for j, cnt in enumerate(at_least, start=1):
-            nxt = at_least[j] if j < len(at_least) else 0
-            exps.extend([j] * (cnt - nxt))
-        primary[p] = sorted(exps, reverse=True)
-    factors = []
-    while any(primary.values()):
-        d = 1
-        for p, exps in primary.items():
-            if exps:
-                d *= p ** exps.pop(0)
-        factors.append(d)
-    return tuple(sorted(factors))
+                r += 1
+            if r == 0:
+                break
+            factors += [1] * (r - len(factors))
+            factors[:r] = [d * p for d in factors[:r]]
+            below, q = count, q * p
+    return tuple(reversed(factors))

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from hopfgalois.cli import main
+from hopfgalois.groups import FiniteGroup
 from hopfgalois.engine import DEGREE_CAP
 
 from conftest import E24_EXPRS
@@ -84,6 +85,28 @@ def test_exit_code_degree_cap_e24(capsys):
 ])
 def test_exit_code_group_order_cap(capsys, argv):
     code, out, err = run(capsys, "enumerate", *argv)
+    assert code == 3
+    assert out == ""
+    assert "cap" in err
+
+
+def test_exit_code_oversized_semidirect_product_before_its_action(capsys, monkeypatch):
+    # |E(2,13)| * 2 = 16,384 passes the order cap; checking the action
+    # first would take 8192^2 lazily cached products of E(2,13), so the
+    # test stops at the 10,000th
+    products = 0
+    lookup = FiniteGroup._lookup
+
+    def counted(self, value):
+        nonlocal products
+        products += 1
+        assert products < 10_000, "the action was checked before the order cap"
+        return lookup(self, value)
+
+    monkeypatch.setattr(FiniteGroup, "_lookup", counted)
+    swap = [[int(j == (1 - i if i < 2 else i)) for j in range(13)] for i in range(13)]
+    code, out, err = run(capsys, "enumerate", f"SD(E(2,13), matgrp(2,13,[{swap}]))",
+                         "--complement")
     assert code == 3
     assert out == ""
     assert "cap" in err

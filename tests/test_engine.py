@@ -430,13 +430,13 @@ def brute_force_orbits(n, gen_pairs):
                 yield t, orbit
 
 
-def brute_force_atoms(n, gen_pairs):
+def brute_force_atoms(n, orbits):
     """Reference stage 1: keep the orbits of at most n - 1 elements and
-    close each with the identity; the atoms are the semiregular closures."""
+    close each with the identity; the atoms are the semiregular closures.
+    `orbits` is the list `brute_force_orbits` yields."""
     id_t = tuple(range(n))
     atoms = {plain_closure(orbit | {id_t}, n)
-             for _, orbit in brute_force_orbits(n, gen_pairs)
-             if len(orbit) + 1 <= n}
+             for _, orbit in orbits if len(orbit) + 1 <= n}
     return sorted(atoms - {None}, key=sorted)
 
 
@@ -451,8 +451,9 @@ DEGREE_9_AND_10 = {
 
 @functools.cache
 def oracle_search(name):
-    """(n, gen_pairs, seeded (atom, generators) pairs, brute-force atoms)
-    for a catalog or a degree-9/10 problem."""
+    """(n, gen_pairs, seeded (atom, generators) pairs, brute-force orbits,
+    brute-force atoms) for a catalog or a degree-9/10 problem; the orbit
+    walk runs once per problem."""
     prob = DEGREE_9_AND_10[name]() if name in DEGREE_9_AND_10 \
         else catalog_problems()[name]
     act = coset_action(prob)
@@ -460,19 +461,20 @@ def oracle_search(name):
     gen_pairs = act.generator_pairs()
     seeded = _viable_atoms(n, gen_pairs, _prime_order_translations(act),
                            NodeBudget(200_000_000))
-    return n, gen_pairs, seeded, brute_force_atoms(n, gen_pairs)
+    orbits = list(brute_force_orbits(n, gen_pairs))
+    return n, gen_pairs, seeded, orbits, brute_force_atoms(n, orbits)
 
 
 @pytest.mark.parametrize("name", sorted(catalog_problems()))
 def test_centralizer_seed_matches_brute_force_catalog(name):
-    n, _, seeded, reference = oracle_search(name)
+    n, _, seeded, _, reference = oracle_search(name)
     assert [a for a, _ in seeded] == reference
     assert_carried_generators(seeded, n)
 
 
 @pytest.mark.parametrize("name", sorted(DEGREE_9_AND_10))
 def test_centralizer_seed_matches_brute_force_degree_9_and_10(name):
-    n, _, seeded, reference = oracle_search(name)
+    n, _, seeded, _, reference = oracle_search(name)
     assert n in (9, 10)
     assert [a for a, _ in seeded] == reference
     assert seeded
@@ -492,10 +494,10 @@ def assert_carried_generators(pairs, n):
 def test_point_0_rule_matches_unpruned_oracle(name):
     # the search drops a set at its first two elements that agree on point
     # 0; the oracle walks whole orbits and closes without that early stop
-    n, gen_pairs, seeded, _ = oracle_search(name)
+    n, gen_pairs, seeded, orbits, _ = oracle_search(name)
     budget = NodeBudget(10**9)
     trivial = (tuple(range(n)),)
-    for t, orbit in brute_force_orbits(n, gen_pairs):
+    for t, orbit in orbits:
         got = _conj_orbit(t, gen_pairs, budget)
         if len({o[0] for o in orbit}) < len(orbit):
             assert got is None

@@ -1,6 +1,6 @@
 import itertools
 from collections import Counter
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -307,19 +307,35 @@ def test_semidirect_product_a4():
     assert g.subgroup(base_part).is_normal()
 
 
-def test_semidirect_with_trivial_action_is_direct():
-    n, h = cyclic(4), cyclic(2)
-    sd = semidirect_product(n, h, [(0, 1, 2, 3)] * 2)
-    dp = direct_product(n, h)
-    # identical under the canonical pairing of raw index pairs
-    assert sd.raw_elements() == dp.raw_elements()
-    assert all(sd.mul(a, b) == dp.mul(a, b)
-               for a in range(8) for b in range(8))
-
-
 def _times(k: int, m: int) -> tuple[int, ...]:
     # multiplication by k on the indices of cyclic(m)
     return tuple(k * x % m for x in range(m))
+
+
+@pytest.mark.parametrize("pairs", [
+    # a trivial action gives the direct product
+    pytest.param(lambda: [(semidirect_product(cyclic(4), cyclic(2), [(0, 1, 2, 3)] * 2),
+                           direct_product(cyclic(4), cyclic(2)))], id="C4 x C2"),
+    # dihedral's own law is the split extension of C_n by negation
+    pytest.param(lambda: [(semidirect_product(cyclic(n), cyclic(2),
+                                              [_times(1, n), _times(-1, n)]),
+                           dihedral(n)) for n in (*range(1, 9), 64)], id="D(n)"),
+])
+def test_semidirect_with_trivial_action_is_direct(pairs):
+    for sd, expected in pairs():
+        # identical under the canonical pairing of raw index pairs
+        assert sd.raw_elements() == expected.raw_elements()
+        m = len(sd)
+        assert all(sd.mul(a, b) == expected.mul(a, b)
+                   for a in range(m) for b in range(m))
+
+
+def _powers(step: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
+    # step^0, ..., step^(k-1)
+    tables = [tuple(range(len(step)))]
+    for _ in range(k - 1):
+        tables.append(compose(step, tables[-1]))
+    return tables
 
 
 def test_semidirect_rejects_bad_action():
@@ -334,9 +350,27 @@ def test_semidirect_rejects_bad_action():
         (cyclic(4), cyclic(2), [_times(1, 4), (0, 1, 2, 5)]),
         # one table per element of h
         (cyclic(4), cyclic(2), [_times(1, 4)]),
+        # the powers of a table that respects C2 x C4's generator 1 = (0, 1)
+        # but not its generator 5 = (1, 1): a homomorphism into the
+        # permutations, so only the automorphism check rejects it
+        (direct_product(cyclic(2), cyclic(4)), cyclic(4),
+         _powers((0, 1, 2, 3, 5, 6, 7, 4), 4)),
     ]:
         with pytest.raises(ValueError):
             semidirect_product(n, h, tables)
+
+
+@pytest.mark.parametrize("g", [
+    elementary_abelian(2, 2), cyclic(6), symmetric(3),
+    direct_product(cyclic(2), cyclic(4)), dihedral(4), quaternion(8),
+    elementary_abelian(2, 3),
+], ids=lambda g: g.name)
+def test_automorphism_check_on_generators_accepts_exactly_aut(g):
+    # every permutation fixing 0, tested on g's generators only
+    m = len(g)
+    accepted = {(0, *rest) for rest in itertools.permutations(range(1, m))
+                if groups._is_automorphism_map(g, (0, *rest))}
+    assert accepted == set(automorphism_group(g).raw_elements())
 
 
 # -- automorphisms --------------------------------------------------------
@@ -553,6 +587,15 @@ def test_are_isomorphic_negative():
     (holomorph(elementary_abelian(2, 2)), "S4"),
     (holomorph(cyclic(4)), "D4"),
     (holomorph(cyclic(5)), "Hol(C5)"),
+    # independent presentations of the order-16 split extensions
+    (build_text("gens[(0 1 2 3 4 5 6 7), (1 3)(2 6)(5 7)]").group, "SD16"),
+    (build_text("gens[(0 1 2 3 4 5 6 7), (1 5)(3 7)]").group, "M16"),
+    (build_text("gens[(0 1 2 3)(4 13 6 15)(5 14 7 12)(8 9 10 11), "
+                "(0 4 8 12)(1 5 9 13)(2 6 10 14)(3 7 11 15)]").group, "C4 : C4"),
+    (build_text("gens[(0 1 2 3)(4 7 5 6), (0 4 7 3)(1 2 5 6)]").group,
+     "(C2 x C2) : C4"),
+    (build_text("gens[(0 3 5 7)(1 4 6 2), (0 3 5 7)(1 2 6 4), "
+                "(0 4 5 2)(1 3 6 7)]").group, "D4 o C4"),
 ])
 def test_iso_type_names(group, name):
     assert iso_type(group) == name
@@ -578,10 +621,40 @@ def test_iso_type_order_16_catalog_is_complete_and_distinct():
         assert iso_type(g) == name
 
 
+def _prime_parts(d: int) -> dict[int, int]:
+    parts: dict[int, int] = {}
+    p = 2
+    while d > 1:
+        while d % p == 0:
+            parts[p] = parts.get(p, 1) * p
+            d //= p
+        p += 1
+    return parts
+
+
 def test_abelian_invariants():
-    assert abelian_invariants(cyclic(12)) == (12,)
-    assert abelian_invariants(direct_product(cyclic(4), cyclic(2))) == (2, 4)
-    assert abelian_invariants(elementary_abelian(2, 3)) == (2, 2, 2)
-    assert abelian_invariants(direct_product(cyclic(6), cyclic(2))) == (2, 6)
+    # the i-th largest invariant factor is the product over primes of the
+    # i-th largest prime-power part of the cyclic factors
+    checked = 0
+    for size in range(1, 9):
+        for orders in itertools.combinations_with_replacement(
+                (2, 3, 4, 5, 6, 8, 9, 12), size):
+            if prod(orders) > 300:
+                continue
+            by_prime: dict[int, list[int]] = {}
+            for d in orders:
+                for p, q in _prime_parts(d).items():
+                    by_prime.setdefault(p, []).append(q)
+            width = max(len(qs) for qs in by_prime.values())
+            expected = [1] * width
+            for qs in by_prime.values():
+                for i, q in enumerate(sorted(qs, reverse=True)):
+                    expected[i] *= q
+            g = cyclic(orders[0])
+            for d in orders[1:]:
+                g = direct_product(g, cyclic(d))
+            assert abelian_invariants(g) == tuple(sorted(expected)), orders
+            checked += 1
+    assert checked == 268
     with pytest.raises(ValueError):
         abelian_invariants(symmetric(3))
