@@ -111,6 +111,8 @@ def _report_document(expr_text: str, subgroup_desc: str, report: ClassificationR
     # mode leaves them out so the output is byte-identical across runs.
     if not canonical:
         doc["engine"]["nodes"] = report.nodes_used
+        doc["engine"]["seeds"] = report.seeds
+        doc["engine"]["seeds_walked"] = report.seeds_walked
         if elapsed is not None:
             doc["engine"]["elapsed_s"] = round(elapsed, 6)
     return doc
@@ -136,6 +138,7 @@ def _print_human(doc: dict) -> None:
     eng = doc["engine"]
     elapsed = f", elapsed {eng['elapsed_s']}s" if "elapsed_s" in eng else ""
     print(f"engine: degree cap {eng['degree_cap']}, nodes {eng['nodes']}, "
+          f"seeds {eng['seeds']} (walked {eng['seeds_walked']}), "
           f"budget {eng['node_budget']}{elapsed}")
 
 

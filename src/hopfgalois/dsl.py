@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
 from .groups import (FiniteGroup, SubgroupRef, alternating, cyclic, dihedral,
                      direct_product, elementary_abelian, generated, holomorph,
@@ -331,20 +332,20 @@ def _matrix_group(p: int, k: int, mats: MatrixList) -> FiniteGroup:
 
 
 def _matrix_tables(h: FiniteGroup, base: FiniteGroup, p: int,
-                   k: int) -> list[tuple[int, ...]]:
-    """The action table of each matrix of h on the indices of E(p, k).
+                   k: int) -> Iterator[tuple[int, ...]]:
+    """Yield the action table of each matrix of h on the indices of E(p, k).
 
-    The action is faithful without a check: two matrices that differ mod p
-    differ on some basis vector, so their tables differ.
+    Lazily, one table at a time: `semidirect_product` checks the order cap
+    before it reads any, so an oversized product builds none.  The action
+    is faithful without a check: two matrices that differ mod p differ on
+    some basis vector, so their tables differ.
     """
-    tables = []
     for mat in h.raw_elements():
         table = []
         for v in base.raw_elements():
             w = tuple(sum(mat[r][c] * v[c] for c in range(k)) % p for r in range(k))
             table.append(base.index_of(w))
-        tables.append(tuple(table))
-    return tables
+        yield tuple(table)
 
 
 def build(expr) -> BuildResult:

@@ -16,8 +16,9 @@ from typing import Iterable
 
 from .catalog import iso_type
 from .errors import BudgetExceeded, CapExceeded, NotNormalClosure
-from .groups import FiniteGroup, SubgroupRef, _is_prime, generated
-from .perms import (compose, conjugate, cycle_string, cycles,
+from .groups import (FiniteGroup, SubgroupRef, _is_prime, _iso_image_maps,
+                     generated)
+from .perms import (compose, conjugate, cycle_string, cycles, inverse,
                     uniform_cycle_length)
 
 DEGREE_CAP = 12
@@ -29,12 +30,17 @@ class NodeBudget:
     """A counter of search work; raises once the limit is hit.
 
     One node is one permutation product or conjugation computed inside the
-    search.  Exhaustion is always loud, never a silent truncation.
+    search.  Exhaustion is always loud, never a silent truncation.  It also
+    counts the stage-1 seeds: `seeds`, one per class of prime-order
+    elements, and `seeds_walked`, one per class of those under the
+    automorphisms the search found (see `_seed_maps`).
     """
 
     def __init__(self, limit: int = DEFAULT_NODE_BUDGET):
         self.limit = limit
         self.used = 0
+        self.seeds = 0
+        self.seeds_walked = 0
 
     def spend(self, amount: int = 1) -> None:
         self.used += amount
@@ -176,15 +182,17 @@ class HGStructure:
     isomorphism type.
 
     `stable_subgroups` is N's sub-Hopf lattice when the search supplied it
-    (see `enumerate_regular_normalized`), else None.
+    (see `enumerate_regular_normalized`), else None.  `type_name` is N's
+    isomorphism type when the caller knows it, else it is computed.
     """
 
     def __init__(self, action: CosetAction, elements: Iterable[tuple[int, ...]],
-                 stable_subgroups: Iterable[Iterable[tuple[int, ...]]] | None = None):
+                 stable_subgroups: Iterable[Iterable[tuple[int, ...]]] | None = None,
+                 type_name: str | None = None):
         self.action = action
         self.group = FiniteGroup.from_permutations(
             elements, name=f"N(deg {action.degree})")
-        self.type_name = iso_type(self.group)
+        self.type_name = type_name or iso_type(self.group)
         self._conj_cache: dict[int, tuple[int, ...]] = {}
         self.stable_subgroups: list[SubgroupRef] | None = None
         if stable_subgroups is not None:
@@ -407,9 +415,9 @@ def _semiregular_centralizer(sigma: tuple[int, ...], d: int):
     yield from rec(0, tuple(range(len(classes[0][1]))))
 
 
-def _has_prime_order(t: tuple[int, ...], identity: tuple[int, ...]) -> bool:
-    """Whether the permutation t != 1 has prime order: the cycle through
-    its first moved point has prime length p, and t^p = 1."""
+def _prime_order(t: tuple[int, ...], identity: tuple[int, ...]) -> int:
+    """The order of the permutation t != 1 if it is prime, else 0: the
+    cycle through its first moved point has prime length p, and t^p = 1."""
     i = 0
     while t[i] == i:
         i += 1
@@ -417,43 +425,106 @@ def _has_prime_order(t: tuple[int, ...], identity: tuple[int, ...]) -> bool:
     while j != i:
         p, j = p + 1, t[j]
     if not _is_prime(p):
-        return False
+        return 0
     u = t
     for _ in range(p - 1):
         u = compose(t, u)
-    return u == identity
+    return p if u == identity else 0
 
 
-def _prime_order_translations(action: CosetAction) -> list[tuple[int, ...]]:
-    """One element of each conjugacy class of lambda(G) whose elements have
-    prime order, read from the image alone.
+def _prime_order_translations(action: CosetAction):
+    """(seeds, class_of, kinds): one element of each conjugacy class of
+    lambda(G) whose elements have prime order, read from the image alone;
+    the index of its seed for every element of those classes; and each
+    class's (element order, size).
 
-    lambda is faithful, so these are the translations of one representative
-    of each class of prime-order elements of G.  Each class is walked by
-    conjugating with the generator pairs; the element of it met first in
-    `action.image` is kept.
+    lambda is faithful, so the seeds are the translations of one
+    representative of each class of prime-order elements of G.  Each class
+    is walked by conjugating with the generator pairs; the element of it met
+    first in `action.image` is its seed.
     """
     identity = tuple(range(action.degree))
     gen_pairs = action.generator_pairs()
-    met = {identity}
-    seeds = []
+    class_of: dict[tuple[int, ...], int] = {}
+    seeds, kinds = [], []
     for t in action.image:
-        if t in met or not _has_prime_order(t, identity):
+        if t in class_of or t == identity:
             continue
+        p = _prime_order(t, identity)
+        if not p:
+            continue
+        i = len(seeds)
         seeds.append(t)
-        met.add(t)
+        met = len(class_of)
+        class_of[t] = i
         stack = [t]
         while stack:
             a = stack.pop()
             for g, gi in gen_pairs:
                 c = conjugate(g, a, gi)
-                if c not in met:
-                    met.add(c)
+                if c not in class_of:
+                    class_of[c] = i
                     stack.append(c)
-    return seeds
+        kinds.append((p, len(class_of) - met))
+    return seeds, class_of, kinds
 
 
-def _viable_atoms(n, gen_pairs, seeds, budget):
+def _seed_maps(action: CosetAction, seeds, class_of, kinds, budget):
+    """(the seeds to walk, the maps (phibar, phibar^-1)) for stage 1.
+
+    Only Galois problems (G' trivial) look for maps; the others walk every
+    seed with no map.  An automorphism phi of G permutes the points by
+    phibar(i) = coset_of[phi(reps[i])], and phibar lambda(g) phibar^-1 =
+    lambda(phi(g)).  So phibar maps the seed class of sigma onto the class
+    of phibar sigma phibar^-1, and the atoms met from sigma onto the atoms
+    met from it (see `_viable_atoms`).  The maps are read lazily from the
+    isomorphisms G -> G, and one is kept when it merges two seed classes;
+    `label[i]` is the least seed merged with seed i.  Classes of different
+    kinds never merge, so the search stops once as many classes are left
+    as there are kinds, and otherwise runs through Aut(G).  Each
+    conjugation of a seed is a node.
+    """
+    target = len(set(kinds))
+    if action.problem.subgroup.order > 1 or target == len(seeds):
+        return seeds, []
+    g = action.problem.group
+    reps, coset_of = action.reps, action.coset_of
+    label = list(range(len(seeds)))
+    maps = []
+    for phi in _iso_image_maps(g, g):
+        if len(set(label)) == target:
+            break
+        bar = tuple(coset_of[phi[r]] for r in reps)
+        bar_inv = inverse(bar)
+        budget.spend(len(seeds))
+        before = label
+        for i, sigma in enumerate(seeds):
+            a, b = sorted((label[i], label[class_of[conjugate(bar, sigma, bar_inv)]]))
+            label = [a if x == b else x for x in label]
+        if label != before:
+            maps.append((bar, bar_inv))
+    return [sigma for i, sigma in enumerate(seeds) if label[i] == i], maps
+
+
+def _close_under(found: dict, keys, maps, budget, carry) -> None:
+    """Add to `found`, a dict keyed by sets of image tuples, the conjugate
+    of each key by each phibar of `maps` (pairs (phibar, phibar^-1)),
+    starting from `keys`, until nothing new appears.  A new key's value is
+    carry(value of its preimage, {t: its conjugate}).  One node per
+    conjugation."""
+    stack = list(keys)
+    while stack:
+        a = stack.pop()
+        for bar, bar_inv in maps:
+            budget.spend(len(a))
+            image = {t: conjugate(bar, t, bar_inv) for t in a}
+            b = frozenset(image.values())
+            if b not in found:
+                found[b] = carry(found[a], image)
+                stack.append(b)
+
+
+def _viable_atoms(n, gen_pairs, seeds, maps, budget):
     """Stage 1: orbit inventory, seeded from centralizers.
 
     Every translation-conjugation orbit of semiregular permutations whose
@@ -471,6 +542,16 @@ def _viable_atoms(n, gen_pairs, seeds, budget):
     in O and commutes with lambda(x).  So walking the semiregular elements of the
     centralizers of the seeds in Sym(n) meets every such orbit, and the
     atoms are exactly those of a walk over all semiregular permutations.
+
+    For a Galois problem, `seeds` holds one seed per class under the maps
+    phibar of `maps` (see `_seed_maps`), and the atoms found are closed
+    under conjugation by each phibar, which carries an atom's generators to
+    generators of its image.  That gives the same atoms: phibar normalizes
+    lambda(G), so it maps kept orbits to kept orbits and atoms to atoms, and
+    the atoms met from sigma onto those met from phibar sigma phibar^-1.  A
+    finite set closed under an injective map is closed under its inverse,
+    so the closure also holds the atoms of every seed left unwalked.  Other
+    problems pass every seed and no map.
     """
     trivial = (tuple(range(n)),)
     atoms: dict[frozenset, tuple] = {}
@@ -487,6 +568,8 @@ def _viable_atoms(n, gen_pairs, seeds, budget):
                 grown = _closure(trivial, (), orbit, n, budget)
                 if grown is not None:
                     atoms.setdefault(*grown)
+    _close_under(atoms, list(atoms), maps, budget,
+                 lambda gens, image: tuple(image[t] for t in gens))
     return sorted(atoms.items(), key=lambda item: sorted(item[0]))
 
 
@@ -508,6 +591,10 @@ def _combine_atoms(atoms, n, budget):
     every partial join stays inside M, so it is never pruned, and each one
     is an atom or the `q` of some state (q, j + 1) in `seen`.  N itself is
     an atom or a `q`.
+
+    A join is skipped before any product when p and a already hold two
+    distinct elements that agree on point 0: both lie in the join, so
+    `_closure` would return None.
     """
     results: set[frozenset] = set()
     smaller = []
@@ -522,9 +609,12 @@ def _combine_atoms(atoms, n, budget):
         if len(p) == n:
             results.add(p)
             return
+        by0 = dict.fromkeys(range(n))
+        for t in p:
+            by0[t[0]] = t
         for j in range(start, len(smaller)):
             a, a_gens = smaller[j]
-            if a <= p:
+            if a <= p or any(by0[t[0]] not in (None, t) for t in a):
                 continue
             grown = _closure(p, p_gens, a_gens, n, budget)
             if grown is None:
@@ -567,6 +657,12 @@ def enumerate_regular_normalized(action: CosetAction, *,
     independently of the pruning used by the search.  Each carries its
     sub-Hopf lattice as `stable_subgroups`, read from the groups stage 2
     formed (see `_combine_atoms`).
+
+    For a Galois problem, stage 1 walks one seed per class under some
+    automorphisms of G and maps the atoms found to the others (see
+    `_viable_atoms`), and each N's isomorphism type is computed once per
+    orbit of those maps: conjugation by phibar is an isomorphism from N to
+    phibar N phibar^-1.  Other problems walk every seed and type every N.
     """
     n = action.degree
     if n > degree_cap:
@@ -574,11 +670,15 @@ def enumerate_regular_normalized(action: CosetAction, *,
     if budget is None:
         budget = NodeBudget()
     gen_pairs = action.generator_pairs()
-    atoms = _viable_atoms(n, gen_pairs, _prime_order_translations(action),
-                          budget)
+    seeds, class_of, kinds = _prime_order_translations(action)
+    walked, maps = _seed_maps(action, seeds, class_of, kinds, budget)
+    budget.seeds += len(seeds)
+    budget.seeds_walked += len(walked)
+    atoms = _viable_atoms(n, gen_pairs, walked, maps, budget)
     results, formed = _combine_atoms(atoms, n, budget)
     index = _by_least_element(formed)
     trivial = (tuple(range(n)),)
+    type_of: dict[frozenset, str] = {}
     structures = []
     for fs in results:
         if not _regular_normalized(fs, n, gen_pairs):
@@ -587,7 +687,11 @@ def enumerate_regular_normalized(action: CosetAction, *,
         lattice = [trivial]
         for t in fs:
             lattice.extend(q for q in index.get(t, ()) if q <= fs)
-        structures.append(HGStructure(action, fs, lattice))
+        structure = HGStructure(action, fs, lattice, type_of.get(fs))
+        if fs not in type_of:
+            type_of[fs] = structure.type_name
+            _close_under(type_of, [fs], maps, budget, lambda name, _: name)
+        structures.append(structure)
     structures.sort(key=lambda s: (s.type_name, s.key()))
     return structures
 

@@ -178,13 +178,18 @@ class StructureVerdict:
 class ClassificationReport:
     """Everything known about one extension problem: all structures with
     their stable-subgroup lattices and minimality verdicts, plus the
-    correspondence statistics and the normal-complement lower bound."""
+    correspondence statistics and the normal-complement lower bound.
+
+    `nodes_used`, `seeds` and `seeds_walked` are the budget's counters (see
+    `NodeBudget`): they describe the search, not the answer."""
 
     problem: ExtensionProblem
     verdicts: list[StructureVerdict]
     intermediate_count: int
     normal_complement_bound: int
     nodes_used: int
+    seeds: int
+    seeds_walked: int
 
     @property
     def minimal_count(self) -> int:
@@ -214,6 +219,14 @@ def _complement_bound(action: CosetAction, verdicts: list[StructureVerdict]) -> 
 
 def classify(problem: ExtensionProblem, *, degree_cap: int = DEGREE_CAP,
              budget: NodeBudget | None = None) -> ClassificationReport:
+    """Enumerate the structures of the problem and classify each one.
+
+    The search (`enumerate_regular_normalized`) uses the automorphisms of G
+    as a symmetry for Galois problems only: there it walks one stage-1 seed
+    per class under the maps it finds and types each N once per orbit of
+    them.  Every other problem walks every seed.  The answers are the same
+    either way; `seeds` and `seeds_walked` in the report show the cut.
+    """
     if budget is None:
         budget = NodeBudget()
     action = coset_action(problem)
@@ -227,4 +240,6 @@ def classify(problem: ExtensionProblem, *, degree_cap: int = DEGREE_CAP,
         intermediate_count=len(intermediate_subgroups(problem, action)),
         normal_complement_bound=_complement_bound(action, verdicts),
         nodes_used=budget.used,
+        seeds=budget.seeds,
+        seeds_walked=budget.seeds_walked,
     )

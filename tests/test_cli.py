@@ -112,6 +112,49 @@ def test_exit_code_oversized_semidirect_product_before_its_action(capsys, monkey
     assert "cap" in err
 
 
+def test_exit_code_oversized_semidirect_product_before_its_tables(capsys, monkeypatch):
+    # each action table of matgrp(2,13,...) looks up all 8,192 elements of
+    # E(2,13); the order cap is known before any table is built
+    looked_up = 0
+    index_of = FiniteGroup.index_of
+
+    def counted(self, value):
+        nonlocal looked_up
+        looked_up += len(self) == 2 ** 13
+        return index_of(self, value)
+
+    monkeypatch.setattr(FiniteGroup, "index_of", counted)
+    swap = [[int(j == (1 - i if i < 2 else i)) for j in range(13)] for i in range(13)]
+    code, out, err = run(capsys, "enumerate", f"SD(E(2,13), matgrp(2,13,[{swap}]))",
+                         "--complement")
+    assert code == 3
+    assert "cap" in err
+    assert looked_up == 0
+
+
+def test_seed_counts_are_reported_outside_canonical_output(capsys):
+    code, out, _ = run(capsys, "enumerate", "E(2,3)", "--galois", "--json")
+    assert code == 0
+    engine = json.loads(out)["engine"]
+    # seven classes of involutions, one class under Aut(E(2,3))
+    assert (engine["seeds"], engine["seeds_walked"]) == (7, 1)
+    code, out, _ = run(capsys, "enumerate", "E(2,3)", "--galois")
+    assert code == 0
+    assert "seeds 7 (walked 1)" in out
+    # a non-Galois problem walks every seed
+    code, out, _ = run(capsys, "enumerate", "S(4)", "--stabilizer-of-point", "--json")
+    engine = json.loads(out)["engine"]
+    assert engine["seeds"] == engine["seeds_walked"] == 3
+
+
+def test_canonical_output_leaves_out_the_seed_counts(capsys):
+    code, out, _ = run(capsys, "enumerate", "E(2,3)", "--galois", "--canonical")
+    assert code == 0
+    assert json.loads(out)["engine"] == {"degree_cap": DEGREE_CAP,
+                                         "node_budget": 10_000_000}
+    assert run(capsys, "enumerate", "E(2,3)", "--galois", "--canonical")[1] == out
+
+
 def test_exit_code_budget(capsys, monkeypatch):
     monkeypatch.setenv("HG_NODE_BUDGET", "10")
     code, out, err = run(capsys, "enumerate", "C(8)", "--galois", "--canonical")

@@ -15,16 +15,17 @@ from hopfgalois import (BudgetExceeded, CapExceeded, ExtensionProblem,
                         enumerate_via_transversal, quaternion, symmetric,
                         translation_structure)
 from hopfgalois.dsl import build_text
-from hopfgalois.engine import (DEGREE_CAP, CosetAction, _closure, _conj_orbit,
-                               _core, _cosets, _divisors,
+from hopfgalois.catalog import iso_type
+from hopfgalois.engine import (DEGREE_CAP, CosetAction, _closure, _combine_atoms,
+                               _conj_orbit, _core, _cosets, _divisors,
                                _prime_order_translations, _regular_normalized,
-                               _semiregular_centralizer, _semiregular_tuples,
-                               _viable_atoms)
-from hopfgalois.groups import _is_prime
-from hopfgalois.perms import compose, uniform_cycle_length
+                               _seed_maps, _semiregular_centralizer,
+                               _semiregular_tuples, _viable_atoms)
+from hopfgalois.groups import _is_automorphism_map, _is_prime
+from hopfgalois.perms import compose, conjugate, inverse, uniform_cycle_length
 
 from conftest import (catalog_problems, complement_problem, read_cycles,
-                      stabilizer_problem)
+                      stabilizer_problem, subgroup_problem)
 from test_corpus import ROWS
 
 
@@ -308,8 +309,16 @@ def test_action_read_from_the_image_matches_the_routes_on_g(name):
     class_of = {x: i for i, cls in enumerate(classes) for x in cls}
     prime = [i for i, cls in enumerate(classes)
              if _is_prime(g.element_order(cls[0]))]
-    met = [class_of[lam[t]] for t in _prime_order_translations(act)]
+    seeds, seed_of, kinds = _prime_order_translations(act)
+    met = [class_of[lam[t]] for t in seeds]
     assert sorted(met) == prime
+    # every element of those classes is reported with its seed, and each
+    # class with its element order and size
+    assert len(seed_of) == sum(len(classes[i]) for i in prime)
+    for t, i in seed_of.items():
+        assert class_of[lam[t]] == class_of[lam[seeds[i]]]
+    assert kinds == [(g.element_order(lam[t]), len(classes[class_of[lam[t]]]))
+                     for t in seeds]
 
 
 @pytest.mark.parametrize("expr,mode", [("A(6)", "point"),
@@ -449,6 +458,15 @@ DEGREE_9_AND_10 = {
 }
 
 
+def searched_atoms(act, budget):
+    """(stage 1's (atom, generators) pairs, all seeds, kept maps), as
+    `enumerate_regular_normalized` runs it."""
+    seeds, class_of, kinds = _prime_order_translations(act)
+    walked, maps = _seed_maps(act, seeds, class_of, kinds, budget)
+    atoms = _viable_atoms(act.degree, act.generator_pairs(), walked, maps, budget)
+    return atoms, seeds, maps
+
+
 @functools.cache
 def oracle_search(name):
     """(n, gen_pairs, seeded (atom, generators) pairs, brute-force orbits,
@@ -459,8 +477,7 @@ def oracle_search(name):
     act = coset_action(prob)
     n = act.degree
     gen_pairs = act.generator_pairs()
-    seeded = _viable_atoms(n, gen_pairs, _prime_order_translations(act),
-                           NodeBudget(200_000_000))
+    seeded, _, _ = searched_atoms(act, NodeBudget(200_000_000))
     orbits = list(brute_force_orbits(n, gen_pairs))
     return n, gen_pairs, seeded, orbits, brute_force_atoms(n, orbits)
 
@@ -568,6 +585,130 @@ def test_search_closes_groups_by_cosets():
     report = classify(ExtensionProblem.galois(elementary_abelian(2, 3)))
     assert report.structure_count == 106
     assert report.nodes_used <= 15_000
+
+
+# -- the automorphisms of G as a symmetry of Galois problems --------------
+
+
+DEGREE_12_ROWS = {
+    "C(12) --galois": lambda: ExtensionProblem.galois(cyclic(12)),
+    "A(4) --galois": lambda: ExtensionProblem.galois(alternating(4)),
+    "D(6) --galois": lambda: ExtensionProblem.galois(dihedral(6)),
+    "S(6) --subgroup": lambda: subgroup_problem(
+        "S(6)", "gens[(0 1 2 3 4), (0 5)(1 4)]"),
+}
+
+SYMMETRY_NAMES = ORACLE_NAMES + sorted(DEGREE_9_AND_10) + sorted(DEGREE_12_ROWS)
+
+
+def symmetry_problem(name):
+    if name in DEGREE_9_AND_10:
+        return DEGREE_9_AND_10[name]()
+    if name in DEGREE_12_ROWS:
+        return DEGREE_12_ROWS[name]()
+    return oracle_problem(name)
+
+
+@pytest.mark.parametrize("name", SYMMETRY_NAMES)
+def test_atoms_carried_by_the_maps_match_the_all_seeds_walk(name):
+    act = coset_action(symmetry_problem(name))
+    n = act.degree
+    budget = NodeBudget(10**9)
+    atoms, seeds, maps = searched_atoms(act, budget)
+    every_seed = _viable_atoms(n, act.generator_pairs(), seeds, [], budget)
+    assert [a for a, _ in atoms] == [a for a, _ in every_seed]
+    assert_carried_generators(atoms, n)
+    if act.problem.subgroup.order > 1:
+        assert maps == []
+    g = act.problem.group
+    found = {a for a, _ in atoms}
+    for bar, bar_inv in maps:
+        assert bar_inv == inverse(bar)
+        assert {frozenset(conjugate(bar, t, bar_inv) for t in a) for a in found} == found
+        # phibar comes from an automorphism phi of G, and
+        # phibar lambda(x) phibar^-1 = lambda(phi(x)) on the generators
+        phi = tuple(act.reps[bar[act.coset_of[x]]] for x in range(len(g)))
+        assert sorted(phi) == list(range(len(g)))
+        assert _is_automorphism_map(g, phi)
+        for x in act.generators:
+            assert conjugate(bar, act.translation(x), bar_inv) == \
+                act.translation(phi[x])
+
+
+@pytest.mark.parametrize("name", SYMMETRY_NAMES)
+def test_types_carried_by_the_maps_are_iso_types(name):
+    act = coset_action(symmetry_problem(name))
+    for s in enumerate_regular_normalized(act, budget=NodeBudget(10**9)):
+        assert s.type_name == iso_type(s.group)
+
+
+def unfiltered_combine(atoms, n, budget):
+    """Stage 2 as it was before joins were skipped on a point-0 clash: every
+    join of p with an atom not inside p goes to `_closure`."""
+    results = set()
+    smaller = []
+    for a, a_gens in atoms:
+        if len(a) == n:
+            results.add(a)
+        else:
+            smaller.append((a, a_gens))
+    seen = set()
+
+    def extend(p, p_gens, start):
+        if len(p) == n:
+            results.add(p)
+            return
+        for j in range(start, len(smaller)):
+            a, a_gens = smaller[j]
+            if a <= p:
+                continue
+            grown = _closure(p, p_gens, a_gens, n, budget)
+            if grown is None:
+                continue
+            q, q_gens = grown
+            state = (q, j + 1)
+            if state in seen:
+                continue
+            seen.add(state)
+            extend(q, q_gens, j + 1)
+
+    for j, (a, a_gens) in enumerate(smaller):
+        extend(a, a_gens, j + 1)
+    formed = {a for a, _ in atoms}
+    formed.update(q for q, _ in seen)
+    return results, formed
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_skipped_joins_match_the_unfiltered_loop(name):
+    act = coset_action(oracle_problem(name))
+    budget = NodeBudget(10**9)
+    atoms, _, _ = searched_atoms(act, budget)
+    assert _combine_atoms(atoms, act.degree, budget) == \
+        unfiltered_combine(atoms, act.degree, budget)
+
+
+def test_galois_search_walks_one_seed_per_automorphism_class():
+    # 124,204 nodes when every seed is walked and every N typed
+    report = classify(ExtensionProblem.galois(direct_product(cyclic(6), cyclic(2))))
+    assert report.structure_count == 20
+    assert (report.seeds, report.seeds_walked) == (5, 2)
+    assert report.nodes_used <= 60_000
+
+
+def test_galois_search_types_once_per_orbit(monkeypatch):
+    # 106 iso_type calls when every N is typed
+    calls = 0
+
+    def counted(group):
+        nonlocal calls
+        calls += 1
+        return iso_type(group)
+
+    monkeypatch.setattr(hopfgalois.engine, "iso_type", counted)
+    report = classify(ExtensionProblem.galois(elementary_abelian(2, 3)))
+    assert report.structure_count == 106
+    assert calls <= 10
 
 
 @pytest.mark.parametrize("cycles,n", [
