@@ -113,6 +113,8 @@ def _report_document(expr_text: str, subgroup_desc: str, report: ClassificationR
         doc["engine"]["nodes"] = report.nodes_used
         doc["engine"]["seeds"] = report.seeds
         doc["engine"]["seeds_walked"] = report.seeds_walked
+        doc["engine"]["walks"] = report.walks
+        doc["engine"]["walks_skipped"] = report.walks_skipped
         if elapsed is not None:
             doc["engine"]["elapsed_s"] = round(elapsed, 6)
     return doc
@@ -139,6 +141,7 @@ def _print_human(doc: dict) -> None:
     elapsed = f", elapsed {eng['elapsed_s']}s" if "elapsed_s" in eng else ""
     print(f"engine: degree cap {eng['degree_cap']}, nodes {eng['nodes']}, "
           f"seeds {eng['seeds']} (walked {eng['seeds_walked']}), "
+          f"walks {eng['walks']} (skipped {eng['walks_skipped']}), "
           f"budget {eng['node_budget']}{elapsed}")
 
 

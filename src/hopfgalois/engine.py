@@ -14,7 +14,7 @@ import math
 from collections.abc import KeysView
 from typing import Iterable
 
-from .catalog import iso_type
+from .catalog import _totient, iso_type
 from .errors import BudgetExceeded, CapExceeded, NotNormalClosure
 from .groups import (FiniteGroup, SubgroupRef, _is_prime, _iso_image_maps,
                      generated)
@@ -32,8 +32,10 @@ class NodeBudget:
     One node is one permutation product or conjugation computed inside the
     search.  Exhaustion is always loud, never a silent truncation.  It also
     counts the stage-1 seeds: `seeds`, one per class of prime-order
-    elements, and `seeds_walked`, one per class of those under the
-    automorphisms the search found (see `_seed_maps`).
+    elements, and `seeds_walked`, one per class of the cyclic groups they
+    generate under the automorphisms the search found (see `_seed_maps`);
+    and the centralizer walks, one per walked seed and cycle length:
+    `walks` run and `walks_skipped` (see `_walked_lengths`).
     """
 
     def __init__(self, limit: int = DEFAULT_NODE_BUDGET):
@@ -41,6 +43,8 @@ class NodeBudget:
         self.used = 0
         self.seeds = 0
         self.seeds_walked = 0
+        self.walks = 0
+        self.walks_skipped = 0
 
     def spend(self, amount: int = 1) -> None:
         self.used += amount
@@ -247,6 +251,61 @@ def _regular_normalized(elements, n: int, gen_pairs) -> bool:
 
 def _divisors(n: int) -> list[int]:
     return [d for d in range(2, n + 1) if n % d == 0]
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending."""
+    primes, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return primes + [n] if n > 1 else primes
+
+
+def _orbit_bound(n: int, d: int) -> int:
+    """U(d): at most this many elements lie in a kept stage-1 orbit of
+    cycle length d at degree n (see `_walked_lengths`).  It is phi(d) when
+    d = n, or when d = q^a is the full q-part of n and no divisor k > 1 of
+    n/d is 1 mod q; else n - 1."""
+    primes = _prime_factors(d)
+    q, rest = primes[0], n // d
+    if d == n or (len(primes) == 1 and rest % q
+                  and all(k % q != 1 for k in _divisors(rest))):
+        return _totient(d)
+    return n - 1
+
+
+def _walked_lengths(p: int, n: int, order: int) -> list[int]:
+    """The cycle lengths d that stage 1 walks in the centralizer of a seed
+    of prime order p, at degree n with |G| = order.
+
+    Take a kept orbit O of cycle length d (see `_viable_atoms`) and t in O.
+    O lies in the group A it generates, which is semiregular, so |A|
+    divides n and |O| <= n - 1.  |O| is the index in lambda(G) of the
+    centralizer C of t, so it divides |G|.  If <t> is characteristic in A,
+    then lambda(G), which normalizes A, maps <t> onto itself, and O lies
+    among the generators of <t>: |O| <= phi(d).  That holds when d = n
+    (then A = <t>), and when d = q^a is the full q-part of n and no
+    divisor k > 1 of n/d is 1 mod q: <t> is then a Sylow q-subgroup of A,
+    and their number divides n/d and is 1 mod q, so it is 1.  So |O| <=
+    U(d), as `_orbit_bound` gives it.
+
+    Let q be the largest prime dividing |C| = |G|/|O|.  By Cauchy's
+    theorem C holds an element of order q, so some conjugate of t in O
+    commutes with a q-seed, and the walk of that seed over d meets O (for
+    a merged Galois seed, through the maps phibar).  That walk is never
+    skipped: s = |O| leaves no prime of |G|/s above q.  So a p-seed skips
+    d when, for every s dividing |G| with s <= U(d), |G|/s has a prime
+    factor larger than p; every kept orbit of cycle length d is then met
+    from a larger prime's seed.  A seed of the largest prime dividing |G|
+    walks every d.
+    """
+    return [d for d in _divisors(n)
+            if any(order % s == 0 and max(_prime_factors(order // s)) <= p
+                   for s in range(1, _orbit_bound(n, d) + 1))]
 
 
 def _semiregular_tuples(n: int, d: int):
@@ -469,9 +528,37 @@ def _prime_order_translations(action: CosetAction):
     return seeds, class_of, kinds
 
 
-def _seed_maps(action: CosetAction, seeds, class_of, kinds, budget):
-    """(the seeds to walk, the maps (phibar, phibar^-1)) for stage 1.
+def _cyclic_seeds(seeds, class_of, kinds):
+    """(seeds, class_of, kinds) as `_prime_order_translations` returns
+    them, less each class that holds a power of an earlier seed.
 
+    Such a class holds a conjugate of a generator of that seed's cyclic
+    group: the two generate conjugate groups, with one prime and conjugate
+    centralizers, so their walks meet the same orbits.  Its elements are
+    reported under the earlier seed, and the indices are renumbered over
+    the classes kept.  Like `_prime_order_translations`, this only reads
+    lambda(G), and spends no nodes.
+    """
+    into = list(range(len(seeds)))
+    for i, sigma in enumerate(seeds):
+        if into[i] != i:
+            continue
+        power = sigma
+        for _ in range(kinds[i][0] - 2):
+            power = compose(sigma, power)
+            into[class_of[power]] = i
+    kept = [i for i in range(len(seeds)) if into[i] == i]
+    index = {i: k for k, i in enumerate(kept)}
+    return ([seeds[i] for i in kept],
+            {t: index[into[i]] for t, i in class_of.items()},
+            [kinds[i] for i in kept])
+
+
+def _seed_maps(action: CosetAction, seeds, class_of, kinds, budget):
+    """(the seeds to walk, each as (sigma, its prime), and the maps
+    (phibar, phibar^-1)) for stage 1.
+
+    `seeds`, `class_of` and `kinds` are as `_cyclic_seeds` returns them.
     Only Galois problems (G' trivial) look for maps; the others walk every
     seed with no map.  An automorphism phi of G permutes the points by
     phibar(i) = coset_of[phi(reps[i])], and phibar lambda(g) phibar^-1 =
@@ -486,7 +573,7 @@ def _seed_maps(action: CosetAction, seeds, class_of, kinds, budget):
     """
     target = len(set(kinds))
     if action.problem.subgroup.order > 1 or target == len(seeds):
-        return seeds, []
+        return [(sigma, p) for sigma, (p, _) in zip(seeds, kinds)], []
     g = action.problem.group
     reps, coset_of = action.reps, action.coset_of
     label = list(range(len(seeds)))
@@ -503,7 +590,8 @@ def _seed_maps(action: CosetAction, seeds, class_of, kinds, budget):
             label = [a if x == b else x for x in label]
         if label != before:
             maps.append((bar, bar_inv))
-    return [sigma for i, sigma in enumerate(seeds) if label[i] == i], maps
+    return [(sigma, kinds[i][0]) for i, sigma in enumerate(seeds)
+            if label[i] == i], maps
 
 
 def _close_under(found: dict, keys, maps, budget, carry) -> None:
@@ -524,7 +612,7 @@ def _close_under(found: dict, keys, maps, budget, carry) -> None:
                 stack.append(b)
 
 
-def _viable_atoms(n, gen_pairs, seeds, maps, budget):
+def _viable_atoms(n, order, gen_pairs, seeds, maps, budget):
     """Stage 1: orbit inventory, seeded from centralizers.
 
     Every translation-conjugation orbit of semiregular permutations whose
@@ -534,14 +622,19 @@ def _viable_atoms(n, gen_pairs, seeds, maps, budget):
     generators) pairs, sorted by atom; an atom reached from several orbits
     keeps the generators of the first.
 
-    The orbits are found from `seeds`, the translations lambda(x) of one x
-    per class of prime-order elements of G, any x of the class.  Take
+    The orbits are found from `seeds`, pairs (lambda(x), p) for one x of
+    prime order p per class of the cyclic groups <x> of G, any x of the
+    class (see `_cyclic_seeds`).  Take
     t != 1 in such an orbit O.  Then |O| <= n - 1 < |G|, so the centralizer
     of t in the translation image is nontrivial and holds some lambda(y) of
     prime order; with y = g x g^-1, the conjugate of t by lambda(g)^-1 lies
     in O and commutes with lambda(x).  So walking the semiregular elements of the
     centralizers of the seeds in Sym(n) meets every such orbit, and the
     atoms are exactly those of a walk over all semiregular permutations.
+    A seed of prime p walks only the cycle lengths `_walked_lengths` gives
+    for p, n and |G| = `order`: the kept orbits of every other length are
+    met from the seeds of a larger prime.  The budget counts each walk run
+    and each one skipped.
 
     For a Galois problem, `seeds` holds one seed per class under the maps
     phibar of `maps` (see `_seed_maps`), and the atoms found are closed
@@ -556,8 +649,11 @@ def _viable_atoms(n, gen_pairs, seeds, maps, budget):
     trivial = (tuple(range(n)),)
     atoms: dict[frozenset, tuple] = {}
     visited: set[tuple[int, ...]] = set()
-    for sigma in seeds:
-        for d in _divisors(n):
+    for sigma, p in seeds:
+        lengths = _walked_lengths(p, n, order)
+        budget.walks += len(lengths)
+        budget.walks_skipped += len(_divisors(n)) - len(lengths)
+        for d in lengths:
             for t in _semiregular_centralizer(sigma, d):
                 if t in visited:
                     continue
@@ -658,11 +754,13 @@ def enumerate_regular_normalized(action: CosetAction, *,
     sub-Hopf lattice as `stable_subgroups`, read from the groups stage 2
     formed (see `_combine_atoms`).
 
-    For a Galois problem, stage 1 walks one seed per class under some
+    Stage 1 walks one seed per class of cyclic subgroups of prime order
+    (see `_cyclic_seeds`), each over the cycle lengths `_walked_lengths`
+    gives.  For a Galois problem, it walks one seed per class under some
     automorphisms of G and maps the atoms found to the others (see
     `_viable_atoms`), and each N's isomorphism type is computed once per
     orbit of those maps: conjugation by phibar is an isomorphism from N to
-    phibar N phibar^-1.  Other problems walk every seed and type every N.
+    phibar N phibar^-1.  Other problems find no maps and type every N.
     """
     n = action.degree
     if n > degree_cap:
@@ -671,10 +769,11 @@ def enumerate_regular_normalized(action: CosetAction, *,
         budget = NodeBudget()
     gen_pairs = action.generator_pairs()
     seeds, class_of, kinds = _prime_order_translations(action)
-    walked, maps = _seed_maps(action, seeds, class_of, kinds, budget)
     budget.seeds += len(seeds)
+    walked, maps = _seed_maps(action, *_cyclic_seeds(seeds, class_of, kinds), budget)
     budget.seeds_walked += len(walked)
-    atoms = _viable_atoms(n, gen_pairs, walked, maps, budget)
+    atoms = _viable_atoms(n, len(action.problem.group), gen_pairs, walked, maps,
+                          budget)
     results, formed = _combine_atoms(atoms, n, budget)
     index = _by_least_element(formed)
     trivial = (tuple(range(n)),)

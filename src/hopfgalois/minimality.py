@@ -180,8 +180,9 @@ class ClassificationReport:
     their stable-subgroup lattices and minimality verdicts, plus the
     correspondence statistics and the normal-complement lower bound.
 
-    `nodes_used`, `seeds` and `seeds_walked` are the budget's counters (see
-    `NodeBudget`): they describe the search, not the answer."""
+    `nodes_used`, `seeds`, `seeds_walked`, `walks` and `walks_skipped` are
+    the budget's counters (see `NodeBudget`): they describe the search, not
+    the answer."""
 
     problem: ExtensionProblem
     verdicts: list[StructureVerdict]
@@ -190,6 +191,8 @@ class ClassificationReport:
     nodes_used: int
     seeds: int
     seeds_walked: int
+    walks: int
+    walks_skipped: int
 
     @property
     def minimal_count(self) -> int:
@@ -221,11 +224,14 @@ def classify(problem: ExtensionProblem, *, degree_cap: int = DEGREE_CAP,
              budget: NodeBudget | None = None) -> ClassificationReport:
     """Enumerate the structures of the problem and classify each one.
 
-    The search (`enumerate_regular_normalized`) uses the automorphisms of G
-    as a symmetry for Galois problems only: there it walks one stage-1 seed
+    The search (`enumerate_regular_normalized`) walks one stage-1 seed per
+    class of cyclic subgroups of prime order.  It uses the automorphisms
+    of G as a symmetry for Galois problems only: there it walks one seed
     per class under the maps it finds and types each N once per orbit of
-    them.  Every other problem walks every seed.  The answers are the same
-    either way; `seeds` and `seeds_walked` in the report show the cut.
+    them.  Each seed skips the cycle lengths whose orbits a larger prime's
+    seed meets.  The answers are the same either way; `seeds`,
+    `seeds_walked`, `walks` and `walks_skipped` in the report show the
+    cuts.
     """
     if budget is None:
         budget = NodeBudget()
@@ -242,4 +248,6 @@ def classify(problem: ExtensionProblem, *, degree_cap: int = DEGREE_CAP,
         nodes_used=budget.used,
         seeds=budget.seeds,
         seeds_walked=budget.seeds_walked,
+        walks=budget.walks,
+        walks_skipped=budget.walks_skipped,
     )

@@ -141,10 +141,25 @@ def test_seed_counts_are_reported_outside_canonical_output(capsys):
     code, out, _ = run(capsys, "enumerate", "E(2,3)", "--galois")
     assert code == 0
     assert "seeds 7 (walked 1)" in out
-    # a non-Galois problem walks every seed
+    # a non-Galois problem finds no maps
     code, out, _ = run(capsys, "enumerate", "S(4)", "--stabilizer-of-point", "--json")
     engine = json.loads(out)["engine"]
     assert engine["seeds"] == engine["seeds_walked"] == 3
+
+
+def test_walk_counts_are_reported_outside_canonical_output(capsys):
+    # the involution of D(5) skips cycle lengths 5 and 10: the 5-seed
+    # meets those orbits
+    code, out, _ = run(capsys, "enumerate", "D(5)", "--galois", "--json")
+    assert code == 0
+    engine = json.loads(out)["engine"]
+    assert (engine["walks"], engine["walks_skipped"]) == (4, 2)
+    code, out, _ = run(capsys, "enumerate", "D(5)", "--galois")
+    assert "walks 4 (skipped 2)" in out
+    # a 2-group has one prime: nothing is skipped
+    code, out, _ = run(capsys, "enumerate", "E(2,3)", "--galois", "--json")
+    engine = json.loads(out)["engine"]
+    assert (engine["walks"], engine["walks_skipped"]) == (3, 0)
 
 
 def test_canonical_output_leaves_out_the_seed_counts(capsys):

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 from collections import Counter
 
 import pytest
@@ -17,11 +18,13 @@ from hopfgalois import (BudgetExceeded, CapExceeded, ExtensionProblem,
 from hopfgalois.dsl import build_text
 from hopfgalois.catalog import iso_type
 from hopfgalois.engine import (DEGREE_CAP, CosetAction, _closure, _combine_atoms,
-                               _conj_orbit, _core, _cosets, _divisors,
+                               _conj_orbit, _core, _cosets, _cyclic_seeds,
+                               _divisors, _orbit_bound, _prime_factors,
                                _prime_order_translations, _regular_normalized,
                                _seed_maps, _semiregular_centralizer,
-                               _semiregular_tuples, _viable_atoms)
-from hopfgalois.groups import _is_automorphism_map, _is_prime
+                               _semiregular_tuples, _viable_atoms,
+                               _walked_lengths)
+from hopfgalois.groups import _is_automorphism_map, _is_prime, generated
 from hopfgalois.perms import compose, conjugate, inverse, uniform_cycle_length
 
 from conftest import (catalog_problems, complement_problem, read_cycles,
@@ -459,12 +462,40 @@ DEGREE_9_AND_10 = {
 
 
 def searched_atoms(act, budget):
-    """(stage 1's (atom, generators) pairs, all seeds, kept maps), as
+    """(stage 1's (atom, generators) pairs, kept maps), as
     `enumerate_regular_normalized` runs it."""
     seeds, class_of, kinds = _prime_order_translations(act)
-    walked, maps = _seed_maps(act, seeds, class_of, kinds, budget)
-    atoms = _viable_atoms(act.degree, act.generator_pairs(), walked, maps, budget)
-    return atoms, seeds, maps
+    walked, maps = _seed_maps(act, *_cyclic_seeds(seeds, class_of, kinds), budget)
+    atoms = _viable_atoms(act.degree, len(act.problem.group), act.generator_pairs(),
+                          walked, maps, budget)
+    return atoms, maps
+
+
+def every_walk_atoms(act, budget):
+    """Stage 1 with nothing cut: the atoms met walking every seed of
+    `_prime_order_translations` over every cycle length, with no map."""
+    n = act.degree
+    gen_pairs = act.generator_pairs()
+    trivial = (tuple(range(n)),)
+    atoms, visited = set(), set()
+    for sigma in _prime_order_translations(act)[0]:
+        for d in _divisors(n):
+            for t in _semiregular_centralizer(sigma, d):
+                if t in visited:
+                    continue
+                orbit = _conj_orbit(t, gen_pairs, budget)
+                if orbit is None:
+                    continue
+                visited.update(orbit)
+                grown = _closure(trivial, (), orbit, n, budget)
+                if grown is not None:
+                    atoms.add(grown[0])
+    return sorted(atoms, key=sorted)
+
+
+def oracle_search_problem(name):
+    return DEGREE_9_AND_10[name]() if name in DEGREE_9_AND_10 \
+        else catalog_problems()[name]
 
 
 @functools.cache
@@ -472,12 +503,10 @@ def oracle_search(name):
     """(n, gen_pairs, seeded (atom, generators) pairs, brute-force orbits,
     brute-force atoms) for a catalog or a degree-9/10 problem; the orbit
     walk runs once per problem."""
-    prob = DEGREE_9_AND_10[name]() if name in DEGREE_9_AND_10 \
-        else catalog_problems()[name]
-    act = coset_action(prob)
+    act = coset_action(oracle_search_problem(name))
     n = act.degree
     gen_pairs = act.generator_pairs()
-    seeded, _, _ = searched_atoms(act, NodeBudget(200_000_000))
+    seeded, _ = searched_atoms(act, NodeBudget(200_000_000))
     orbits = list(brute_force_orbits(n, gen_pairs))
     return n, gen_pairs, seeded, orbits, brute_force_atoms(n, orbits)
 
@@ -532,6 +561,93 @@ def test_point_0_rule_matches_unpruned_oracle(name):
             assert closed_group(closed) == expected
             if closed is not None:
                 assert_carried_generators([closed], n)
+
+
+@pytest.mark.parametrize("name", sorted(catalog_problems()) + sorted(DEGREE_9_AND_10))
+def test_kept_orbits_are_walked_from_their_largest_prime(name):
+    # a kept orbit O of cycle length d has at most U(d) elements, and the
+    # largest prime of |G|/|O| walks d (see `_walked_lengths`)
+    n, _, _, orbits, reference = oracle_search(name)
+    order = len(oracle_search_problem(name).group)
+    identity = tuple(range(n))
+    kept = 0
+    for t, orbit in orbits:
+        if len({o[0] for o in orbit}) < len(orbit) or \
+                plain_closure(orbit | {identity}, n) is None:
+            continue
+        kept += 1
+        d = uniform_cycle_length(t)
+        assert len(orbit) <= _orbit_bound(n, d)
+        assert order % len(orbit) == 0
+        q = max(_prime_factors(order // len(orbit)))
+        assert d in _walked_lengths(q, n, order)
+    assert bool(kept) == bool(reference)
+
+
+@st.composite
+def transitive_groups(draw):
+    """A transitive permutation group of degree n <= 10 inside
+    AGL(1, a) wr AGL(1, b), n = a b, where point j a + i is i in block j.
+    It holds an a-cycle on block 0 and a b-cycle on the blocks, so it is
+    transitive; up to two more generators are affine maps of one block or
+    of the blocks.  The points are then relabelled at random."""
+    n = draw(st.integers(min_value=2, max_value=10))
+    a = draw(st.sampled_from([k for k in range(1, n + 1) if n % k == 0]))
+    b = n // a
+
+    def affine(m):
+        u = draw(st.sampled_from([u for u in range(1, m) if math.gcd(u, m) == 1] or [1]))
+        return u, draw(st.integers(min_value=0, max_value=m - 1))
+
+    def base(u, v, block):
+        return tuple(j * a + ((u * i + v) % a if j == block else i)
+                     for j in range(b) for i in range(a))
+
+    def top(u, v):
+        return tuple((u * j + v) % b * a + i for j in range(b) for i in range(a))
+
+    gens = [base(1, 1, 0), top(1, 1)]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        if draw(st.booleans()):
+            gens.append(base(*affine(a), draw(st.integers(min_value=0, max_value=b - 1))))
+        else:
+            gens.append(top(*affine(b)))
+    relabel = tuple(draw(st.permutations(range(n))))
+    relabel_inv = inverse(relabel)
+    gens = [conjugate(relabel, g, relabel_inv) for g in gens]
+    return FiniteGroup.from_permutations(generated(gens, tuple(range(n)), compose))
+
+
+@settings(max_examples=100, deadline=None)
+@given(transitive_groups())
+def test_atoms_match_the_every_walk_on_random_transitive_groups(group):
+    act = coset_action(stabilizer_problem(group))
+    budget = NodeBudget(10**9)
+    atoms, _ = searched_atoms(act, budget)
+    assert [a for a, _ in atoms] == every_walk_atoms(act, budget)
+
+
+@pytest.mark.parametrize("p,n,order,lengths", [
+    (2, 10, 10, [2]),
+    (5, 10, 10, [2, 5, 10]),
+    (2, 12, 12, [2, 3, 4, 6, 12]),
+    (3, 12, 12, [2, 3, 4, 6, 12]),
+    (2, 16, 16, [2, 4, 8, 16]),
+    # A(5) on the 12 cosets of a C(5): |G|/s is a power of 2 only for s
+    # >= 15 > n - 1, and it has the prime 5 for every s <= phi(12) = 4
+    (2, 12, 60, []),
+    (3, 12, 60, [2, 3, 4, 6]),
+])
+def test_walked_lengths(p, n, order, lengths):
+    assert _walked_lengths(p, n, order) == lengths
+
+
+@pytest.mark.parametrize("n,d,bound", [
+    (10, 10, 4), (10, 5, 4), (10, 2, 9), (9, 3, 8), (12, 3, 11), (12, 4, 11),
+    (15, 3, 2), (15, 5, 4), (16, 8, 15),
+])
+def test_orbit_bound(n, d, bound):
+    assert _orbit_bound(n, d) == bound
 
 
 @st.composite
@@ -600,23 +716,27 @@ DEGREE_12_ROWS = {
 
 SYMMETRY_NAMES = ORACLE_NAMES + sorted(DEGREE_9_AND_10) + sorted(DEGREE_12_ROWS)
 
+# rows where the 2-seeds skip cycle lengths p and 2p (p = 7 and 5)
+SKIPPED_WALK_ROWS = {
+    "C(14) --galois": lambda: ExtensionProblem.galois(cyclic(14)),
+    "Hol(C(10)) --complement": lambda: complement_problem("Hol(C(10))"),
+}
+
 
 def symmetry_problem(name):
-    if name in DEGREE_9_AND_10:
-        return DEGREE_9_AND_10[name]()
-    if name in DEGREE_12_ROWS:
-        return DEGREE_12_ROWS[name]()
+    for rows in (DEGREE_9_AND_10, DEGREE_12_ROWS, SKIPPED_WALK_ROWS):
+        if name in rows:
+            return rows[name]()
     return oracle_problem(name)
 
 
-@pytest.mark.parametrize("name", SYMMETRY_NAMES)
+@pytest.mark.parametrize("name", SYMMETRY_NAMES + sorted(SKIPPED_WALK_ROWS))
 def test_atoms_carried_by_the_maps_match_the_all_seeds_walk(name):
     act = coset_action(symmetry_problem(name))
     n = act.degree
     budget = NodeBudget(10**9)
-    atoms, seeds, maps = searched_atoms(act, budget)
-    every_seed = _viable_atoms(n, act.generator_pairs(), seeds, [], budget)
-    assert [a for a, _ in atoms] == [a for a, _ in every_seed]
+    atoms, maps = searched_atoms(act, budget)
+    assert [a for a, _ in atoms] == every_walk_atoms(act, budget)
     assert_carried_generators(atoms, n)
     if act.problem.subgroup.order > 1:
         assert maps == []
@@ -683,7 +803,7 @@ def unfiltered_combine(atoms, n, budget):
 def test_skipped_joins_match_the_unfiltered_loop(name):
     act = coset_action(oracle_problem(name))
     budget = NodeBudget(10**9)
-    atoms, _, _ = searched_atoms(act, budget)
+    atoms, _ = searched_atoms(act, budget)
     assert _combine_atoms(atoms, act.degree, budget) == \
         unfiltered_combine(atoms, act.degree, budget)
 
@@ -761,6 +881,21 @@ def test_degree_12_transposition_within_default_budget():
     act = coset_action(stabilizer_problem(g))
     assert act.degree == DEGREE_CAP
     assert enumerate_regular_normalized(act) == []
+
+
+@pytest.mark.parametrize("group,types", [
+    # Byott 2004, degree pq: D(p) has p + 2 structures, C(2p) has 3
+    pytest.param(lambda: dihedral(7), {"C14": 7, "D7": 2}, id="D7"),
+    pytest.param(lambda: cyclic(14), {"C14": 1, "D7": 2}, id="C14"),
+])
+def test_degree_14_galois_literature_rows(group, types):
+    # 9,356 and 4,196 nodes; 695,064 for D(7) when every seed walks every
+    # cycle length, so a return to that fails here
+    report = classify(ExtensionProblem.galois(group()), degree_cap=14)
+    assert Counter(report.types()) == types
+    assert report.minimal_count == 0
+    assert report.walks_skipped == 2
+    assert report.nodes_used <= 20_000
 
 
 def test_degree_12_presentation_invariance():
