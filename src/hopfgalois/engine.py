@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import KeysView
+from operator import itemgetter
 from typing import Iterable
 
 from .catalog import _totient, iso_type
@@ -328,26 +329,34 @@ def _semiregular_tuples(n: int, d: int):
     yield from rec(tuple(range(n)))
 
 
-def _conj_orbit(t0, gen_pairs, budget):
+def _conj_orbit(t0, gen_pairs, visited, budget):
     """The translation-conjugation orbit of t0, or None at the first two of
     its elements that send point 0 to the same point (then the orbit lies
-    in no regular N)."""
+    in no regular N).  Every element met is added to the set `visited`:
+    all of them lie in the orbit of t0, so a walk from any of them meets
+    the same orbit, kept or dropped, and need not run.
+
+    Each conjugate g a g^-1 is g o (a o g^-1), with one getter of g^-1's
+    images per generator pair."""
+    pairs = [(g, itemgetter(*gi)) for g, gi in gen_pairs]
     by0 = {t0[0]: t0}
     stack = [t0]
     ops = 0
     try:
         while stack:
             a = stack.pop()
-            for g, gi in gen_pairs:
+            for g, right in pairs:
                 ops += 1
-                c = conjugate(g, a, gi)
+                c = itemgetter(*right(a))(g)
                 s = by0.setdefault(c[0], c)
                 if s is c:
                     stack.append(c)
                 elif s != c:
+                    visited.add(c)
                     return None
         return list(by0.values())
     finally:
+        visited.update(by0.values())
         budget.spend(ops)
 
 
@@ -375,7 +384,8 @@ def _closure(group, gens, extra, n, budget):
     cosets list K.  If K is semiregular nothing collides and K is listed
     in full; if not, two of its elements agree on 0 and the later one found
     collides, often early, with an element of `extra`.  Each generator at
-    least doubles the group, so there are at most log2 |K|.
+    least doubles the group, so there are at most log2 |K|.  A coset H r
+    is one getter of r's images mapped over H.
     """
     els = list(group)
     gens = list(gens)
@@ -390,7 +400,7 @@ def _closure(group, gens, extra, n, budget):
 
     def add_coset(sub, r) -> bool:
         nonlocal ops
-        coset = [compose(h, r) for h in sub]
+        coset = list(map(itemgetter(*r), sub))
         ops += len(coset)
         for c in coset:
             if by0[c[0]] is not None or known.get(c[0], c) != c:
@@ -599,13 +609,15 @@ def _close_under(found: dict, keys, maps, budget, carry) -> None:
     of each key by each phibar of `maps` (pairs (phibar, phibar^-1)),
     starting from `keys`, until nothing new appears.  A new key's value is
     carry(value of its preimage, {t: its conjugate}).  One node per
-    conjugation."""
+    conjugation; each is phibar o (t o phibar^-1), with one getter of
+    phibar^-1's images per map."""
+    pairs = [(bar, itemgetter(*bar_inv)) for bar, bar_inv in maps]
     stack = list(keys)
     while stack:
         a = stack.pop()
-        for bar, bar_inv in maps:
+        for bar, right in pairs:
             budget.spend(len(a))
-            image = {t: conjugate(bar, t, bar_inv) for t in a}
+            image = {t: itemgetter(*right(t))(bar) for t in a}
             b = frozenset(image.values())
             if b not in found:
                 found[b] = carry(found[a], image)
@@ -634,7 +646,9 @@ def _viable_atoms(n, order, gen_pairs, seeds, maps, budget):
     A seed of prime p walks only the cycle lengths `_walked_lengths` gives
     for p, n and |G| = `order`: the kept orbits of every other length are
     met from the seeds of a larger prime.  The budget counts each walk run
-    and each one skipped.
+    and each one skipped.  No orbit is walked twice: a walk adds every
+    element it met to `visited`, whether its orbit is kept or dropped (see
+    `_conj_orbit`), and an element in `visited` starts no walk.
 
     For a Galois problem, `seeds` holds one seed per class under the maps
     phibar of `maps` (see `_seed_maps`), and the atoms found are closed
@@ -657,10 +671,9 @@ def _viable_atoms(n, order, gen_pairs, seeds, maps, budget):
             for t in _semiregular_centralizer(sigma, d):
                 if t in visited:
                     continue
-                orbit = _conj_orbit(t, gen_pairs, budget)
+                orbit = _conj_orbit(t, gen_pairs, visited, budget)
                 if orbit is None:
                     continue
-                visited.update(orbit)
                 grown = _closure(trivial, (), orbit, n, budget)
                 if grown is not None:
                     atoms.setdefault(*grown)
@@ -691,6 +704,12 @@ def _combine_atoms(atoms, n, budget):
     A join is skipped before any product when p and a already hold two
     distinct elements that agree on point 0: both lie in the join, so
     `_closure` would return None.
+
+    A join is also read without a closure when p has an index-2 join q,
+    one already closed from p with |q| = 2|p|, that holds a.  Then p < p v
+    a <= q, since a is not inside p, and |p v a| is a multiple of |p| by
+    Lagrange, so it is 2|p| and p v a = q.  `doubles` keeps these q, with
+    their generators, per p, over every state of p.
     """
     results: set[frozenset] = set()
     smaller = []
@@ -700,6 +719,7 @@ def _combine_atoms(atoms, n, budget):
         else:
             smaller.append((a, a_gens))
     seen = set()
+    doubles: dict[frozenset, list] = {}
 
     def extend(p, p_gens, start):
         if len(p) == n:
@@ -708,13 +728,22 @@ def _combine_atoms(atoms, n, budget):
         by0 = dict.fromkeys(range(n))
         for t in p:
             by0[t[0]] = t
+        p_doubles = doubles.setdefault(p, [])
         for j in range(start, len(smaller)):
             a, a_gens = smaller[j]
-            if a <= p or any(by0[t[0]] not in (None, t) for t in a):
+            if a <= p:
                 continue
-            grown = _closure(p, p_gens, a_gens, n, budget)
-            if grown is None:
-                continue
+            for grown in p_doubles:
+                if a <= grown[0]:
+                    break
+            else:
+                if any(by0[t[0]] not in (None, t) for t in a):
+                    continue
+                grown = _closure(p, p_gens, a_gens, n, budget)
+                if grown is None:
+                    continue
+                if len(grown[0]) == 2 * len(p):
+                    p_doubles.append(grown)
             q, q_gens = grown
             state = (q, j + 1)
             if state in seen:

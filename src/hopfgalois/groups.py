@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .errors import CapExceeded
@@ -99,7 +100,7 @@ class FiniteGroup:
         self._inv_list: list[int | None] = [None] * m
         self._orders: list[int | None] = [None] * m
         self._mul_cache: dict[tuple[int, int], int] = {}
-        self._table: list[list[int]] | None = None
+        self._table: list[tuple[int, ...]] | None = None
         if m <= TABLE_MAX:
             self._table = self._cayley_rows()
         self._gens: tuple[int, ...] | None = None
@@ -116,13 +117,14 @@ class FiniteGroup:
         return cls(elems, compose, identity=tuple(range(n)), name=name,
                    perm_degree=n)
 
-    def _cayley_rows(self) -> list[list[int]]:
+    def _cayley_rows(self) -> list[tuple[int, ...]]:
         """The Cayley table, row x holding the indices of x*z for every z.
 
         The first element not yet reached becomes a generator g and costs
         one raw product per element; every other row is composed from
         rows already known, as row(g*x) = row(g) o row(x), since
-        (g*x)*z = g*(x*z).  Reaching the elements breadth-first from the
+        (g*x)*z = g*(x*z), one getter of row(x)'s entries applied to
+        row(g).  Reaching the elements breadth-first from the
         identity takes k*|G| raw products for k generators, not |G|^2.
 
         The generator rows also check closure.  Every element is a
@@ -133,15 +135,15 @@ class FiniteGroup:
         """
         raw, idx = self._raw, self._index
         mul = self._mul_raw
-        rows: list[list[int] | None] = [None] * len(raw)
-        rows[0] = list(range(len(raw)))
+        rows: list[tuple[int, ...] | None] = [None] * len(raw)
+        rows[0] = tuple(range(len(raw)))
         reached = [0]
-        gens: list[list[int]] = []
+        gens: list[tuple[int, ...]] = []
         for g in range(1, len(raw)):
             if rows[g] is not None:
                 continue
             a = raw[g]
-            row = [idx.get(mul(a, b)) for b in raw]
+            row = tuple([idx.get(mul(a, b)) for b in raw])
             if None in row:
                 raise ValueError("the elements are not closed under the product")
             gens.append(row)
@@ -151,7 +153,7 @@ class FiniteGroup:
                 for r in gens:
                     y = r[x]
                     if rows[y] is None:
-                        rows[y] = [r[v] for v in rows[x]]
+                        rows[y] = itemgetter(*rows[x])(r)
                         reached.append(y)
         return rows
 

@@ -4,10 +4,16 @@ A permutation is its image tuple: ``t[i]`` is the image of point i.  The
 product ``compose(a, b)`` applies b first.  Cycle notation enters only
 through the DSL's ``gens[...]`` (`from_cycles`) and is printed by
 `cycle_string`.
+
+`compose` and `conjugate` index with ``operator.itemgetter``, which gathers
+a tuple's entries in C, about twice as fast as a comprehension at degree 8
+to 12.  A getter of one index returns a bare entry, not a tuple, so
+degree 0 and 1 take the comprehension.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable
 
 Images = tuple[int, ...]
@@ -15,7 +21,9 @@ Images = tuple[int, ...]
 
 def compose(a: Images, b: Images) -> Images:
     """The product a b: ``compose(a, b)[i] == a[b[i]]``."""
-    return tuple([a[x] for x in b])
+    if len(b) < 2:
+        return tuple([a[x] for x in b])
+    return itemgetter(*b)(a)
 
 
 def inverse(t: Images) -> Images:
@@ -26,8 +34,10 @@ def inverse(t: Images) -> Images:
 
 
 def conjugate(g: Images, t: Images, gi: Images) -> Images:
-    """g t g^-1, given g and gi = g^-1."""
-    return tuple([g[t[x]] for x in gi])
+    """g t g^-1, given g and gi = g^-1: ``g[t[gi[i]]]`` at each point i."""
+    if len(gi) < 2:
+        return tuple([g[t[x]] for x in gi])
+    return itemgetter(*itemgetter(*gi)(t))(g)
 
 
 def from_cycles(degree: int, cycles: Iterable[Iterable[int]]) -> Images:

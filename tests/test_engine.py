@@ -203,6 +203,25 @@ def test_cross_engine_equality_up_to_degree_8():
         assert sorted(s.key() for s in primary) == reference, name
 
 
+def test_oracles_keep_their_own_products(monkeypatch):
+    # the post-hoc check and the transversal engine's `close` write their
+    # products out, so a fault in the kernels of `perms` cannot hide from
+    # them; here every kernel raises
+    act = coset_action(ExtensionProblem.galois(dihedral(3)))
+    expected = sorted(s.key() for s in enumerate_regular_normalized(act))
+    gen_pairs = act.generator_pairs()
+
+    def kernel(*args):
+        raise AssertionError("an oracle called a permutation kernel")
+
+    for module in (hopfgalois.perms, hopfgalois.engine):
+        monkeypatch.setattr(module, "compose", kernel)
+        monkeypatch.setattr(module, "conjugate", kernel)
+    monkeypatch.setattr(hopfgalois.engine, "itemgetter", kernel)
+    assert all(_regular_normalized(frozenset(key), 6, gen_pairs) for key in expected)
+    assert enumerate_via_transversal(act) == expected
+
+
 def test_transversal_cap():
     act = coset_action(ExtensionProblem.galois(dihedral(5)))
     with pytest.raises(CapExceeded):
@@ -483,10 +502,9 @@ def every_walk_atoms(act, budget):
             for t in _semiregular_centralizer(sigma, d):
                 if t in visited:
                     continue
-                orbit = _conj_orbit(t, gen_pairs, budget)
+                orbit = _conj_orbit(t, gen_pairs, visited, budget)
                 if orbit is None:
                     continue
-                visited.update(orbit)
                 grown = _closure(trivial, (), orbit, n, budget)
                 if grown is not None:
                     atoms.add(grown[0])
@@ -544,11 +562,14 @@ def test_point_0_rule_matches_unpruned_oracle(name):
     budget = NodeBudget(10**9)
     trivial = (tuple(range(n)),)
     for t, orbit in orbits:
-        got = _conj_orbit(t, gen_pairs, budget)
+        met = set()
+        got = _conj_orbit(t, gen_pairs, met, budget)
+        # a dropped walk records what it met, all of it in the orbit
+        assert t in met and met <= orbit
         if len({o[0] for o in orbit}) < len(orbit):
             assert got is None
         else:
-            assert len(got) == len(orbit) and set(got) == orbit
+            assert len(got) == len(orbit) and set(got) == orbit == met
         closed = _closure(trivial, (), orbit, n, budget)
         assert closed_group(closed) == plain_closure(orbit | set(trivial), n)
         if closed is not None:
@@ -806,6 +827,41 @@ def test_skipped_joins_match_the_unfiltered_loop(name):
     atoms, _ = searched_atoms(act, budget)
     assert _combine_atoms(atoms, act.degree, budget) == \
         unfiltered_combine(atoms, act.degree, budget)
+
+
+def test_index_2_joins_are_closed_once(monkeypatch):
+    # 632 stage-2 closures when every index-2 join is closed again from
+    # each atom it holds
+    act = coset_action(ExtensionProblem.galois(elementary_abelian(2, 3)))
+    budget = NodeBudget(10**9)
+    atoms, _ = searched_atoms(act, budget)
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _closure(*args)
+
+    monkeypatch.setattr(hopfgalois.engine, "_closure", counted)
+    results, formed = _combine_atoms(atoms, act.degree, budget)
+    assert (len(results), len(formed)) == (106, 183)
+    assert calls <= 350
+
+
+def test_dropped_orbits_are_walked_once(monkeypatch):
+    # 110 orbit walks when a dropped walk records nothing, so later walks
+    # start again inside the same dropped orbit
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _conj_orbit(*args)
+
+    monkeypatch.setattr(hopfgalois.engine, "_conj_orbit", counted)
+    report = classify(complement_problem("SD(E(3,2), matgrp(3,2,[[[0,1],[-1,0]]]))"))
+    assert report.structure_count == 1
+    assert calls <= 80
 
 
 def test_galois_search_walks_one_seed_per_automorphism_class():

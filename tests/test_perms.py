@@ -62,6 +62,35 @@ def test_conjugate_is_two_products(g, t):
     assert conjugate(g, t, gi) == compose(compose(g, t), gi)
 
 
+def comprehension_conjugate(g, t, gi):
+    # oracle: g t g^-1 point by point
+    return tuple([g[t[x]] for x in gi])
+
+
+def test_kernels_match_comprehensions_exhaustively():
+    # every pair of permutations of degree 1 to 4, where a getter of one
+    # index would return a bare entry at degree 1
+    for n in range(1, 5):
+        every = list(itertools.permutations(range(n)))
+        for a, b in itertools.product(every, repeat=2):
+            assert compose(a, b) == brute_compose(a, b)
+            assert type(compose(a, b)) is tuple
+            assert conjugate(a, b, inverse(a)) == \
+                comprehension_conjugate(a, b, inverse(a))
+    assert compose((), ()) == conjugate((), (), ()) == ()
+
+
+wide_perms = st.integers(min_value=1, max_value=16).flatmap(
+    lambda n: st.tuples(*[st.permutations(range(n)).map(tuple)] * 2))
+
+
+@given(wide_perms)
+def test_kernels_match_comprehensions_up_to_degree_16(pair):
+    a, b = pair
+    assert compose(a, b) == brute_compose(a, b)
+    assert conjugate(a, b, inverse(a)) == comprehension_conjugate(a, b, inverse(a))
+
+
 def test_cycle_string_roundtrip():
     for n in range(1, 6):
         for t in itertools.permutations(range(n)):
