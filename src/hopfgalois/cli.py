@@ -5,7 +5,7 @@ cap or the search budget was exhausted, 1 anything else (usage error, bad
 expression, unknown fixture, expectation mismatch).  Diagnostics go to
 stderr; reports go to stdout.  The environment variable HG_NODE_BUDGET, a
 positive integer, overrides the search budget; any other value is a usage
-error.
+error, as is a --degree-cap below 2, the least degree of an extension.
 """
 
 from __future__ import annotations
@@ -147,6 +147,9 @@ def _print_human(doc: dict) -> None:
 
 def cmd_enumerate(args) -> int:
     budget_limit = _budget_from_env()
+    if args.degree_cap < 2:
+        raise ValueError("--degree-cap must be at least 2, the least degree "
+                         f"of an extension, got {args.degree_cap}")
     built = build_text(args.group)
     chosen = [f for f in ("galois", "stabilizer_of_point", "complement", "subgroup")
               if getattr(args, f)]

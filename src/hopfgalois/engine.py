@@ -32,11 +32,12 @@ class NodeBudget:
 
     One node is one permutation product or conjugation computed inside the
     search.  Exhaustion is always loud, never a silent truncation.  It also
-    counts the stage-1 seeds: `seeds`, one per class of prime-order
-    elements, and `seeds_walked`, one per class of the cyclic groups they
-    generate under the automorphisms the search found (see `_seed_maps`);
-    and the centralizer walks, one per walked seed and cycle length:
-    `walks` run and `walks_skipped` (see `_walked_lengths`).
+    counts the stage-1 seeds: `seeds`, one per conjugacy class of cyclic
+    subgroups of prime order (see `_prime_order_translations`), and
+    `seeds_walked`, one per class of those under the automorphisms the
+    search found (see `_seed_maps`); and the centralizer walks, one per
+    walked seed and cycle length: `walks` run and `walks_skipped` (see
+    `_walked_lengths`).
     """
 
     def __init__(self, limit: int = DEFAULT_NODE_BUDGET):
@@ -502,15 +503,17 @@ def _prime_order(t: tuple[int, ...], identity: tuple[int, ...]) -> int:
 
 
 def _prime_order_translations(action: CosetAction):
-    """(seeds, class_of, kinds): one element of each conjugacy class of
-    lambda(G) whose elements have prime order, read from the image alone;
-    the index of its seed for every element of those classes; and each
-    class's (element order, size).
+    """(seeds, class_of, kinds) for stage 1, read from lambda(G) alone and
+    spending no nodes: one seed per conjugacy class of cyclic subgroups of
+    prime order of lambda(G); the index of its seed for every generator of
+    every group of that class; and each class's (p, size of that set).
 
-    lambda is faithful, so the seeds are the translations of one
-    representative of each class of prime-order elements of G.  Each class
-    is walked by conjugating with the generator pairs; the element of it met
-    first in `action.image` is its seed.
+    The first element of prime order p in `action.image` that no earlier
+    class holds is a seed t, and its class is walked from all of t, t^2,
+    ..., t^(p-1) by conjugating with the generator pairs.  One seed per
+    class of groups suffices: conjugate cyclic groups have conjugate
+    centralizers, so the centralizer walks of their generators meet the
+    same orbits (see `_viable_atoms`).
     """
     identity = tuple(range(action.degree))
     gen_pairs = action.generator_pairs()
@@ -525,8 +528,10 @@ def _prime_order_translations(action: CosetAction):
         i = len(seeds)
         seeds.append(t)
         met = len(class_of)
-        class_of[t] = i
         stack = [t]
+        while len(stack) < p - 1:
+            stack.append(compose(t, stack[-1]))
+        class_of.update(dict.fromkeys(stack, i))
         while stack:
             a = stack.pop()
             for g, gi in gen_pairs:
@@ -538,89 +543,70 @@ def _prime_order_translations(action: CosetAction):
     return seeds, class_of, kinds
 
 
-def _cyclic_seeds(seeds, class_of, kinds):
-    """(seeds, class_of, kinds) as `_prime_order_translations` returns
-    them, less each class that holds a power of an earlier seed.
-
-    Such a class holds a conjugate of a generator of that seed's cyclic
-    group: the two generate conjugate groups, with one prime and conjugate
-    centralizers, so their walks meet the same orbits.  Its elements are
-    reported under the earlier seed, and the indices are renumbered over
-    the classes kept.  Like `_prime_order_translations`, this only reads
-    lambda(G), and spends no nodes.
-    """
-    into = list(range(len(seeds)))
-    for i, sigma in enumerate(seeds):
-        if into[i] != i:
-            continue
-        power = sigma
-        for _ in range(kinds[i][0] - 2):
-            power = compose(sigma, power)
-            into[class_of[power]] = i
-    kept = [i for i in range(len(seeds)) if into[i] == i]
-    index = {i: k for k, i in enumerate(kept)}
-    return ([seeds[i] for i in kept],
-            {t: index[into[i]] for t, i in class_of.items()},
-            [kinds[i] for i in kept])
-
-
 def _seed_maps(action: CosetAction, seeds, class_of, kinds, budget):
     """(the seeds to walk, each as (sigma, its prime), and the maps
     (phibar, phibar^-1)) for stage 1.
 
-    `seeds`, `class_of` and `kinds` are as `_cyclic_seeds` returns them.
-    Only Galois problems (G' trivial) look for maps; the others walk every
-    seed with no map.  An automorphism phi of G permutes the points by
-    phibar(i) = coset_of[phi(reps[i])], and phibar lambda(g) phibar^-1 =
-    lambda(phi(g)).  So phibar maps the seed class of sigma onto the class
-    of phibar sigma phibar^-1, and the atoms met from sigma onto the atoms
-    met from it (see `_viable_atoms`).  The maps are read lazily from the
-    isomorphisms G -> G, and one is kept when it merges two seed classes;
-    `label[i]` is the least seed merged with seed i.  Classes of different
-    kinds never merge, so the search stops once as many classes are left
-    as there are kinds, and otherwise runs through Aut(G).  Each
-    conjugation of a seed is a node.
+    `seeds`, `class_of` and `kinds` are as `_prime_order_translations`
+    returns them.  Only Galois problems (G' trivial) look for maps; the
+    others walk every seed with no map.  An automorphism phi of G permutes
+    the points by phibar(i) = coset_of[phi(reps[i])], and phibar lambda(g)
+    phibar^-1 = lambda(phi(g)).  So phibar maps the seed class of sigma
+    onto the class of phibar sigma phibar^-1, and the atoms met from sigma
+    onto the atoms met from it (see `_viable_atoms`).  The maps are read
+    lazily from the isomorphisms G -> G, and one is kept when it merges two
+    seed classes; `label[i]` is the least seed merged with seed i.  An
+    automorphism keeps the order p of a generator and the number of
+    generators of the conjugates of <sigma>, so classes of different kinds
+    never merge: the search stops once as many classes are left as there
+    are kinds, and otherwise runs through Aut(G).  Each conjugation of a
+    seed is a node.
     """
     target = len(set(kinds))
-    if action.problem.subgroup.order > 1 or target == len(seeds):
-        return [(sigma, p) for sigma, (p, _) in zip(seeds, kinds)], []
-    g = action.problem.group
-    reps, coset_of = action.reps, action.coset_of
     label = list(range(len(seeds)))
     maps = []
-    for phi in _iso_image_maps(g, g):
-        if len(set(label)) == target:
-            break
-        bar = tuple(coset_of[phi[r]] for r in reps)
-        bar_inv = inverse(bar)
-        budget.spend(len(seeds))
-        before = label
-        for i, sigma in enumerate(seeds):
-            a, b = sorted((label[i], label[class_of[conjugate(bar, sigma, bar_inv)]]))
-            label = [a if x == b else x for x in label]
-        if label != before:
-            maps.append((bar, bar_inv))
+    if action.problem.subgroup.order == 1 and target < len(seeds):
+        g = action.problem.group
+        reps, coset_of = action.reps, action.coset_of
+        for phi in _iso_image_maps(g, g):
+            if len(set(label)) == target:
+                break
+            bar = tuple(coset_of[phi[r]] for r in reps)
+            bar_inv = inverse(bar)
+            budget.spend(len(seeds))
+            before = label
+            for i, sigma in enumerate(seeds):
+                a, b = sorted((label[i], label[class_of[conjugate(bar, sigma, bar_inv)]]))
+                label = [a if x == b else x for x in label]
+            if label != before:
+                maps.append((bar, bar_inv))
     return [(sigma, kinds[i][0]) for i, sigma in enumerate(seeds)
             if label[i] == i], maps
+
+
+def _conjugation(bar, bar_inv):
+    """t -> phibar t phibar^-1, as phibar o (t o phibar^-1), with one getter
+    of phibar^-1's images."""
+    right = itemgetter(*bar_inv)
+    return lambda t: itemgetter(*right(t))(bar)
 
 
 def _close_under(found: dict, keys, maps, budget, carry) -> None:
     """Add to `found`, a dict keyed by sets of image tuples, the conjugate
     of each key by each phibar of `maps` (pairs (phibar, phibar^-1)),
     starting from `keys`, until nothing new appears.  A new key's value is
-    carry(value of its preimage, {t: its conjugate}).  One node per
-    conjugation; each is phibar o (t o phibar^-1), with one getter of
-    phibar^-1's images per map."""
-    pairs = [(bar, itemgetter(*bar_inv)) for bar, bar_inv in maps]
+    carry(value of its preimage, the conjugation by phibar that gave it);
+    the key itself is conjugated straight into a frozenset.  One node per
+    conjugation."""
+    conjugations = [_conjugation(bar, bar_inv) for bar, bar_inv in maps]
     stack = list(keys)
     while stack:
         a = stack.pop()
-        for bar, right in pairs:
+        for conj in conjugations:
             budget.spend(len(a))
-            image = {t: itemgetter(*right(t))(bar) for t in a}
-            b = frozenset(image.values())
+            b = frozenset(map(conj, a))
             if b not in found:
-                found[b] = carry(found[a], image)
+                found[b] = carry(found[a], conj)
                 stack.append(b)
 
 
@@ -635,13 +621,13 @@ def _viable_atoms(n, order, gen_pairs, seeds, maps, budget):
     keeps the generators of the first.
 
     The orbits are found from `seeds`, pairs (lambda(x), p) for one x of
-    prime order p per class of the cyclic groups <x> of G, any x of the
-    class (see `_cyclic_seeds`).  Take
-    t != 1 in such an orbit O.  Then |O| <= n - 1 < |G|, so the centralizer
-    of t in the translation image is nontrivial and holds some lambda(y) of
-    prime order; with y = g x g^-1, the conjugate of t by lambda(g)^-1 lies
-    in O and commutes with lambda(x).  So walking the semiregular elements of the
-    centralizers of the seeds in Sym(n) meets every such orbit, and the
+    prime order p per class of the cyclic groups <x> of G (see
+    `_prime_order_translations`).  Take t != 1 in such an orbit O.  Then
+    |O| <= n - 1 < |G|, so the centralizer of t in the translation image
+    is nontrivial and holds some lambda(y) of prime order; with <y> =
+    g <x> g^-1 for a seed x, the conjugate of t by lambda(g)^-1 lies in O
+    and commutes with lambda(x).  So walking the semiregular elements of
+    the centralizers of the seeds in Sym(n) meets every such orbit, and the
     atoms are exactly those of a walk over all semiregular permutations.
     A seed of prime p walks only the cycle lengths `_walked_lengths` gives
     for p, n and |G| = `order`: the kept orbits of every other length are
@@ -678,7 +664,7 @@ def _viable_atoms(n, order, gen_pairs, seeds, maps, budget):
                 if grown is not None:
                     atoms.setdefault(*grown)
     _close_under(atoms, list(atoms), maps, budget,
-                 lambda gens, image: tuple(image[t] for t in gens))
+                 lambda gens, conj: tuple(map(conj, gens)))
     return sorted(atoms.items(), key=lambda item: sorted(item[0]))
 
 
@@ -784,7 +770,7 @@ def enumerate_regular_normalized(action: CosetAction, *,
     formed (see `_combine_atoms`).
 
     Stage 1 walks one seed per class of cyclic subgroups of prime order
-    (see `_cyclic_seeds`), each over the cycle lengths `_walked_lengths`
+    (see `_prime_order_translations`), each over the cycle lengths `_walked_lengths`
     gives.  For a Galois problem, it walks one seed per class under some
     automorphisms of G and maps the atoms found to the others (see
     `_viable_atoms`), and each N's isomorphism type is computed once per
@@ -799,7 +785,7 @@ def enumerate_regular_normalized(action: CosetAction, *,
     gen_pairs = action.generator_pairs()
     seeds, class_of, kinds = _prime_order_translations(action)
     budget.seeds += len(seeds)
-    walked, maps = _seed_maps(action, *_cyclic_seeds(seeds, class_of, kinds), budget)
+    walked, maps = _seed_maps(action, seeds, class_of, kinds, budget)
     budget.seeds_walked += len(walked)
     atoms = _viable_atoms(n, len(action.problem.group), gen_pairs, walked, maps,
                           budget)

@@ -14,7 +14,7 @@ alone, for structures that do not come from a search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import (CosetAction, ExtensionProblem, HGStructure, NodeBudget,
                      coset_action, enumerate_regular_normalized,
@@ -163,8 +163,7 @@ def holomorph_minimality_certificate(n: FiniteGroup) -> bool:
     return is_minimal(structure)
 
 
-@dataclass
-class StructureVerdict:
+class StructureVerdict(NamedTuple):
     structure: HGStructure
     stable_subgroups: list[SubgroupRef]
     minimal: bool
@@ -174,8 +173,7 @@ class StructureVerdict:
         return len(self.stable_subgroups)
 
 
-@dataclass
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Everything known about one extension problem: all structures with
     their stable-subgroup lattices and minimality verdicts, plus the
     correspondence statistics and the normal-complement lower bound.
@@ -225,13 +223,13 @@ def classify(problem: ExtensionProblem, *, degree_cap: int = DEGREE_CAP,
     """Enumerate the structures of the problem and classify each one.
 
     The search (`enumerate_regular_normalized`) walks one stage-1 seed per
-    class of cyclic subgroups of prime order.  It uses the automorphisms
-    of G as a symmetry for Galois problems only: there it walks one seed
-    per class under the maps it finds and types each N once per orbit of
-    them.  Each seed skips the cycle lengths whose orbits a larger prime's
-    seed meets.  The answers are the same either way; `seeds`,
-    `seeds_walked`, `walks` and `walks_skipped` in the report show the
-    cuts.
+    conjugacy class of cyclic subgroups of prime order.  It uses the
+    automorphisms of G as a symmetry for Galois problems only: there it
+    walks one seed per class under the maps it finds and types each N once
+    per orbit of them.  Each seed skips the cycle lengths whose orbits a
+    larger prime's seed meets.  The answers are the same either way; `seeds` in the
+    report counts the classes, and `seeds_walked`, `walks` and
+    `walks_skipped` show the cuts.
     """
     if budget is None:
         budget = NodeBudget()

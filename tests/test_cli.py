@@ -68,6 +68,16 @@ def test_exit_code_cap(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("cap", ["1", "0", "-5"])
+def test_degree_cap_below_2_is_a_usage_error(capsys, cap):
+    # no extension has degree below 2: a bad argument, not a cap reached
+    code, out, err = run(capsys, "enumerate", "C(4)", "--galois", "--degree-cap", cap)
+    assert code == 1
+    assert out == ""
+    assert "--degree-cap must be at least 2" in err
+    assert err.endswith(f"got {cap}\n")
+
+
 def test_exit_code_degree_cap_e24(capsys):
     code, out, err = run(capsys, "enumerate", E24_EXPRS[240], "--complement")
     assert code == 3

@@ -18,7 +18,7 @@ from hopfgalois import (BudgetExceeded, CapExceeded, ExtensionProblem,
 from hopfgalois.dsl import build_text
 from hopfgalois.catalog import iso_type
 from hopfgalois.engine import (DEGREE_CAP, CosetAction, _closure, _combine_atoms,
-                               _conj_orbit, _core, _cosets, _cyclic_seeds,
+                               _conj_orbit, _core, _cosets,
                                _divisors, _orbit_bound, _prime_factors,
                                _prime_order_translations, _regular_normalized,
                                _seed_maps, _semiregular_centralizer,
@@ -326,21 +326,32 @@ def test_action_read_from_the_image_matches_the_routes_on_g(name):
     lam = {act.translation(x): x for x in range(len(g))}
     assert act.image == {act.translation(x) for x in range(len(g))}
     assert list(act.image)[0] == tuple(range(act.degree))
-    # the seeds meet each class of prime-order elements of G once
+    # the seeds meet each class of cyclic subgroups of prime order p of G
+    # once; its generators are the classes of x^k for k prime to p
     classes = g.conjugacy_classes()
     class_of = {x: i for i, cls in enumerate(classes) for x in cls}
-    prime = [i for i, cls in enumerate(classes)
-             if _is_prime(g.element_order(cls[0]))]
+    generators = {}
+    for cls in classes:
+        p = g.element_order(cls[0])
+        if not _is_prime(p):
+            continue
+        power, union = cls[0], set()
+        for _ in range(p - 1):
+            union.update(classes[class_of[power]])
+            power = g.mul(cls[0], power)
+        generators[frozenset(union)] = p
     seeds, seed_of, kinds = _prime_order_translations(act)
-    met = [class_of[lam[t]] for t in seeds]
-    assert sorted(met) == prime
-    # every element of those classes is reported with its seed, and each
-    # class with its element order and size
-    assert len(seed_of) == sum(len(classes[i]) for i in prime)
+    met = [next(u for u in generators if lam[t] in u) for t in seeds]
+    assert sorted(met, key=sorted) == sorted(generators, key=sorted)
+    # each seed comes first in the image among its class's generators;
+    # every generator is reported with its seed, and each class with its
+    # prime and its number of generators
+    for t, u in zip(seeds, met):
+        assert t == next(s for s in act.image if lam[s] in u)
+    assert len(seed_of) == sum(map(len, generators))
     for t, i in seed_of.items():
-        assert class_of[lam[t]] == class_of[lam[seeds[i]]]
-    assert kinds == [(g.element_order(lam[t]), len(classes[class_of[lam[t]]]))
-                     for t in seeds]
+        assert lam[t] in met[i]
+    assert kinds == [(generators[u], len(u)) for u in met]
 
 
 @pytest.mark.parametrize("expr,mode", [("A(6)", "point"),
@@ -483,21 +494,25 @@ DEGREE_9_AND_10 = {
 def searched_atoms(act, budget):
     """(stage 1's (atom, generators) pairs, kept maps), as
     `enumerate_regular_normalized` runs it."""
-    seeds, class_of, kinds = _prime_order_translations(act)
-    walked, maps = _seed_maps(act, *_cyclic_seeds(seeds, class_of, kinds), budget)
+    walked, maps = _seed_maps(act, *_prime_order_translations(act), budget)
     atoms = _viable_atoms(act.degree, len(act.problem.group), act.generator_pairs(),
                           walked, maps, budget)
     return atoms, maps
 
 
 def every_walk_atoms(act, budget):
-    """Stage 1 with nothing cut: the atoms met walking every seed of
-    `_prime_order_translations` over every cycle length, with no map."""
+    """Stage 1 with nothing cut: the atoms met walking, over every cycle
+    length and with no map, the translation of one element of each class
+    of prime-order elements of G, read from `G.conjugacy_classes()`."""
     n = act.degree
+    g = act.problem.group
     gen_pairs = act.generator_pairs()
     trivial = (tuple(range(n)),)
     atoms, visited = set(), set()
-    for sigma in _prime_order_translations(act)[0]:
+    for cls in g.conjugacy_classes():
+        if not _is_prime(g.element_order(cls[0])):
+            continue
+        sigma = act.translation(cls[0])
         for d in _divisors(n):
             for t in _semiregular_centralizer(sigma, d):
                 if t in visited:
@@ -868,7 +883,8 @@ def test_galois_search_walks_one_seed_per_automorphism_class():
     # 124,204 nodes when every seed is walked and every N typed
     report = classify(ExtensionProblem.galois(direct_product(cyclic(6), cyclic(2))))
     assert report.structure_count == 20
-    assert (report.seeds, report.seeds_walked) == (5, 2)
+    # four classes of cyclic subgroups of prime order, two under Aut(G)
+    assert (report.seeds, report.seeds_walked) == (4, 2)
     assert report.nodes_used <= 60_000
 
 
