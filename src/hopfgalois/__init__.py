@@ -13,9 +13,8 @@ from .groups import (FiniteGroup, SubgroupRef, abelian_invariants,
                      holomorph_copies, inner_automorphism,
                      is_characteristically_simple, quaternion,
                      semidirect_product, symmetric)
-from .minimality import (ClassificationReport, StructureVerdict,
-                         characteristic_obstruction, classify,
-                         correspondence_stats, g_stable_subgroups,
+from .minimality import (ClassificationReport, characteristic_obstruction,
+                         classify, correspondence_stats, g_stable_subgroups,
                          holomorph_minimality_certificate,
                          intermediate_subgroups, is_minimal,
                          minimal_lower_bound, normal_complements)

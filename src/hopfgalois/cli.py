@@ -16,7 +16,7 @@ import os
 import sys
 import time
 
-from .dsl import DslError, build_text
+from .dsl import DslError, Gens, build_text, parse
 from .engine import (DEGREE_CAP, DEFAULT_NODE_BUDGET, ExtensionProblem,
                      NodeBudget, coset_action, translation_structure)
 from .errors import BudgetExceeded, CapExceeded, NotNormalClosure
@@ -26,6 +26,7 @@ from .groups import (FiniteGroup, alternating, are_isomorphic,
 from .minimality import (ClassificationReport, classify,
                          intermediate_subgroups, is_minimal,
                          minimal_lower_bound)
+from .perms import from_cycles
 
 SCHEMA_VERSION = 1
 
@@ -60,17 +61,18 @@ def _problem(built, mode: str, subgroup_text: str | None = None) -> ExtensionPro
         if built.complement is None:
             raise ValueError("--complement needs an SD(...) or Hol(...) expression")
         return ExtensionProblem(group, built.complement)
-    # --subgroup "gens[...]"
+    # --subgroup "gens[...]", read on G's points
     if group.perm_degree is None:
         raise ValueError("--subgroup gens[...] needs a permutation group")
-    sub_built = build_text(subgroup_text)
-    if sub_built.group.perm_degree != group.perm_degree:
-        raise ValueError("subgroup generators act on the wrong number of points")
+    node = parse(subgroup_text)
+    if not isinstance(node, Gens):
+        raise ValueError(f"--subgroup takes gens[...], got {subgroup_text!r}")
     try:
-        members = [group.index_of(r) for r in sub_built.group.raw_elements()]
+        gens = [group.index_of(from_cycles(group.perm_degree, cs))
+                for cs in node.perms]
     except KeyError:
         raise ValueError("subgroup generators do not lie in the group")
-    return ExtensionProblem(group, group.subgroup(members))
+    return ExtensionProblem(group, group.subgroup(group.closure_of(gens)))
 
 
 def _report_document(expr_text: str, subgroup_desc: str, report: ClassificationReport,
@@ -88,13 +90,13 @@ def _report_document(expr_text: str, subgroup_desc: str, report: ClassificationR
         },
         "structures": [
             {
-                "type": v.structure.type_name,
-                "generators": v.structure.generator_strings(),
-                "minimal": v.minimal,
-                "subhopf_count": v.subhopf_count,
-                "stable_subgroup_orders": [s.order for s in v.stable_subgroups],
+                "type": s.type_name,
+                "generators": s.generator_strings(),
+                "minimal": is_minimal(s),
+                "subhopf_count": len(s.stable_subgroups),
+                "stable_subgroup_orders": [q.order for q in s.stable_subgroups],
             }
-            for v in report.verdicts
+            for s in report.structures
         ],
         "stats": {
             "structure_count": report.structure_count,
@@ -110,11 +112,7 @@ def _report_document(expr_text: str, subgroup_desc: str, report: ClassificationR
     # Nodes and elapsed time measure the engine, not the answer; canonical
     # mode leaves them out so the output is byte-identical across runs.
     if not canonical:
-        doc["engine"]["nodes"] = report.nodes_used
-        doc["engine"]["seeds"] = report.seeds
-        doc["engine"]["seeds_walked"] = report.seeds_walked
-        doc["engine"]["walks"] = report.walks
-        doc["engine"]["walks_skipped"] = report.walks_skipped
+        doc["engine"].update(report.engine)
         if elapsed is not None:
             doc["engine"]["elapsed_s"] = round(elapsed, 6)
     return doc
@@ -235,8 +233,7 @@ def _fixture_example4(budget: NodeBudget, _args) -> list[dict]:
         built = build_text(expr)
         _check(checks, f"{expr}: order", order, len(built.group))
         rep = _classify_text(expr, "complement", budget)
-        minimal_types = sorted(v.structure.type_name
-                               for v in rep.verdicts if v.minimal)
+        minimal_types = sorted(s.type_name for s in rep.structures if is_minimal(s))
         _check(checks, f"{expr}: minimal structure of type {typ}",
                True, typ in minimal_types)
     a4 = build_text("SD(E(2,2), matgrp(2,2,[[[1,1],[1,0]]]))").group

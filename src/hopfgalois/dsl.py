@@ -99,6 +99,10 @@ def _lex(text: str) -> list[_Tok]:
             continue
         if re.fullmatch(r"-?\d+", tok):
             toks.append(_Tok("INT", tok, *at))
+        elif tok[0] == "x" and tok[1:] in _Parser.KNOWN:
+            # the infix 'x' written against a constructor, as in C(2)xC(3)
+            toks.append(_Tok("NAME", "x", *at))
+            toks.append(_Tok("NAME", tok[1:], at[0], at[1] + 1))
         elif re.fullmatch(r"[A-Za-z_]\w*", tok):
             toks.append(_Tok("NAME", tok, *at))
         elif tok in "()[],":

@@ -3,13 +3,13 @@
 A structure is minimal when its Hopf algebra has exactly two sub-Hopf
 algebras; group-theoretically, when N has no proper nontrivial subgroup
 stable under the translation action of G.  Minimality is always decided
-from that stable-subgroup lattice; the characteristic-subgroup shortcut is
-computed separately so the implication can be cross-checked.
+from that stable-subgroup lattice, `HGStructure.stable_subgroups`; the
+characteristic-subgroup shortcut is computed separately so the implication
+can be cross-checked.
 
-`classify` reads each lattice from the search, which has formed every
-stable subgroup of every N it finds (see `engine._combine_atoms`).
-`g_stable_subgroups` computes it independently, from N and the action
-alone, for structures that do not come from a search.
+A structure from the search carries the lattice the search formed (see
+`engine._combine_atoms`).  `g_stable_subgroups` computes it independently,
+from N and the action alone, and never reads the stored one.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ def g_stable_subgroups(structure: HGStructure) -> list[SubgroupRef]:
 
 
 def is_minimal(structure: HGStructure) -> bool:
-    return len(g_stable_subgroups(structure)) == 2
+    return len(structure.stable_subgroups) == 2
 
 
 def characteristic_obstruction(structure: HGStructure) -> SubgroupRef | None:
@@ -142,7 +142,7 @@ def correspondence_stats(problem: ExtensionProblem,
     The first never exceeds the second: the fixed-field map embeds the
     sub-Hopf lattice into the intermediate-field lattice.
     """
-    return (len(g_stable_subgroups(structure)),
+    return (len(structure.stable_subgroups),
             len(intermediate_subgroups(problem, structure.action)))
 
 
@@ -163,59 +163,47 @@ def holomorph_minimality_certificate(n: FiniteGroup) -> bool:
     return is_minimal(structure)
 
 
-class StructureVerdict(NamedTuple):
-    structure: HGStructure
-    stable_subgroups: list[SubgroupRef]
-    minimal: bool
-
-    @property
-    def subhopf_count(self) -> int:
-        return len(self.stable_subgroups)
-
-
 class ClassificationReport(NamedTuple):
-    """Everything known about one extension problem: all structures with
-    their stable-subgroup lattices and minimality verdicts, plus the
-    correspondence statistics and the normal-complement lower bound.
+    """Everything known about one extension problem: all structures, each
+    with its stable-subgroup lattice, plus the correspondence statistics
+    and the normal-complement lower bound.
 
-    `nodes_used`, `seeds`, `seeds_walked`, `walks` and `walks_skipped` are
-    the budget's counters (see `NodeBudget`): they describe the search, not
-    the answer."""
+    `engine` is the budget's counters (see `NodeBudget.counters`): they
+    describe the search, not the answer."""
 
     problem: ExtensionProblem
-    verdicts: list[StructureVerdict]
+    structures: list[HGStructure]
     intermediate_count: int
     normal_complement_bound: int
-    nodes_used: int
-    seeds: int
-    seeds_walked: int
-    walks: int
-    walks_skipped: int
+    engine: dict[str, int]
+
+    @property
+    def nodes_used(self) -> int:
+        return self.engine["nodes"]
 
     @property
     def minimal_count(self) -> int:
-        return sum(1 for v in self.verdicts if v.minimal)
+        return sum(map(is_minimal, self.structures))
 
     @property
     def structure_count(self) -> int:
-        return len(self.verdicts)
+        return len(self.structures)
 
     def types(self) -> list[str]:
-        return [v.structure.type_name for v in self.verdicts]
+        return [s.type_name for s in self.structures]
 
 
-def _complement_bound(action: CosetAction, verdicts: list[StructureVerdict]) -> int:
-    """minimal_lower_bound, read from the verdicts.
+def _complement_bound(action: CosetAction, structures: list[HGStructure]) -> int:
+    """minimal_lower_bound, read from the structures.
 
     An enumerated N inside the translation image of G is the image of a
     normal complement M of G', and its stable subgroups are exactly the
-    subgroups of M normal in G; so the minimal such N are counted.
+    subgroups of M normal in G; so the minimal such N are counted.  The
+    search has built the image already.
     """
-    minimal = [v for v in verdicts if v.minimal]
-    if not minimal:
-        return 0
     image = action.image
-    return sum(1 for v in minimal if all(t in image for t in v.structure.key()))
+    return sum(1 for s in structures
+               if is_minimal(s) and all(t in image for t in s.key()))
 
 
 def classify(problem: ExtensionProblem, *, degree_cap: int = DEGREE_CAP,
@@ -227,25 +215,18 @@ def classify(problem: ExtensionProblem, *, degree_cap: int = DEGREE_CAP,
     automorphisms of G as a symmetry for Galois problems only: there it
     walks one seed per class under the maps it finds and types each N once
     per orbit of them.  Each seed skips the cycle lengths whose orbits a
-    larger prime's seed meets.  The answers are the same either way; `seeds` in the
-    report counts the classes, and `seeds_walked`, `walks` and
-    `walks_skipped` show the cuts.
+    larger prime's seed meets.  The answers are the same either way; the
+    report's `engine` counters (see `NodeBudget`) show the cuts.
     """
     if budget is None:
         budget = NodeBudget()
     action = coset_action(problem)
     structures = enumerate_regular_normalized(
         action, degree_cap=degree_cap, budget=budget)
-    verdicts = [StructureVerdict(s, s.stable_subgroups, len(s.stable_subgroups) == 2)
-                for s in structures]
     return ClassificationReport(
         problem=problem,
-        verdicts=verdicts,
+        structures=structures,
         intermediate_count=len(intermediate_subgroups(problem, action)),
-        normal_complement_bound=_complement_bound(action, verdicts),
-        nodes_used=budget.used,
-        seeds=budget.seeds,
-        seeds_walked=budget.seeds_walked,
-        walks=budget.walks,
-        walks_skipped=budget.walks_skipped,
+        normal_complement_bound=_complement_bound(action, structures),
+        engine=budget.counters(),
     )

@@ -13,7 +13,8 @@ from hopfgalois import (CapExceeded, ExtensionProblem, alternating,
                         are_isomorphic, automorphism_group, coset_action,
                         correspondence_stats, cyclic, dihedral,
                         elementary_abelian, enumerate_regular_normalized,
-                        enumerate_via_transversal, holomorph, holomorph_copies,
+                        enumerate_via_transversal, g_stable_subgroups,
+                        holomorph, holomorph_copies,
                         inner_automorphism, is_minimal, minimal_lower_bound,
                         normal_complements, quaternion, symmetric,
                         translation_structure)
@@ -40,9 +41,9 @@ def test_criterion_01_quartic_symmetric_case(reports):
     rep = reports["S4/S3"]
     ok = (rep.structure_count == 1
           and rep.types() == ["E(2,2)"]
-          and rep.verdicts[0].minimal
+          and is_minimal(rep.structures[0])
           and correspondence_stats(catalog_problems()["S4/S3"],
-                                   rep.verdicts[0].structure) == (2, 2))
+                                   rep.structures[0]) == (2, 2))
     assert v.record(ok)
 
 
@@ -91,8 +92,8 @@ def test_criterion_06_alternating_quartic(reports):
     rep = reports["A4/C3"]
     prob = catalog_problems()["A4/C3"]
     comps = normal_complements(prob)
-    ok = (any(vv.minimal and vv.structure.type_name == "E(2,2)"
-              for vv in rep.verdicts)
+    ok = (any(is_minimal(s) and s.type_name == "E(2,2)"
+              for s in rep.structures)
           and len(comps) == 1 and comps[0].order == 4
           and minimal_lower_bound(prob) == 1 <= rep.minimal_count)
     assert v.record(ok)
@@ -106,8 +107,8 @@ def test_criterion_07_order_56(reports):
     m = normal_complements(prob)[0]
     s = translation_structure(act, m.members)
     ok = s.type_name == "E(2,3)" and is_minimal(s)
-    ok &= any(vv.minimal and vv.structure.type_name == "E(2,3)"
-              for vv in reports["order 56"].verdicts)
+    ok &= any(is_minimal(n) and n.type_name == "E(2,3)"
+              for n in reports["order 56"].structures)
     assert v.record(ok)
 
 
@@ -119,8 +120,8 @@ def test_criterion_08_order_36(reports):
     m = normal_complements(prob)[0]
     s = translation_structure(act, m.members)
     ok = s.type_name == "E(3,2)" and is_minimal(s)
-    ok &= any(vv.minimal and vv.structure.type_name == "E(3,2)"
-              for vv in reports["order 36"].verdicts)
+    ok &= any(is_minimal(n) and n.type_name == "E(3,2)"
+              for n in reports["order 36"].structures)
     assert v.record(ok)
 
 
@@ -180,23 +181,23 @@ def test_criterion_11_property_suite(reports):
     for name, rep in reports.items():
         prob = probs[name]
         inter = rep.intermediate_count
-        for vv in rep.verdicts:
-            s = vv.structure
+        for s in rep.structures:
+            minimal = is_minimal(s)
             if characteristic_obstruction(s) is not None:      # (a)
-                ok &= not vv.minimal
+                ok &= not minimal
             if len(s.group) in (2, 3, 5, 7, 11):               # (b)
-                ok &= vv.minimal
-            ok &= 2 <= vv.subhopf_count <= inter               # (c)
-            ok &= vv.minimal == (vv.subhopf_count == 2)        # (d)
+                ok &= minimal
+            ok &= 2 <= len(s.stable_subgroups) <= inter        # (c)
+            ok &= minimal == (len(g_stable_subgroups(s)) == 2)  # (d)
         ok &= rep.minimal_count >= rep.normal_complement_bound
         # (e) N inside the translation image pulls back to a normal complement
         act = coset_action(prob)
         g = prob.group
         lam = {act.translation(x): x for x in range(len(g))}
         complement_sets = {frozenset(c.members) for c in normal_complements(prob)}
-        for vv in rep.verdicts:
-            if all(p in lam for p in vv.structure.key()):
-                pre = frozenset(lam[p] for p in vv.structure.key())
+        for s in rep.structures:
+            if all(p in lam for p in s.key()):
+                pre = frozenset(lam[p] for p in s.key())
                 ok &= pre in complement_sets
         # (f) cross-engine agreement at degree <= 8
         if prob.degree <= 8:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hopfgalois import ExtensionProblem, NodeBudget, classify, dihedral
 from hopfgalois.cli import main
 from hopfgalois.groups import FiniteGroup
 from hopfgalois.engine import DEGREE_CAP
@@ -59,6 +60,31 @@ def test_exit_code_not_normal_closure(capsys):
     assert code == 2
     assert out == ""
     assert "normal" in err
+
+
+def test_subgroup_generators_act_on_the_points_of_g(capsys):
+    # (0 1 2) lies in S(4) although its text names only three points
+    code, out, err = run(capsys, "enumerate", "S(4)", "--subgroup", "gens[(0 1 2)]",
+                         "--canonical")
+    assert code == 0, err
+    problem = json.loads(out)["problem"]
+    assert (problem["subgroup_order"], problem["degree"]) == (3, 8)
+    code, padded, _ = run(capsys, "enumerate", "S(4)", "--subgroup",
+                          "gens[(0 1 2), (3)]", "--canonical")
+    assert code == 0
+    assert padded.replace(", (3)", "") == out
+
+
+@pytest.mark.parametrize("group,subgroup,message", [
+    ("S(4)", "C(2)", "--subgroup takes gens[...], got 'C(2)'"),
+    ("S(4)", "gens[(0 4)]", "point 4 out of range for degree 4"),
+    ("A(4)", "gens[(0 1)]", "subgroup generators do not lie in the group"),
+])
+def test_subgroup_errors_name_the_fault(capsys, group, subgroup, message):
+    code, out, err = run(capsys, "enumerate", group, "--subgroup", subgroup)
+    assert code == 1
+    assert out == ""
+    assert message in err
 
 
 def test_exit_code_cap(capsys):
@@ -170,6 +196,19 @@ def test_walk_counts_are_reported_outside_canonical_output(capsys):
     code, out, _ = run(capsys, "enumerate", "E(2,3)", "--galois", "--json")
     engine = json.loads(out)["engine"]
     assert (engine["walks"], engine["walks_skipped"]) == (3, 0)
+
+
+def test_engine_block_holds_the_budget_counters(capsys):
+    report = classify(ExtensionProblem.galois(dihedral(5)))
+    counters = NodeBudget().counters()
+    assert set(report.engine) == set(counters)
+    code, out, _ = run(capsys, "enumerate", "D(5)", "--galois", "--json")
+    assert code == 0
+    engine = json.loads(out)["engine"]
+    assert {k: engine[k] for k in counters} == report.engine
+    code, out, _ = run(capsys, "enumerate", "D(5)", "--galois", "--canonical")
+    assert code == 0
+    assert not set(json.loads(out)["engine"]) & set(counters)
 
 
 def test_canonical_output_leaves_out_the_seed_counts(capsys):

@@ -44,8 +44,8 @@ def test_corpus_row(workload, row):
     assert got == (row.structures, row.minimal, row.types, row.intermediate,
                    row.bound), row.source
     # the lattices the search supplies, against the independent computation
-    for v in report.verdicts:
-        assert v.stable_subgroups == g_stable_subgroups(v.structure)
+    for s in report.structures:
+        assert s.stable_subgroups == g_stable_subgroups(s)
 
 
 def test_crosscheck_script_passes():

@@ -31,6 +31,19 @@ def test_parse_products():
          Call("S", (IntArg(3),)))))
 
 
+@pytest.mark.parametrize("text,spaced", [
+    ("C(2)xC(3)", "C(2) x C(3)"),
+    ("C(2)xgens[(0 1)]", "C(2) x gens[(0 1)]"),
+    ("C(2) xHol(C(3))", "C(2) x Hol(C(3))"),
+    ("C(2)xSD(E(2,2), matgrp(2,2,[[[1,1],[1,0]]]))xQ(8)",
+     "C(2) x SD(E(2,2), matgrp(2,2,[[[1,1],[1,0]]])) x Q(8)"),
+])
+def test_product_sign_against_a_constructor(text, spaced):
+    # the grammar is whitespace-insensitive: 'x' written against the next
+    # constructor is still the product sign
+    assert same(parse(text), parse(spaced))
+
+
 def test_parse_semidirect_with_matrices():
     expr = parse("SD(E(2,3), matgrp(2,3,[[[1,1,1],[1,1,0],[1,0,0]]]))")
     assert isinstance(expr, Call) and expr.name == "SD"
@@ -58,6 +71,9 @@ def test_syntax_errors_carry_positions():
         parse("S(4) extra")
     with pytest.raises(DslError, match="unknown constructor"):
         parse("Frob(2)")
+    # 'x' splits off only in front of a known constructor
+    with pytest.raises(DslError, match="unexpected trailing input 'xFrob'"):
+        parse("C(2)xFrob(3)")
     with pytest.raises(DslError):
         parse("S(4")
     with pytest.raises(DslError, match="column"):

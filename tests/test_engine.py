@@ -20,7 +20,8 @@ from hopfgalois.catalog import iso_type
 from hopfgalois.engine import (DEGREE_CAP, CosetAction, _closure, _combine_atoms,
                                _conj_orbit, _core, _cosets,
                                _divisors, _orbit_bound, _prime_factors,
-                               _prime_order_translations, _regular_normalized,
+                               _prime_order, _prime_order_translations,
+                               _regular_normalized,
                                _seed_maps, _semiregular_centralizer,
                                _semiregular_tuples, _viable_atoms,
                                _walked_lengths)
@@ -352,6 +353,19 @@ def test_action_read_from_the_image_matches_the_routes_on_g(name):
     for t, i in seed_of.items():
         assert lam[t] in met[i]
     assert kinds == [(generators[u], len(u)) for u in met]
+
+
+@pytest.mark.parametrize("degree", [5, 6])
+def test_prime_order_reads_the_cycles(degree):
+    # against the order found by composing powers, on every t != 1 of S(n)
+    identity = tuple(range(degree))
+    for t in symmetric(degree).raw_elements():
+        if t == identity:
+            continue
+        order, u = 1, t
+        while u != identity:
+            order, u = order + 1, compose(t, u)
+        assert _prime_order(t) == (order if _is_prime(order) else 0), t
 
 
 @pytest.mark.parametrize("expr,mode", [("A(6)", "point"),
@@ -884,7 +898,7 @@ def test_galois_search_walks_one_seed_per_automorphism_class():
     report = classify(ExtensionProblem.galois(direct_product(cyclic(6), cyclic(2))))
     assert report.structure_count == 20
     # four classes of cyclic subgroups of prime order, two under Aut(G)
-    assert (report.seeds, report.seeds_walked) == (4, 2)
+    assert (report.engine["seeds"], report.engine["seeds_walked"]) == (4, 2)
     assert report.nodes_used <= 60_000
 
 
@@ -966,7 +980,7 @@ def test_degree_14_galois_literature_rows(group, types):
     report = classify(ExtensionProblem.galois(group()), degree_cap=14)
     assert Counter(report.types()) == types
     assert report.minimal_count == 0
-    assert report.walks_skipped == 2
+    assert report.engine["walks_skipped"] == 2
     assert report.nodes_used <= 20_000
 
 

@@ -13,7 +13,7 @@ from hopfgalois import (ExtensionProblem, FiniteGroup, HGStructure,
                         is_minimal, minimal_lower_bound, normal_complements,
                         symmetric, translation_structure)
 from hopfgalois.dsl import build_text
-from hopfgalois.perms import conjugate, cycle_string, inverse
+from hopfgalois.perms import compose, conjugate, cycle_string, from_cycles, inverse
 from conftest import (catalog_problems, complement_problem, stabilizer_problem,
                       subgroup_problem)
 from test_canonical_digest import DEGREE_12_SHA256
@@ -92,11 +92,10 @@ def test_lattice_galois_c8_cyclic_type():
 
 def test_lattice_two_routes_agree(reports):
     for name, report in reports.items():
-        for v in report.verdicts:
-            s = v.structure
+        for s in report.structures:
             maps = [s.conj_action(x) for x in s.action.generators]
-            assert v.stable_subgroups == stable_subgroups_via_filter(s.group, maps), name
-            lattice = {frozenset(u.members) for u in v.stable_subgroups}
+            assert s.stable_subgroups == stable_subgroups_via_filter(s.group, maps), name
+            lattice = {frozenset(u.members) for u in s.stable_subgroups}
             assert lattice == stable_subgroups_via_orbits(s), name
 
 
@@ -107,8 +106,8 @@ def test_search_lattices_match_oracle_degree_12(label):
         prob = ExtensionProblem.galois(build_text(expr).group)
     else:
         prob = subgroup_problem(expr, *rest)
-    for v in classify(prob).verdicts:
-        assert v.stable_subgroups == g_stable_subgroups(v.structure), label
+    for s in classify(prob).structures:
+        assert s.stable_subgroups == g_stable_subgroups(s), label
 
 
 def test_classify_does_not_rebuild_lattices(monkeypatch):
@@ -122,14 +121,42 @@ def test_classify_does_not_rebuild_lattices(monkeypatch):
     rep = classify(ExtensionProblem.galois(elementary_abelian(2, 3)))
     assert rep.structure_count == 106
     # as g_stable_subgroups gives them
-    assert Counter(v.subhopf_count for v in rep.verdicts) == {6: 42, 8: 63, 16: 1}
+    assert Counter(len(s.stable_subgroups) for s in rep.structures) == {
+        6: 42, 8: 63, 16: 1}
+    assert rep.minimal_count == 0
+
+
+def test_structures_outside_the_search_compute_their_lattice_on_read(monkeypatch):
+    # construction stays cheap: with the lattice route shut, the structures
+    # the transversal engine finds are still built
+    def shut(*args, **kwargs):
+        raise AssertionError("a lattice was built with its structure")
+
+    act = coset_action(ExtensionProblem.galois(dihedral(3)))
+    with monkeypatch.context() as m:
+        m.setattr(FiniteGroup, "stable_subgroups", shut)
+        structures = [HGStructure(act, key) for key in enumerate_via_transversal(act)]
+    for s in structures:
+        assert s.stable_subgroups == g_stable_subgroups(s)
+        assert s.stable_subgroups is s.stable_subgroups  # computed once
+    assert [is_minimal(s) for s in structures] == [False] * 5
+    # a regular group that the translations do not normalize is built, and
+    # refused when its lattice is read
+    t = from_cycles(6, [(0, 1, 2, 3, 5, 4)])
+    powers = [tuple(range(6))]
+    while len(powers) < 6:
+        powers.append(compose(t, powers[-1]))
+    s = HGStructure(act, powers)
+    assert s.type_name == "C6"
+    with pytest.raises(KeyError):
+        s.stable_subgroups
 
 
 def test_is_minimal_examples(reports):
     s4 = reports["S4/S3"]
-    assert s4.structure_count == 1 and s4.verdicts[0].minimal
-    assert all(not v.minimal for v in reports["galois C8"].verdicts)
-    assert all(not v.minimal for v in reports["galois D3"].verdicts)
+    assert s4.structure_count == 1 and is_minimal(s4.structures[0])
+    assert not any(map(is_minimal, reports["galois C8"].structures))
+    assert not any(map(is_minimal, reports["galois D3"].structures))
 
 
 def test_is_minimal_galois_d5(d5_report):
@@ -191,7 +218,7 @@ def test_minimal_lower_bound_catalog(reports):
     assert minimal_lower_bound(probs["galois C8"]) == 0
     for name, report in reports.items():
         assert report.minimal_count >= report.normal_complement_bound, name
-        # classify reads the bound off its verdicts; this is the oracle
+        # classify reads the bound off its structures; this is the oracle
         assert report.normal_complement_bound == minimal_lower_bound(probs[name]), name
 
 
@@ -226,7 +253,7 @@ def test_smaller_acting_groups_still_minimal():
 def test_correspondence_stats(reports):
     probs = catalog_problems()
     s4 = reports["S4/S3"]
-    assert correspondence_stats(probs["S4/S3"], s4.verdicts[0].structure) == (2, 2)
+    assert correspondence_stats(probs["S4/S3"], s4.structures[0]) == (2, 2)
 
     act, structures = galois_structures(cyclic(8))
     prob = ExtensionProblem.galois(cyclic(8))
@@ -338,7 +365,7 @@ def test_relabelling_invariance(expr):
     def summary(g):
         rep = classify(stabilizer_problem(g))
         return (rep.structure_count, sorted(rep.types()), rep.minimal_count,
-                sorted(v.subhopf_count for v in rep.verdicts),
+                sorted(len(s.stable_subgroups) for s in rep.structures),
                 rep.intermediate_count, rep.normal_complement_bound)
 
     before = summary(group)
@@ -381,7 +408,7 @@ def test_classify_s3_c2():
     rep = classify(stabilizer_problem(symmetric(3)))
     assert rep.structure_count == 1
     assert rep.types() == ["C3"]
-    assert rep.verdicts[0].minimal
+    assert is_minimal(rep.structures[0])
     assert rep.intermediate_count == 2
 
 
@@ -393,7 +420,7 @@ def test_classify_no_structures():
 
 def test_classify_order_36_contains_minimal_elementary_type(reports):
     rep = reports["order 36"]
-    assert any(v.minimal and v.structure.type_name == "E(3,2)" for v in rep.verdicts)
+    assert any(is_minimal(s) and s.type_name == "E(3,2)" for s in rep.structures)
 
 
 def test_quartic_with_dihedral_closure(reports):
@@ -409,15 +436,14 @@ def test_structure_properties_across_catalog(reports):
     probs = catalog_problems()
     for name, report in reports.items():
         inter = report.intermediate_count
-        for v in report.verdicts:
-            assert 2 <= v.subhopf_count <= inter, name
-            assert v.minimal == (v.subhopf_count == 2), name
-            assert v.minimal == is_minimal(v.structure), name
-            if characteristic_obstruction(v.structure) is not None:
-                assert not v.minimal, name
-            n_order = len(v.structure.group)
-            if n_order in (2, 3, 5, 7, 11):
-                assert v.minimal, name
+        for s in report.structures:
+            minimal = is_minimal(s)
+            assert 2 <= len(s.stable_subgroups) <= inter, name
+            assert minimal == (len(g_stable_subgroups(s)) == 2), name
+            if characteristic_obstruction(s) is not None:
+                assert not minimal, name
+            if len(s.group) in (2, 3, 5, 7, 11):
+                assert minimal, name
         assert report.minimal_count >= report.normal_complement_bound, name
         # Galois problems over a simple group have exactly one minimal structure
         g = probs[name].group
