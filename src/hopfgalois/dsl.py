@@ -137,6 +137,15 @@ class _Parser:
         t = self.peek()
         raise DslError(message, t.line, t.column)
 
+    def parse_list(self, item, close: str = "]") -> tuple:
+        """item (',' item)* and then `close`."""
+        items = [item()]
+        while self.peek().kind == ",":
+            self.next()
+            items.append(item())
+        self.expect(close)
+        return tuple(items)
+
     def parse_expression(self):
         factors = [self.parse_term()]
         while self.peek().kind == "NAME" and self.peek().text == "x":
@@ -163,14 +172,10 @@ class _Parser:
         if name == "gens":
             return self.parse_gens()
         self.expect("(")
-        args = []
-        if self.peek().kind != ")":
-            args.append(self.parse_arg())
-            while self.peek().kind == ",":
-                self.next()
-                args.append(self.parse_arg())
-        self.expect(")")
-        return Call(name, tuple(args))
+        if self.peek().kind == ")":
+            self.next()
+            return Call(name, ())
+        return Call(name, self.parse_list(self.parse_arg, ")"))
 
     def parse_arg(self):
         t = self.peek()
@@ -186,42 +191,23 @@ class _Parser:
         if (self.toks[self.pos + 1].kind == "[" and
                 self.toks[self.pos + 2].kind == "["):
             self.expect("[")
-            mats = [self.parse_matrix()]
-            while self.peek().kind == ",":
-                self.next()
-                mats.append(self.parse_matrix())
-            self.expect("]")
-            return MatrixList(tuple(mats))
+            return MatrixList(self.parse_list(self.parse_matrix))
         return self.parse_matrix()
 
     def parse_matrix(self) -> Matrix:
         self.expect("[")
-        rows = [self.parse_row()]
-        while self.peek().kind == ",":
-            self.next()
-            rows.append(self.parse_row())
-        self.expect("]")
+        rows = self.parse_list(self.parse_row)
         if any(len(r) != len(rows) for r in rows):
             self.fail("matrix must be square")
-        return Matrix(tuple(rows))
+        return Matrix(rows)
 
     def parse_row(self) -> tuple[int, ...]:
         self.expect("[")
-        row = [int(self.expect("INT").text)]
-        while self.peek().kind == ",":
-            self.next()
-            row.append(int(self.expect("INT").text))
-        self.expect("]")
-        return tuple(row)
+        return self.parse_list(lambda: int(self.expect("INT").text))
 
     def parse_gens(self) -> Gens:
         self.expect("[")
-        perms = [self.parse_perm()]
-        while self.peek().kind == ",":
-            self.next()
-            perms.append(self.parse_perm())
-        self.expect("]")
-        return Gens(tuple(perms))
+        return Gens(self.parse_list(self.parse_perm))
 
     def parse_perm(self) -> tuple[tuple[int, ...], ...]:
         cycles = []

@@ -218,11 +218,9 @@ class HGStructure:
         """N's sub-Hopf lattice: its subgroups stable under conjugation by
         the translations of G, sorted by (order, member set).  The search
         supplies it (see `enumerate_regular_normalized`); otherwise the
-        first read computes it, and raises KeyError if a translation does
-        not normalize N (see `conj_action`)."""
+        first read computes it (see `g_stable_subgroups`)."""
         if self._lattice is None:
-            self._lattice = self.group.stable_subgroups(
-                self.conj_action(x) for x in self.action.generators)
+            self._lattice = g_stable_subgroups(self)
         return self._lattice
 
     def key(self) -> tuple[tuple[int, ...], ...]:
@@ -245,6 +243,15 @@ class HGStructure:
 
     def __repr__(self) -> str:
         return f"<HGStructure type {self.type_name} degree {self.action.degree}>"
+
+
+def g_stable_subgroups(structure: HGStructure) -> list[SubgroupRef]:
+    """All subgroups of N stable under conjugation by the translations of G,
+    recomputed on every call: the sub-Hopf algebras of the structure's Hopf
+    algebra, the trivial subgroup and N among them, sorted by (order,
+    member set).  Raises KeyError if a translation does not normalize N."""
+    return structure.group.stable_subgroups(
+        structure.conj_action(x) for x in structure.action.generators)
 
 
 def _regular_normalized(elements, n: int, gen_pairs) -> bool:
@@ -627,18 +634,20 @@ def _close_under(found: dict, keys, maps, budget, carry) -> None:
                 stack.append(b)
 
 
-def _viable_atoms(n, order, gen_pairs, seeds, maps, budget):
+def _viable_atoms(action: CosetAction, budget: NodeBudget):
     """Stage 1: orbit inventory, seeded from centralizers.
 
     Every translation-conjugation orbit of semiregular permutations whose
     elements send point 0 to distinct points is grown to the group it
     generates, kept when that group does too (see `_closure`).  Every
-    regular normalized N is a union of such atoms.  Returns (atom, its
-    generators) pairs, sorted by atom; an atom reached from several orbits
-    keeps the generators of the first.
+    regular normalized N is a union of such atoms.  Returns (atoms, maps):
+    the (atom, its generators) pairs, sorted by atom, where an atom reached
+    from several orbits keeps the generators of the first; and the maps
+    (phibar, phibar^-1) that `_seed_maps` kept.  It adds to the budget's four
+    stage-1 counters.
 
-    The orbits are found from `seeds`, pairs (lambda(x), p) for one x of
-    prime order p per class of the cyclic groups <x> of G (see
+    The orbits are found from seeds lambda(x) for one x of prime order p
+    per class of the cyclic groups <x> of G (see
     `_prime_order_translations`).  Take t != 1 in such an orbit O.  Then
     |O| <= n - 1 < |G|, so the centralizer of t in the translation image
     is nontrivial and holds some lambda(y) of prime order; with <y> =
@@ -647,26 +656,32 @@ def _viable_atoms(n, order, gen_pairs, seeds, maps, budget):
     the centralizers of the seeds in Sym(n) meets every such orbit, and the
     atoms are exactly those of a walk over all semiregular permutations.
     A seed of prime p walks only the cycle lengths `_walked_lengths` gives
-    for p, n and |G| = `order`: the kept orbits of every other length are
+    for p, n and |G|: the kept orbits of every other length are
     met from the seeds of a larger prime.  The budget counts each walk run
     and each one skipped.  No orbit is walked twice: a walk adds every
     element it met to `visited`, whether its orbit is kept or dropped (see
     `_conj_orbit`), and an element in `visited` starts no walk.
 
-    For a Galois problem, `seeds` holds one seed per class under the maps
-    phibar of `maps` (see `_seed_maps`), and the atoms found are closed
+    For a Galois problem, one seed is walked per class under the maps
+    phibar (see `_seed_maps`), and the atoms found are closed
     under conjugation by each phibar, which carries an atom's generators to
     generators of its image.  That gives the same atoms: phibar normalizes
     lambda(G), so it maps kept orbits to kept orbits and atoms to atoms, and
     the atoms met from sigma onto those met from phibar sigma phibar^-1.  A
     finite set closed under an injective map is closed under its inverse,
     so the closure also holds the atoms of every seed left unwalked.  Other
-    problems pass every seed and no map.
+    problems walk every seed and find no map.
     """
+    n, order = action.degree, len(action.problem.group)
+    gen_pairs = action.generator_pairs()
+    seeds, class_of, kinds = _prime_order_translations(action)
+    budget.seeds += len(seeds)
+    walked, maps = _seed_maps(action, seeds, class_of, kinds, budget)
+    budget.seeds_walked += len(walked)
     trivial = (tuple(range(n)),)
     atoms: dict[frozenset, tuple] = {}
     visited: set[tuple[int, ...]] = set()
-    for sigma, p in seeds:
+    for sigma, p in walked:
         lengths = _walked_lengths(p, n, order)
         budget.walks += len(lengths)
         budget.walks_skipped += len(_divisors(n)) - len(lengths)
@@ -682,13 +697,13 @@ def _viable_atoms(n, order, gen_pairs, seeds, maps, budget):
                     atoms.setdefault(*grown)
     _close_under(atoms, list(atoms), maps, budget,
                  lambda gens, conj: tuple(map(conj, gens)))
-    return sorted(atoms.items(), key=lambda item: sorted(item[0]))
+    return sorted(atoms.items(), key=lambda item: sorted(item[0])), maps
 
 
 def _combine_atoms(atoms, n, budget):
     """Stage 2: depth-first unions of atoms, closing after every step.
 
-    `atoms` holds (atom, generators) pairs, as `_viable_atoms` returns them.
+    `atoms` holds (atom, generators) pairs, as `_viable_atoms` finds them.
     Each group formed carries its generators, so the join of p and an atom
     a is closed from p's generators plus a's (see `_closure`): they
     generate the same group as p and a.
@@ -800,12 +815,7 @@ def enumerate_regular_normalized(action: CosetAction, *,
     if budget is None:
         budget = NodeBudget()
     gen_pairs = action.generator_pairs()
-    seeds, class_of, kinds = _prime_order_translations(action)
-    budget.seeds += len(seeds)
-    walked, maps = _seed_maps(action, seeds, class_of, kinds, budget)
-    budget.seeds_walked += len(walked)
-    atoms = _viable_atoms(n, len(action.problem.group), gen_pairs, walked, maps,
-                          budget)
+    atoms, maps = _viable_atoms(action, budget)
     results, formed = _combine_atoms(atoms, n, budget)
     index = _by_least_element(formed)
     trivial = (tuple(range(n)),)

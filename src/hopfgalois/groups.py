@@ -235,31 +235,34 @@ class FiniteGroup:
     # -- generation and closure -------------------------------------------
 
     def generators(self) -> tuple[int, ...]:
-        """A small generating sequence, greedy by descending element order."""
+        """A small generating sequence, greedy by descending element order:
+        each element, in that order, that the ones picked before it do not
+        generate."""
         if self._gens is None:
-            m = len(self)
-            gens: list[int] = []
-            have: frozenset[int] = frozenset({0})
-            for i in sorted(range(1, m), key=lambda i: (-self.element_order(i), i)):
-                if i not in have:
-                    gens.append(i)
-                    have = self.closure_of(gens)
-                    if len(have) == m:
-                        break
-            self._gens = tuple(gens)
+            greedy = sorted(range(1, len(self)),
+                            key=lambda i: (-self.element_order(i), i))
+            self._gens = self._grow((0,), (), greedy)[1]
         return self._gens
 
     def closure_of(self, indices: Iterable[int]) -> frozenset[int]:
-        """The subgroup generated by `indices` (Dimino's algorithm).
+        """The subgroup generated by `indices`."""
+        return self._grow((0,), (), indices)[0]
 
-        Each index outside the subgroup H built so far extends it to a
-        union of right cosets H r: a representative times a generator lies
-        in a coset already found or starts a new one.
+    def _grow(self, members: Iterable[int], gens: Iterable[int],
+              extra: Iterable[int]) -> tuple[frozenset[int], tuple[int, ...]]:
+        """(K, generators of K) for K the subgroup generated by the subgroup
+        `members`, which `gens` generates, and the indices `extra`
+        (Dimino's algorithm).
+
+        Each index of `extra` outside the subgroup H built so far becomes a
+        generator and extends H to a union of right cosets: a
+        representative times a generator lies in a coset already found or
+        starts a new one.
         """
         mul = self.mul
-        els = {0}
-        gens: list[int] = []
-        for x in sorted(set(indices)):
+        els = set(members)
+        gens = list(gens)
+        for x in extra:
             if x in els:
                 continue
             gens.append(x)
@@ -272,7 +275,7 @@ class FiniteGroup:
                     if y not in els:
                         els.update(mul(h, y) for h in sub)
                         reps.append(y)
-        return frozenset(els)
+        return frozenset(els), tuple(gens)
 
     # -- subgroups ---------------------------------------------------------
 
@@ -299,20 +302,22 @@ class FiniteGroup:
 
         A stable subgroup is the join of the closures of the orbits of
         `maps` on its elements, and each such closure is stable; so the
-        orbit closures are joined until no new subgroup appears.
+        orbit closures are joined until no new subgroup appears.  Each
+        subgroup keeps its generators, and a join of a and b grows a by
+        the generators of b.
         """
-        atoms = {self.closure_of(orbit) for orbit in self._orbits(maps)}
-        subs = set(atoms)
+        atoms = dict(self._grow((0,), (), orbit) for orbit in self._orbits(maps))
+        subs = dict(atoms)
         frontier = list(atoms)
         while frontier:
             new = []
             for a in frontier:
-                for b in atoms:
+                for b, b_gens in atoms.items():
                     if b <= a:
                         continue
-                    j = self.closure_of(a | b)
+                    j, j_gens = self._grow(a, subs[a], b_gens)
                     if j not in subs:
-                        subs.add(j)
+                        subs[j] = j_gens
                         new.append(j)
             frontier = new
         refs = [SubgroupRef(self, s, _checked=True) for s in subs]

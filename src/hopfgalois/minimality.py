@@ -8,8 +8,9 @@ characteristic-subgroup shortcut is computed separately so the implication
 can be cross-checked.
 
 A structure from the search carries the lattice the search formed (see
-`engine._combine_atoms`).  `g_stable_subgroups` computes it independently,
-from N and the action alone, and never reads the stored one.
+`engine._combine_atoms`).  `g_stable_subgroups`, defined with the
+structures in `engine`, computes it independently, from N and the action
+alone, and never reads the stored one.
 """
 
 from __future__ import annotations
@@ -18,20 +19,9 @@ from typing import NamedTuple
 
 from .engine import (CosetAction, ExtensionProblem, HGStructure, NodeBudget,
                      coset_action, enumerate_regular_normalized,
-                     translation_structure, DEGREE_CAP)
+                     g_stable_subgroups, translation_structure, DEGREE_CAP)
 from .groups import (FiniteGroup, SubgroupRef, characteristic_subgroups,
                      is_characteristically_simple, holomorph)
-
-
-def g_stable_subgroups(structure: HGStructure) -> list[SubgroupRef]:
-    """All subgroups of N stable under conjugation by the translations of G.
-
-    These are exactly the sub-Hopf algebras of the structure's Hopf algebra,
-    so the list always contains the trivial subgroup and N itself.  Sorted
-    by (order, member set), a linear extension of inclusion.
-    """
-    return structure.group.stable_subgroups(
-        structure.conj_action(x) for x in structure.action.generators)
 
 
 def is_minimal(structure: HGStructure) -> bool:

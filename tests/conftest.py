@@ -6,7 +6,8 @@ import pytest
 
 from hopfgalois import (ExtensionProblem, NodeBudget, alternating, classify,
                         cyclic, dihedral, symmetric)
-from hopfgalois.dsl import build_text
+from hopfgalois.cli import _problem
+from hopfgalois.dsl import BuildResult, build_text
 from hopfgalois.perms import from_cycles
 
 ORDER_56_EXPR = "SD(E(2,3), matgrp(2,3,[[[1,1,1],[1,1,0],[1,0,0]]]))"
@@ -30,22 +31,26 @@ def read_cycles(text: str, degree: int) -> tuple[int, ...]:
                                 for c in text.strip("()").split(")(") if c])
 
 
+# The builders below go through the command line's own, so a problem here
+# is the one the matching flag gives.
+
+
 def stabilizer_problem(group) -> ExtensionProblem:
-    """G' = stabilizer of point 0 for a permutation-backed group."""
-    members = [i for i in range(len(group)) if group.raw(i)[0] == 0]
-    return ExtensionProblem(group, group.subgroup(members))
+    """G' = stabilizer of point 0 for a permutation-backed group, as
+    --stabilizer-of-point."""
+    return _problem(BuildResult(group), "stabilizer_of_point")
 
 
 def complement_problem(expr: str) -> ExtensionProblem:
-    built = build_text(expr)
-    return ExtensionProblem(built.group, built.complement)
+    """G' = the acting part of an SD(...) or Hol(...) expression, as
+    --complement."""
+    return _problem(build_text(expr), "complement")
 
 
 def subgroup_problem(expr: str, subgroup_expr: str) -> ExtensionProblem:
-    """G' generated by the permutations of `subgroup_expr`, as --subgroup."""
-    group = build_text(expr).group
-    members = [group.index_of(r) for r in build_text(subgroup_expr).group.raw_elements()]
-    return ExtensionProblem(group, group.subgroup(members))
+    """G' generated by the permutations of `subgroup_expr`, read on the
+    points of G, as --subgroup."""
+    return _problem(build_text(expr), "subgroup", subgroup_expr)
 
 
 def d4_point_problem() -> ExtensionProblem:

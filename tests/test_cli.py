@@ -2,12 +2,13 @@ import json
 
 import pytest
 
-from hopfgalois import ExtensionProblem, NodeBudget, classify, dihedral
+from hopfgalois import (ExtensionProblem, NodeBudget, classify, coset_action,
+                        dihedral, enumerate_via_transversal)
 from hopfgalois.cli import main
 from hopfgalois.groups import FiniteGroup
 from hopfgalois.engine import DEGREE_CAP
 
-from conftest import E24_EXPRS
+from conftest import E24_EXPRS, subgroup_problem
 
 
 def run(capsys, *argv):
@@ -73,6 +74,23 @@ def test_subgroup_generators_act_on_the_points_of_g(capsys):
                           "gens[(0 1 2), (3)]", "--canonical")
     assert code == 0
     assert padded.replace(", (3)", "") == out
+
+
+def test_subgroup_problem_of_the_tests_is_the_flags(capsys):
+    # a G' whose text names fewer points than G has, read on G's points
+    prob = subgroup_problem("S(4)", "gens[(0 1 2)]")
+    report = classify(prob)
+    code, out, err = run(capsys, "enumerate", "S(4)", "--subgroup", "gens[(0 1 2)]",
+                         "--json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert prob.degree == doc["problem"]["degree"] == 8
+    assert (report.structure_count, report.minimal_count) == (4, 0)
+    assert (doc["stats"]["structure_count"], doc["stats"]["minimal_count"]) == (4, 0)
+    assert [s.generator_strings() for s in report.structures] == \
+        [d["generators"] for d in doc["structures"]]
+    assert sorted(s.key() for s in report.structures) == \
+        enumerate_via_transversal(coset_action(prob))
 
 
 @pytest.mark.parametrize("group,subgroup,message", [

@@ -48,6 +48,15 @@ def test_corpus_row(workload, row):
         assert s.stable_subgroups == g_stable_subgroups(s)
 
 
+@pytest.mark.parametrize("workload,nodes", [
+    ("search", 3_010), ("stats", 530), ("lattice", 13_190)])
+def test_nodes_per_pass(workload, nodes):
+    # the search's work per benchmark pass, deterministic; a change that
+    # moves it updates these numbers
+    assert sum(hopfgalois.classify(row.build(hopfgalois, dsl)).nodes_used
+               for w, row in ROWS if w == workload) == nodes
+
+
 def test_crosscheck_script_passes():
     # the transversal engine, through the public API, agrees with every
     # corpus row of degree <= 8

@@ -21,8 +21,7 @@ from hopfgalois.engine import (DEGREE_CAP, CosetAction, _closure, _combine_atoms
                                _conj_orbit, _core, _cosets,
                                _divisors, _orbit_bound, _prime_factors,
                                _prime_order, _prime_order_translations,
-                               _regular_normalized,
-                               _seed_maps, _semiregular_centralizer,
+                               _regular_normalized, _semiregular_centralizer,
                                _semiregular_tuples, _viable_atoms,
                                _walked_lengths)
 from hopfgalois.groups import _is_automorphism_map, _is_prime, generated
@@ -505,15 +504,6 @@ DEGREE_9_AND_10 = {
 }
 
 
-def searched_atoms(act, budget):
-    """(stage 1's (atom, generators) pairs, kept maps), as
-    `enumerate_regular_normalized` runs it."""
-    walked, maps = _seed_maps(act, *_prime_order_translations(act), budget)
-    atoms = _viable_atoms(act.degree, len(act.problem.group), act.generator_pairs(),
-                          walked, maps, budget)
-    return atoms, maps
-
-
 def every_walk_atoms(act, budget):
     """Stage 1 with nothing cut: the atoms met walking, over every cycle
     length and with no map, the translation of one element of each class
@@ -553,7 +543,7 @@ def oracle_search(name):
     act = coset_action(oracle_search_problem(name))
     n = act.degree
     gen_pairs = act.generator_pairs()
-    seeded, _ = searched_atoms(act, NodeBudget(200_000_000))
+    seeded, _ = _viable_atoms(act, NodeBudget(200_000_000))
     orbits = list(brute_force_orbits(n, gen_pairs))
     return n, gen_pairs, seeded, orbits, brute_force_atoms(n, orbits)
 
@@ -673,7 +663,7 @@ def transitive_groups(draw):
 def test_atoms_match_the_every_walk_on_random_transitive_groups(group):
     act = coset_action(stabilizer_problem(group))
     budget = NodeBudget(10**9)
-    atoms, _ = searched_atoms(act, budget)
+    atoms, _ = _viable_atoms(act, budget)
     assert [a for a, _ in atoms] == every_walk_atoms(act, budget)
 
 
@@ -785,7 +775,7 @@ def test_atoms_carried_by_the_maps_match_the_all_seeds_walk(name):
     act = coset_action(symmetry_problem(name))
     n = act.degree
     budget = NodeBudget(10**9)
-    atoms, maps = searched_atoms(act, budget)
+    atoms, maps = _viable_atoms(act, budget)
     assert [a for a, _ in atoms] == every_walk_atoms(act, budget)
     assert_carried_generators(atoms, n)
     if act.problem.subgroup.order > 1:
@@ -853,7 +843,7 @@ def unfiltered_combine(atoms, n, budget):
 def test_skipped_joins_match_the_unfiltered_loop(name):
     act = coset_action(oracle_problem(name))
     budget = NodeBudget(10**9)
-    atoms, _ = searched_atoms(act, budget)
+    atoms, _ = _viable_atoms(act, budget)
     assert _combine_atoms(atoms, act.degree, budget) == \
         unfiltered_combine(atoms, act.degree, budget)
 
@@ -863,7 +853,7 @@ def test_index_2_joins_are_closed_once(monkeypatch):
     # each atom it holds
     act = coset_action(ExtensionProblem.galois(elementary_abelian(2, 3)))
     budget = NodeBudget(10**9)
-    atoms, _ = searched_atoms(act, budget)
+    atoms, _ = _viable_atoms(act, budget)
     calls = 0
 
     def counted(*args):

@@ -7,9 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hopfgalois.groups as groups
-from hopfgalois import (CapExceeded, FiniteGroup, abelian_invariants,
-                        alternating, are_isomorphic, automorphism_group,
-                        characteristic_subgroups, cyclic, dicyclic, dihedral,
+from hopfgalois import (CapExceeded, ExtensionProblem, FiniteGroup,
+                        abelian_invariants, alternating, are_isomorphic,
+                        automorphism_group, characteristic_subgroups,
+                        classify, cyclic, dicyclic, dihedral,
                         direct_product, elementary_abelian, holomorph,
                         holomorph_copies, inner_automorphism,
                         is_characteristically_simple, iso_type, quaternion,
@@ -478,6 +479,41 @@ def test_holomorph_copies(n, abelian):
     assert (translations == twisted) == abelian
     assert are_isomorphic(twisted.as_group(), n)
     assert are_isomorphic(translations.as_group(), n)
+
+
+# -- generators ------------------------------------------------------------
+
+
+def greedy_generators(g: FiniteGroup) -> tuple[int, ...]:
+    # the greedy pick as a loop of closures, one per pick: each element, by
+    # descending order and then index, that the picks before it do not
+    # generate
+    gens, have = [], frozenset({0})
+    for i in sorted(range(1, len(g)), key=lambda i: (-g.element_order(i), i)):
+        if i not in have:
+            gens.append(i)
+            have = g.closure_of(gens)
+            if len(have) == len(g):
+                break
+    return tuple(gens)
+
+
+@pytest.mark.parametrize("expr", [
+    "C(1)", "C(12)", "D(8)", "S(4)", "S(5)", "A(5)", "E(2,4)", "Q(16)",
+    "S(3) x C(4)", "Hol(C(9))", ORDER_56_EXPR,
+    # above TABLE_MAX
+    "A(6)", "S(6)", "Hol(E(3,2))", "Hol(E(2,3))",
+])
+def test_generators_match_the_greedy_closure_loop(expr):
+    g = build_text(expr).group
+    assert g.generators() == greedy_generators(g)
+
+
+def test_generators_of_searched_groups_match_the_greedy_closure_loop():
+    structures = classify(ExtensionProblem.galois(dihedral(4))).structures
+    assert len(structures) == 30
+    for s in structures:
+        assert s.group.generators() == greedy_generators(s.group)
 
 
 # -- subgroups ------------------------------------------------------------
