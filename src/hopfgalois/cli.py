@@ -17,7 +17,7 @@ import sys
 import time
 
 from .dsl import DslError, Gens, build_text, parse
-from .engine import (DEGREE_CAP, DEFAULT_NODE_BUDGET, ExtensionProblem,
+from .engine import (DEGREE_CAP, DEFAULT_NODE_BUDGET, ExtensionProblem, HGStructure,
                      NodeBudget, coset_action, translation_structure)
 from .errors import BudgetExceeded, CapExceeded, NotNormalClosure
 from .groups import (FiniteGroup, alternating, are_isomorphic,
@@ -75,6 +75,17 @@ def _problem(built, mode: str, subgroup_text: str | None = None) -> ExtensionPro
     return ExtensionProblem(group, group.subgroup(group.closure_of(gens)))
 
 
+def _structure_document(s: HGStructure) -> dict:
+    orders = s.stable_subgroup_orders
+    return {
+        "type": s.type_name,
+        "generators": s.generator_strings(),
+        "minimal": is_minimal(s),
+        "subhopf_count": len(orders),
+        "stable_subgroup_orders": orders,
+    }
+
+
 def _report_document(expr_text: str, subgroup_desc: str, report: ClassificationReport,
                      *, degree_cap: int, budget_limit: int,
                      elapsed: float | None, canonical: bool = False) -> dict:
@@ -88,16 +99,7 @@ def _report_document(expr_text: str, subgroup_desc: str, report: ClassificationR
             "subgroup_order": problem.subgroup.order,
             "degree": problem.degree,
         },
-        "structures": [
-            {
-                "type": s.type_name,
-                "generators": s.generator_strings(),
-                "minimal": is_minimal(s),
-                "subhopf_count": len(s.stable_subgroups),
-                "stable_subgroup_orders": [q.order for q in s.stable_subgroups],
-            }
-            for s in report.structures
-        ],
+        "structures": [_structure_document(s) for s in report.structures],
         "stats": {
             "structure_count": report.structure_count,
             "minimal_count": report.minimal_count,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import KeysView
+from collections.abc import Collection, KeysView
 from operator import itemgetter
 from typing import Iterable
 
@@ -191,41 +191,70 @@ def coset_action(problem: ExtensionProblem,
 
 class HGStructure:
     """One Hopf-Galois structure: a regular, translation-normalized
-    permutation subgroup N, held as the group of its image tuples, and its
-    isomorphism type.
+    permutation subgroup N, held as its image tuples, and its isomorphism
+    type.
 
-    `type_name` is N's isomorphism type when the caller knows it, else it
-    is computed.
+    `group`, N as a `FiniteGroup` with its Cayley table, is built on first
+    read; `key`, `generator_strings` and `stable_subgroup_orders` read the
+    tuples and build no group.  `type_name` is N's isomorphism type when
+    the caller knows it, else it is computed from `group` on first read.
     """
 
     def __init__(self, action: CosetAction, elements: Iterable[tuple[int, ...]],
-                 stable_subgroups: Iterable[Iterable[tuple[int, ...]]] | None = None,
+                 stable_subgroups: Iterable[Collection[tuple[int, ...]]] | None = None,
                  type_name: str | None = None):
         self.action = action
-        self.group = FiniteGroup.from_permutations(
-            elements, name=f"N(deg {action.degree})")
-        self.type_name = type_name or iso_type(self.group)
+        self._key = tuple(sorted(elements))
+        self._type_name = type_name
+        self._group: FiniteGroup | None = None
+        self._lattice_tuples = (None if stable_subgroups is None
+                                else list(stable_subgroups))
         self._lattice: list[SubgroupRef] | None = None
-        if stable_subgroups is not None:
-            index_of = self.group.index_of
-            refs = [SubgroupRef(self.group, [index_of(t) for t in q], _checked=True)
-                    for q in stable_subgroups]
-            refs.sort(key=SubgroupRef.sort_key)
-            self._lattice = refs
+
+    @property
+    def group(self) -> FiniteGroup:
+        """N as a `FiniteGroup`, its indices in `key` order."""
+        if self._group is None:
+            self._group = FiniteGroup.from_permutations(
+                self._key, name=f"N(deg {self.action.degree})")
+        return self._group
+
+    @property
+    def type_name(self) -> str:
+        if self._type_name is None:
+            self._type_name = iso_type(self.group)
+        return self._type_name
 
     @property
     def stable_subgroups(self) -> list[SubgroupRef]:
         """N's sub-Hopf lattice: its subgroups stable under conjugation by
         the translations of G, sorted by (order, member set).  The search
-        supplies it (see `enumerate_regular_normalized`); otherwise the
-        first read computes it (see `g_stable_subgroups`)."""
+        supplies it as sets of image tuples (see
+        `enumerate_regular_normalized`), read here onto `group`; otherwise
+        the first read computes it (see `g_stable_subgroups`)."""
         if self._lattice is None:
-            self._lattice = g_stable_subgroups(self)
+            if self._lattice_tuples is None:
+                self._lattice = g_stable_subgroups(self)
+            else:
+                index_of = self.group.index_of
+                refs = [SubgroupRef(self.group, [index_of(t) for t in q], _checked=True)
+                        for q in self._lattice_tuples]
+                refs.sort(key=SubgroupRef.sort_key)
+                self._lattice = refs
         return self._lattice
 
+    @property
+    def stable_subgroup_orders(self) -> list[int]:
+        """The orders of the sub-Hopf lattice's members, ascending.  The
+        search's lattice gives them with no group built."""
+        if self._lattice_tuples is None:
+            return [q.order for q in self.stable_subgroups]
+        return sorted(map(len, self._lattice_tuples))
+
     def key(self) -> tuple[tuple[int, ...], ...]:
-        """The image tuples of N in sorted order (the identity sorts first)."""
-        return self.group.raw_elements()
+        """The image tuples of N in sorted order.  The identity sorts
+        first, so this is `group.raw_elements()`."""
+        return self._key
 
     def conj_action(self, x: int) -> tuple[int, ...]:
         """Conjugation by the translation of x, as a map on N's indices.
@@ -235,14 +264,36 @@ class HGStructure:
         lam = self.action.translation(x)
         lam_inv = self.action.translation(self.action.problem.group.inv(x))
         index_of = self.group.index_of
-        return tuple(index_of(conjugate(lam, t, lam_inv))
-                     for t in self.group.raw_elements())
+        return tuple(index_of(conjugate(lam, t, lam_inv)) for t in self._key)
 
     def generator_strings(self) -> list[str]:
-        return [cycle_string(self.group.raw(i)) for i in self.group.generators()]
+        """N's generators as cycle strings, picked by the greedy rule of
+        `FiniteGroup.generators` on the image tuples: by descending element
+        order, then in `key` order, each element that the earlier picks do
+        not generate.  N is semiregular, so the order of t is the length of
+        its cycle through point 0."""
+        identity, *rest = self._key
+        gens: list[tuple[int, ...]] = []
+        have = {identity: None}
+        for t in sorted(rest, key=lambda t: -_cycle_length_at_0(t)):
+            if t not in have:
+                gens.append(t)
+                have = generated(gens, identity, compose)
+                if len(have) == len(self._key):
+                    break
+        return [cycle_string(t) for t in gens]
 
     def __repr__(self) -> str:
         return f"<HGStructure type {self.type_name} degree {self.action.degree}>"
+
+
+def _cycle_length_at_0(t: tuple[int, ...]) -> int:
+    """The length of t's cycle through point 0: t's order if t is
+    semiregular."""
+    k, j = 1, t[0]
+    while j:
+        j, k = t[j], k + 1
+    return k
 
 
 def g_stable_subgroups(structure: HGStructure) -> list[SubgroupRef]:
@@ -257,15 +308,59 @@ def g_stable_subgroups(structure: HGStructure) -> list[SubgroupRef]:
 def _regular_normalized(elements, n: int, gen_pairs) -> bool:
     """The post-hoc check of a group given as a set of image tuples.
 
-    Regular: n elements whose images of point 0 are all distinct.
-    Normalized: g t g^-1 lies in the set for every element t and every
-    pair (g, g^-1) of `gen_pairs`.
+    Regular: n elements whose images of point 0 are all distinct; `by0`
+    holds each under that image, and the one fixing 0 is the identity.
+    A group: closing the identity under generators picked from the set
+    meets every element, and every product it takes lies in the set.  Each
+    element not met yet becomes a generator, and the group H closed so far
+    grows by right cosets, as in `_closure`: H x, then for each
+    representative r and generator g, r g lies in a coset already met or
+    opens the new coset H r g.
+    Normalized: g t g^-1 lies in the set for every picked generator t and
+    every pair (g, g^-1) of `gen_pairs`.  Conjugation by g is an
+    automorphism, so it then maps the group the picks generate into itself.
+
+    Every product is written out here, with no permutation kernel.
     """
-    if len(elements) != n or len({t[0] for t in elements}) != n:
+    by0 = {t[0]: t for t in elements}
+    if len(elements) != n or len(by0) != n or by0[0] != tuple(range(n)):
         return False
-    rng = range(n)
-    return all(tuple(g[t[gi[i]]] for i in rng) in elements
-               for g, gi in gen_pairs for t in elements)
+    met = [False] * n
+    met[0] = True
+    found: list[tuple[int, ...]] = []  # the non-identity elements met
+    sub: tuple[tuple[int, ...], ...] = ()
+
+    def add_coset(r) -> bool:
+        for c in [r] + [tuple([h[j] for j in r]) for h in sub]:
+            if c != by0[c[0]]:
+                return False
+            met[c[0]] = True
+            found.append(c)
+        return True
+
+    gens = []
+    for x in elements:
+        if met[x[0]]:
+            continue
+        sub = tuple(found)
+        gens.append(x)
+        if not add_coset(x):
+            return False
+        reps = [x]
+        for r in reps:
+            for g in gens:
+                y = tuple([r[j] for j in g])
+                if not met[y[0]]:
+                    if not add_coset(y):
+                        return False
+                    reps.append(y)
+                elif y != by0[y[0]]:
+                    return False
+    for g, gi in gen_pairs:
+        for t in gens:
+            if tuple([g[t[j]] for j in gi]) not in elements:
+                return False
+    return True
 
 
 # -- the search ----------------------------------------------------------
@@ -796,10 +891,11 @@ def enumerate_regular_normalized(action: CosetAction, *,
     """All regular subgroups of Sym(points) normalized by the translation
     image of G, each exactly once, in canonical order.
 
-    Every result is re-checked post hoc for regularity and normalization,
-    independently of the pruning used by the search.  Each carries its
-    sub-Hopf lattice as `stable_subgroups`, read from the groups stage 2
-    formed (see `_combine_atoms`).
+    Every result is re-checked post hoc (`_regular_normalized`): a regular
+    group normalized by the translations, independently of the pruning
+    used by the search.  Each carries its sub-Hopf lattice, the groups
+    stage 2 formed inside it (see `_combine_atoms`), as sets of image
+    tuples; N's `FiniteGroup` is built only where its type is computed.
 
     Stage 1 walks one seed per class of cyclic subgroups of prime order
     (see `_prime_order_translations`), each over the cycle lengths `_walked_lengths`

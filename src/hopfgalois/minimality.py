@@ -3,7 +3,8 @@
 A structure is minimal when its Hopf algebra has exactly two sub-Hopf
 algebras; group-theoretically, when N has no proper nontrivial subgroup
 stable under the translation action of G.  Minimality is always decided
-from that stable-subgroup lattice, `HGStructure.stable_subgroups`; the
+from that stable-subgroup lattice, by its size, which
+`HGStructure.stable_subgroup_orders` reads with no group built; the
 characteristic-subgroup shortcut is computed separately so the implication
 can be cross-checked.
 
@@ -25,7 +26,7 @@ from .groups import (FiniteGroup, SubgroupRef, characteristic_subgroups,
 
 
 def is_minimal(structure: HGStructure) -> bool:
-    return len(structure.stable_subgroups) == 2
+    return len(structure.stable_subgroup_orders) == 2
 
 
 def characteristic_obstruction(structure: HGStructure) -> SubgroupRef | None:
@@ -132,7 +133,7 @@ def correspondence_stats(problem: ExtensionProblem,
     The first never exceeds the second: the fixed-field map embeds the
     sub-Hopf lattice into the intermediate-field lattice.
     """
-    return (len(structure.stable_subgroups),
+    return (len(structure.stable_subgroup_orders),
             len(intermediate_subgroups(problem, structure.action)))
 
 

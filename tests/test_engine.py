@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import math
 from collections import Counter
 
@@ -8,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfgalois
+import hopfgalois.cli
 from hopfgalois import (BudgetExceeded, CapExceeded, ExtensionProblem,
                         FiniteGroup, HGStructure, NodeBudget, NotNormalClosure,
                         alternating, classify, coset_action, cyclic, dihedral,
                         direct_product, dsl, elementary_abelian,
                         enumerate_regular_normalized,
-                        enumerate_via_transversal, quaternion, symmetric,
-                        translation_structure)
+                        enumerate_via_transversal, g_stable_subgroups,
+                        quaternion, symmetric, translation_structure)
 from hopfgalois.dsl import build_text
 from hopfgalois.catalog import iso_type
 from hopfgalois.engine import (DEGREE_CAP, CosetAction, _closure, _combine_atoms,
@@ -25,11 +27,13 @@ from hopfgalois.engine import (DEGREE_CAP, CosetAction, _closure, _combine_atoms
                                _semiregular_tuples, _viable_atoms,
                                _walked_lengths)
 from hopfgalois.groups import _is_automorphism_map, _is_prime, generated
-from hopfgalois.perms import compose, conjugate, inverse, uniform_cycle_length
+from hopfgalois.perms import (compose, conjugate, cycle_string, inverse,
+                              uniform_cycle_length)
 
 from conftest import (catalog_problems, complement_problem, read_cycles,
                       stabilizer_problem, subgroup_problem)
 from test_corpus import ROWS
+from test_groups import greedy_generators
 
 
 def test_extension_problem_validation():
@@ -905,6 +909,119 @@ def test_galois_search_types_once_per_orbit(monkeypatch):
     report = classify(ExtensionProblem.galois(elementary_abelian(2, 3)))
     assert report.structure_count == 106
     assert calls <= 10
+
+
+def test_structures_build_a_table_only_to_type(monkeypatch, capsys):
+    # 106 Cayley tables of N when every structure builds its group
+    tables = iso_calls = 0
+    rows = FiniteGroup._cayley_rows
+
+    def counted_rows(self):
+        nonlocal tables
+        tables += self.name.startswith("N(")
+        return rows(self)
+
+    def counted_iso_type(group):
+        nonlocal iso_calls
+        iso_calls += 1
+        return iso_type(group)
+
+    monkeypatch.setattr(FiniteGroup, "_cayley_rows", counted_rows)
+    monkeypatch.setattr(hopfgalois.engine, "iso_type", counted_iso_type)
+    report = classify(ExtensionProblem.galois(elementary_abelian(2, 3)))
+    assert report.structure_count == 106 and report.minimal_count == 0
+    assert tables <= iso_calls <= 6
+    classified = tables
+    tables = iso_calls = 0
+    assert hopfgalois.cli.main(["enumerate", "E(2,3)", "--galois", "--canonical",
+                                "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["structures"]) == 106
+    assert tables <= iso_calls and tables <= classified
+
+
+def tuple_route_structures():
+    """(label, structures): every structure of three searched rows, and the
+    transversal-built structures of D(3), which carry no lattice."""
+    rows = [("D(4) --galois", ExtensionProblem.galois(dihedral(4))),
+            ("E(2,3) --galois", ExtensionProblem.galois(elementary_abelian(2, 3))),
+            ("S(4) --stabilizer-of-point", stabilizer_problem(symmetric(4)))]
+    out = [(label, classify(prob).structures) for label, prob in rows]
+    act = coset_action(ExtensionProblem.galois(dihedral(3)))
+    out.append(("D(3) transversal",
+                [HGStructure(act, key) for key in enumerate_via_transversal(act)]))
+    return out
+
+
+def test_tuple_routes_match_the_group_routes():
+    # generators, lattice orders and key are read from N's image tuples;
+    # the group N builds gives the same answers
+    for label, structures in tuple_route_structures():
+        assert structures, label
+        for s in structures:
+            gens = s.generator_strings()
+            orders = s.stable_subgroup_orders
+            assert gens == [cycle_string(s.group.raw(i))
+                            for i in s.group.generators()], label
+            assert s.group.generators() == greedy_generators(s.group), label
+            lattice = g_stable_subgroups(s)
+            assert orders == [q.order for q in lattice], label
+            assert s.key() == s.group.raw_elements(), label
+
+
+def naive_regular_normalized(elements, n, gen_pairs) -> bool:
+    """The post-hoc check read off its definition: n elements with distinct
+    images of point 0, closed under every product, and g t g^-1 in the set
+    for every element t and every pair (g, g^-1)."""
+    rng = range(n)
+    return (len(elements) == n and len({t[0] for t in elements}) == n
+            and all(tuple(a[b[i]] for i in rng) in elements
+                    for a in elements for b in elements)
+            and all(tuple(g[t[gi[i]]] for i in rng) in elements
+                    for g, gi in gen_pairs for t in elements))
+
+
+REGULAR_GROUPS = [cyclic(4), elementary_abelian(2, 2), cyclic(6), symmetric(3),
+                  cyclic(8), dihedral(4), quaternion(8), elementary_abelian(2, 3)]
+
+
+@st.composite
+def post_hoc_inputs(draw):
+    """(elements, n, gen_pairs): a regular group (the translations of a
+    small group, relabeled by a drawn permutation), sometimes with one
+    element swapped for another that sends 0 to the same point, in a drawn
+    order; the pairs come from the set itself and from arbitrary
+    permutations."""
+    group = draw(st.sampled_from(REGULAR_GROUPS))
+    n = len(group)
+    act = coset_action(ExtensionProblem.galois(group))
+    sigma = draw(st.permutations(range(n)))
+    sigma_inv = inverse(sigma)
+    elements = {conjugate(sigma, t, sigma_inv) for t in act.image}
+    if draw(st.booleans()):
+        old = draw(st.sampled_from(sorted(elements)))
+        new = draw(st.permutations(range(n)).filter(lambda p: p[0] == old[0]))
+        elements = (elements - {old}) | {tuple(new)}
+    sources = st.one_of(st.sampled_from(sorted(elements)),
+                        st.permutations(range(n)).map(tuple))
+    gens = draw(st.lists(sources, max_size=3))
+    order = draw(st.permutations(sorted(elements)))
+    return tuple(order), n, [(g, inverse(g)) for g in gens]
+
+
+@settings(max_examples=300, deadline=None)
+@given(post_hoc_inputs())
+def test_post_hoc_check_matches_its_definition(inputs):
+    assert _regular_normalized(*inputs) == naive_regular_normalized(*inputs)
+
+
+def test_post_hoc_check_refuses_a_regular_set_that_is_not_closed():
+    # a = (0 1)(2 3), b = (0 2 1) and a b send 0 to 1, 2 and 3, so with the
+    # identity the set is regular; but b a and b^2 lie outside it
+    identity, a, b = (0, 1, 2, 3), (1, 0, 3, 2), (2, 0, 1, 3)
+    elements = [identity, a, b, compose(a, b)]
+    assert not naive_regular_normalized(elements, 4, [])
+    for order in itertools.permutations(elements):
+        assert not _regular_normalized(order, 4, []), order
 
 
 @pytest.mark.parametrize("cycles,n", [
