@@ -18,9 +18,10 @@ from typing import Callable
 
 from .errors import CapExceeded
 from .groups import (ISO_CAP, FiniteGroup, _fingerprint, _is_prime,
-                     abelian_invariants, alternating, are_isomorphic, cyclic,
-                     dicyclic, dihedral, direct_product, elementary_abelian,
-                     holomorph, quaternion, semidirect_product, symmetric)
+                     alternating, are_isomorphic, cyclic, dicyclic, dihedral,
+                     direct_product, elementary_abelian, holomorph,
+                     invariant_factors, quaternion, semidirect_product,
+                     symmetric)
 from .perms import compose
 
 
@@ -80,19 +81,42 @@ def fingerprint_label(g: FiniteGroup) -> str:
     return f"G{len(g)}#{digest}"
 
 
-def iso_type(g: FiniteGroup) -> str:
-    """Canonical name of the isomorphism type, or a fingerprint label."""
-    m = len(g)
+@functools.cache
+def _nonabelian_by_order_statistics(m: int) -> dict[tuple[int, ...], str]:
+    """Sorted element orders -> the first candidate of order m with them."""
+    return {tuple(sorted(map(g.element_order, range(m)))): name
+            for name, g in reversed(_nonabelian_candidates(m))}
+
+
+def type_from_orders(orders: list[int], abelian: bool) -> str | None:
+    """`iso_type`'s name for a group with these element orders, or None
+    where they do not fix it.  They do for an abelian group, and for a
+    nonabelian one of order < 16: S3, D4, Q8, D5, A4, D6, Dic3 and D7 are
+    candidates with pairwise distinct orders (16 is the least order where
+    two groups share them: C4 x C4 and C2 x Q8)."""
+    m = len(orders)
     if m > ISO_CAP:
-        return fingerprint_label(g)
-    if g.is_abelian():
-        inv = abelian_invariants(g)
+        return None
+    if abelian:
+        inv = invariant_factors(orders)
         if len(inv) <= 1:  # () for the trivial group
             return f"C{m}"
         d = inv[0]
         if _is_prime(d) and all(x == d for x in inv):
             return f"E({d},{len(inv)})"
         return " x ".join(f"C{d}" for d in inv)
+    if m < 16:
+        return _nonabelian_by_order_statistics(m).get(tuple(sorted(orders)))
+    return None
+
+
+def iso_type(g: FiniteGroup) -> str:
+    """Canonical name of the isomorphism type, or a fingerprint label."""
+    m = len(g)
+    if m > ISO_CAP:
+        return fingerprint_label(g)
+    if g.is_abelian():
+        return type_from_orders(list(map(g.element_order, range(m))), True)
     for name, cand in _nonabelian_candidates(m):
         try:
             if are_isomorphic(g, cand):

@@ -377,7 +377,9 @@ def main(argv=None) -> int:
                       help="G' generated by the given permutations, e.g. 'gens[(1 3)]'")
     enum.add_argument("--json", action="store_true", help="machine-readable output")
     enum.add_argument("--canonical", action="store_true",
-                      help="byte-stable JSON (drops the elapsed-time field)")
+                      help="byte-stable JSON: drops the elapsed time and the "
+                           "engine counters (nodes, seeds, seeds_walked, walks, "
+                           "walks_skipped)")
     enum.add_argument("--degree-cap", type=int, default=DEGREE_CAP, dest="degree_cap")
     enum.set_defaults(func=cmd_enumerate)
 

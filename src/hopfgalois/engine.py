@@ -15,7 +15,7 @@ from collections.abc import Collection, KeysView
 from operator import itemgetter
 from typing import Iterable
 
-from .catalog import _totient, iso_type
+from .catalog import _totient, iso_type, type_from_orders
 from .errors import BudgetExceeded, CapExceeded, NotNormalClosure
 from .groups import (FiniteGroup, SubgroupRef, _is_prime, _iso_image_maps,
                      generated)
@@ -197,7 +197,8 @@ class HGStructure:
     `group`, N as a `FiniteGroup` with its Cayley table, is built on first
     read; `key`, `generator_strings` and `stable_subgroup_orders` read the
     tuples and build no group.  `type_name` is N's isomorphism type when
-    the caller knows it, else it is computed from `group` on first read.
+    the caller knows it, else it is computed on first read: from the tuples
+    where `_tuple_type` can, else by `iso_type` from `group`.
     """
 
     def __init__(self, action: CosetAction, elements: Iterable[tuple[int, ...]],
@@ -222,7 +223,7 @@ class HGStructure:
     @property
     def type_name(self) -> str:
         if self._type_name is None:
-            self._type_name = iso_type(self.group)
+            self._type_name = _tuple_type(self._key) or iso_type(self.group)
         return self._type_name
 
     @property
@@ -294,6 +295,14 @@ def _cycle_length_at_0(t: tuple[int, ...]) -> int:
     while j:
         j, k = t[j], k + 1
     return k
+
+
+def _tuple_type(key: Collection[tuple[int, ...]]) -> str | None:
+    """N's type from its image tuples, or None where `type_from_orders`
+    needs a group.  N is regular, so s t = t s iff both send 0 to the same
+    point, s[t[0]] == t[s[0]]."""
+    abelian = all(s[t[0]] == t[s[0]] for s, t in itertools.combinations(key, 2))
+    return type_from_orders(list(map(_cycle_length_at_0, key)), abelian)
 
 
 def g_stable_subgroups(structure: HGStructure) -> list[SubgroupRef]:
@@ -901,9 +910,9 @@ def enumerate_regular_normalized(action: CosetAction, *,
     (see `_prime_order_translations`), each over the cycle lengths `_walked_lengths`
     gives.  For a Galois problem, it walks one seed per class under some
     automorphisms of G and maps the atoms found to the others (see
-    `_viable_atoms`), and each N's isomorphism type is computed once per
-    orbit of those maps: conjugation by phibar is an isomorphism from N to
-    phibar N phibar^-1.  Other problems find no maps and type every N.
+    `_viable_atoms`).  An N that `_tuple_type` does not type is typed by
+    `iso_type` once per orbit of those maps: conjugation by phibar is an
+    isomorphism from N to phibar N phibar^-1.
     """
     n = action.degree
     if n > degree_cap:
@@ -924,8 +933,9 @@ def enumerate_regular_normalized(action: CosetAction, *,
         lattice = [trivial]
         for t in fs:
             lattice.extend(q for q in index.get(t, ()) if q <= fs)
-        structure = HGStructure(action, fs, lattice, type_of.get(fs))
-        if fs not in type_of:
+        name = type_of.get(fs) or _tuple_type(fs)
+        structure = HGStructure(action, fs, lattice, name)
+        if name is None:
             type_of[fs] = structure.type_name
             _close_under(type_of, [fs], maps, budget, lambda name, _: name)
         structures.append(structure)

@@ -711,17 +711,22 @@ def is_characteristically_simple(g: FiniteGroup) -> bool:
 
 
 def abelian_invariants(g: FiniteGroup) -> tuple[int, ...]:
-    """Invariant factors (d1 | d2 | ...) of an abelian group, ascending.
+    """Invariant factors (d1 | d2 | ...) of an abelian group, ascending."""
+    if not g.is_abelian():
+        raise ValueError("invariant factors are defined for abelian groups")
+    return invariant_factors([g.element_order(i) for i in range(len(g))])
+
+
+def invariant_factors(orders: list[int]) -> tuple[int, ...]:
+    """Invariant factors, ascending, of the abelian group whose element
+    orders are `orders`.
 
     For each prime p, |A[p^j]| / |A[p^(j-1)]| = p^r, where A[q] is the set
     of elements of order dividing q and r is the number of factors whose
     p-part is at least p^j; so step j multiplies the r largest factors by p.
     """
-    if not g.is_abelian():
-        raise ValueError("invariant factors are defined for abelian groups")
-    orders = [g.element_order(i) for i in range(len(g))]
     factors: list[int] = []  # descending
-    rest, p = len(g), 2
+    rest, p = len(orders), 2
     while rest > 1:
         if rest % p:
             p += 1

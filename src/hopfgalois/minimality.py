@@ -204,10 +204,10 @@ def classify(problem: ExtensionProblem, *, degree_cap: int = DEGREE_CAP,
     The search (`enumerate_regular_normalized`) walks one stage-1 seed per
     conjugacy class of cyclic subgroups of prime order.  It uses the
     automorphisms of G as a symmetry for Galois problems only: there it
-    walks one seed per class under the maps it finds and types each N once
-    per orbit of them.  Each seed skips the cycle lengths whose orbits a
-    larger prime's seed meets.  The answers are the same either way; the
-    report's `engine` counters (see `NodeBudget`) show the cuts.
+    walks one seed per class under the maps it finds.  Each seed skips the
+    cycle lengths whose orbits a larger prime's seed meets.  The answers are
+    the same either way; the report's `engine` counters (see `NodeBudget`)
+    show the cuts.  N's type is read from its tuples where it can be.
     """
     if budget is None:
         budget = NodeBudget()

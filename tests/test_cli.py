@@ -289,6 +289,14 @@ def test_help_exits_0(capsys):
     assert "--galois" in out
 
 
+def test_help_names_what_canonical_drops(capsys):
+    code, out, _ = run(capsys, "enumerate", "--help")
+    assert code == 0
+    canonical = " ".join(out.split("--canonical")[-1].split("--degree-cap")[0].split())
+    assert "elapsed time" in canonical
+    assert all(key in canonical for key in NodeBudget().counters())
+
+
 def test_canonical_json_is_byte_stable_across_runs(capsys):
     outputs = set()
     for _ in range(3):

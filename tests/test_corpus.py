@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import hopfgalois
-from hopfgalois import dsl, g_stable_subgroups
+from hopfgalois import dsl, g_stable_subgroups, iso_type
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 CORPUS_PATH = BENCH_DIR / "corpus.py"
@@ -43,13 +43,15 @@ def test_corpus_row(workload, row):
            report.intermediate_count, report.normal_complement_bound)
     assert got == (row.structures, row.minimal, row.types, row.intermediate,
                    row.bound), row.source
-    # the lattices the search supplies, against the independent computation
+    # the lattices and types the search supplies, against the independent
+    # computations; iso_type searches for an isomorphism to a nonabelian N
     for s in report.structures:
         assert s.stable_subgroups == g_stable_subgroups(s)
+        assert s.type_name == iso_type(s.group)
 
 
 @pytest.mark.parametrize("workload,nodes", [
-    ("search", 3_010), ("stats", 530), ("lattice", 13_190)])
+    ("search", 2_848), ("stats", 530), ("lattice", 8_502)])
 def test_nodes_per_pass(workload, nodes):
     # the search's work per benchmark pass, deterministic; a change that
     # moves it updates these numbers

@@ -18,20 +18,23 @@ from hopfgalois import (BudgetExceeded, CapExceeded, ExtensionProblem,
                         enumerate_via_transversal, g_stable_subgroups,
                         quaternion, symmetric, translation_structure)
 from hopfgalois.dsl import build_text
-from hopfgalois.catalog import iso_type
+from hopfgalois.catalog import _nonabelian_candidates, iso_type
+from hopfgalois.cli import _problem
 from hopfgalois.engine import (DEGREE_CAP, CosetAction, _closure, _combine_atoms,
                                _conj_orbit, _core, _cosets,
                                _divisors, _orbit_bound, _prime_factors,
                                _prime_order, _prime_order_translations,
                                _regular_normalized, _semiregular_centralizer,
-                               _semiregular_tuples, _viable_atoms,
-                               _walked_lengths)
-from hopfgalois.groups import _is_automorphism_map, _is_prime, generated
+                               _semiregular_tuples, _tuple_type,
+                               _viable_atoms, _walked_lengths)
+from hopfgalois.groups import (_is_automorphism_map, _is_prime, are_isomorphic,
+                               generated)
 from hopfgalois.perms import (compose, conjugate, cycle_string, inverse,
                               uniform_cycle_length)
 
 from conftest import (catalog_problems, complement_problem, read_cycles,
                       stabilizer_problem, subgroup_problem)
+from test_canonical_digest import DEGREE_12_SHA256
 from test_corpus import ROWS
 from test_groups import greedy_generators
 
@@ -897,7 +900,8 @@ def test_galois_search_walks_one_seed_per_automorphism_class():
 
 
 def test_galois_search_types_once_per_orbit(monkeypatch):
-    # 106 iso_type calls when every N is typed
+    # with no type read from the tuples, the type is carried along the
+    # automorphism maps: 106 iso_type calls when every N is typed
     calls = 0
 
     def counted(group):
@@ -905,14 +909,19 @@ def test_galois_search_types_once_per_orbit(monkeypatch):
         calls += 1
         return iso_type(group)
 
+    problem = ExtensionProblem.galois(elementary_abelian(2, 3))
+    expected = classify(problem).types()
+    monkeypatch.setattr(hopfgalois.engine, "type_from_orders", lambda *_: None)
     monkeypatch.setattr(hopfgalois.engine, "iso_type", counted)
-    report = classify(ExtensionProblem.galois(elementary_abelian(2, 3)))
+    report = classify(problem)
     assert report.structure_count == 106
     assert calls <= 10
+    assert report.types() == expected
 
 
 def test_structures_build_a_table_only_to_type(monkeypatch, capsys):
-    # 106 Cayley tables of N when every structure builds its group
+    # the tuples type every N of every corpus row: no Cayley table of N and
+    # no isomorphism search, in classify and on the command line
     tables = iso_calls = 0
     rows = FiniteGroup._cayley_rows
 
@@ -928,15 +937,59 @@ def test_structures_build_a_table_only_to_type(monkeypatch, capsys):
 
     monkeypatch.setattr(FiniteGroup, "_cayley_rows", counted_rows)
     monkeypatch.setattr(hopfgalois.engine, "iso_type", counted_iso_type)
-    report = classify(ExtensionProblem.galois(elementary_abelian(2, 3)))
-    assert report.structure_count == 106 and report.minimal_count == 0
-    assert tables <= iso_calls <= 6
-    classified = tables
-    tables = iso_calls = 0
+    typed = sum(len(classify(row.build(hopfgalois, dsl)).types()) for _, row in ROWS)
+    assert typed == sum(row.structures for _, row in ROWS)
+    assert (tables, iso_calls) == (0, 0)
     assert hopfgalois.cli.main(["enumerate", "E(2,3)", "--galois", "--canonical",
                                 "--json"]) == 0
     assert len(json.loads(capsys.readouterr().out)["structures"]) == 106
-    assert tables <= iso_calls and tables <= classified
+    assert (tables, iso_calls) == (0, 0)
+
+
+@pytest.mark.parametrize("label", sorted(DEGREE_12_SHA256))
+def test_tuple_types_match_iso_type_at_degree_12(label):
+    expr, flag, *rest = label.split(" ", 2)
+    problem = _problem(build_text(expr), flag[2:].replace("-", "_"), *rest)
+    for s in classify(problem).structures:
+        assert s.type_name == iso_type(s.group)
+
+
+def _regular_tuples(g: FiniteGroup) -> list[tuple[int, ...]]:
+    """g's left-regular representation: x -> (i -> x i), identity first."""
+    return [tuple(g.mul(x, i) for i in range(len(g))) for x in range(len(g))]
+
+
+def test_order_statistics_fix_the_nonabelian_types_below_16():
+    nonabelian = {6: {"S3"}, 8: {"D4", "Q8"}, 10: {"D5"},
+                  12: {"A4", "D6", "Dic3"}, 14: {"D7"}}
+    for m in range(1, 16):
+        candidates = _nonabelian_candidates(m)
+        assert {iso_type(g) for _, g in candidates} == nonabelian.get(m, set())
+        for (_, g), (_, h) in itertools.combinations(candidates, 2):
+            if sorted(map(g.element_order, range(m))) == sorted(
+                    map(h.element_order, range(m))):
+                assert are_isomorphic(g, h)
+        for _, g in candidates:
+            assert _tuple_type(_regular_tuples(g)) == iso_type(g)
+
+
+CATALOG_BELOW_16 = ([g for m in range(1, 16) for _, g in _nonabelian_candidates(m)]
+                    + [cyclic(m) for m in range(1, 16)]
+                    + [elementary_abelian(2, 2), elementary_abelian(2, 3),
+                       elementary_abelian(3, 2),
+                       direct_product(cyclic(2), cyclic(4)),
+                       direct_product(cyclic(2), cyclic(6))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(CATALOG_BELOW_16), st.data())
+def test_tuple_type_of_a_relabeled_regular_group(g, data):
+    # any regular group of order < 16 is typed from its tuples as iso_type
+    # types it
+    sigma = data.draw(st.permutations(range(len(g))))
+    sigma_inv = inverse(sigma)
+    tuples = [conjugate(sigma, t, sigma_inv) for t in _regular_tuples(g)]
+    assert _tuple_type(data.draw(st.permutations(tuples))) == iso_type(g)
 
 
 def tuple_route_structures():
