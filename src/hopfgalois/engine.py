@@ -17,8 +17,7 @@ from typing import Iterable
 
 from .catalog import _totient, iso_type, type_from_orders
 from .errors import BudgetExceeded, CapExceeded, NotNormalClosure
-from .groups import (FiniteGroup, SubgroupRef, _is_prime, _iso_image_maps,
-                     generated)
+from .groups import FiniteGroup, SubgroupRef, _is_prime, _iso_image_maps
 from .perms import (compose, conjugate, cycle_string, cycles, inverse,
                     uniform_cycle_length)
 
@@ -160,23 +159,27 @@ class CosetAction:
 
     def generator_pairs(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """(lambda(g), lambda(g^-1)) for each generator g of G."""
-        g = self.problem.group
-        return [(self.translation(x), self.translation(g.inv(x)))
-                for x in self.generators]
+        return [(lam, inverse(lam)) for lam in map(self.translation, self.generators)]
 
     @property
     def image(self) -> KeysView[tuple[int, ...]]:
         """lambda(G) as a set-like view of image tuples, in breadth-first
         order from the identity under the generator translations.
 
-        Built by closing the generator translations: |G| compositions of
-        n-tuples per generator and no product in G.  The action is faithful
-        (G' is core-free) and the generators generate G, so the image has
-        |G| elements; that is checked.
+        Built by closing the generator translations, with no product in G:
+        one getter of each element a met gives g a for every generator
+        translation g.  The action is faithful (G' is core-free) and the
+        generators generate G, so the image has |G| elements; that is checked.
         """
         if self._image is None:
-            image = generated((lam for lam, _ in self.generator_pairs()),
-                              tuple(range(self.degree)), compose)
+            lams = list(map(self.translation, self.generators))
+            queue = [tuple(range(self.degree))]
+            image = dict.fromkeys(queue)
+            for a in queue:
+                for c in map(itemgetter(*a), lams):
+                    if c not in image:
+                        image[c] = None
+                        queue.append(c)
             if len(image) != len(self.problem.group):
                 raise RuntimeError("the translation image does not have the "
                                    "order of the group")
@@ -263,25 +266,31 @@ class HGStructure:
         Raises KeyError if that translation does not normalize N.
         """
         lam = self.action.translation(x)
-        lam_inv = self.action.translation(self.action.problem.group.inv(x))
-        index_of = self.group.index_of
-        return tuple(index_of(conjugate(lam, t, lam_inv)) for t in self._key)
+        conj = _conjugation(lam, inverse(lam))
+        return tuple(map(self.group.index_of, map(conj, self._key)))
 
     def generator_strings(self) -> list[str]:
         """N's generators as cycle strings, picked by the greedy rule of
         `FiniteGroup.generators` on the image tuples: by descending element
         order, then in `key` order, each element that the earlier picks do
         not generate.  N is semiregular, so the order of t is the length of
-        its cycle through point 0."""
+        its cycle through point 0, and t is the one element of N sending 0
+        to t[0]; `have` holds the picks' group by those points, grown by
+        right cosets as in `_closure`."""
         identity, *rest = self._key
-        gens: list[tuple[int, ...]] = []
-        have = {identity: None}
+        have, gens = {0: identity}, []
         for t in sorted(rest, key=lambda t: -_cycle_length_at_0(t)):
-            if t not in have:
-                gens.append(t)
-                have = generated(gens, identity, compose)
-                if len(have) == len(self._key):
-                    break
+            if t[0] in have:
+                continue
+            gens.append(t)
+            sub, reps = tuple(have.values()), [t]
+            have.update({c[0]: c for c in map(itemgetter(*t), sub)})
+            for r in reps:
+                for g in gens:
+                    y = compose(r, g)
+                    if y[0] not in have:
+                        have.update({c[0]: c for c in map(itemgetter(*y), sub)})
+                        reps.append(y)
         return [cycle_string(t) for t in gens]
 
     def __repr__(self) -> str:
@@ -611,23 +620,20 @@ def _semiregular_centralizer(sigma: tuple[int, ...], d: int):
 
 def _prime_order(t: tuple[int, ...]) -> int:
     """The order of the permutation t != 1 if it is prime, else 0: t has
-    prime order p exactly when every cycle it moves has length p.  Walked
-    in place up to the first cycle that fails: `perms.cycles` builds every
-    cycle and took 1.7 times as long on the benchmark's images."""
-    seen = [False] * len(t)
-    p = 0
-    for i, j in enumerate(t):
-        if i == j or seen[i]:
-            continue
-        k = 1
-        while j != i:
-            seen[j] = True
-            j, k = t[j], k + 1
-        if k != p:
-            if p or not _is_prime(k):
-                return 0
-            p = k
-    return p
+    prime order p exactly when p is prime, some cycle of t has length p,
+    and t^p = 1."""
+    i = 0
+    while t[i] == i:
+        i += 1
+    p, j = 1, t[i]
+    while j != i:
+        j, p = t[j], p + 1
+    if not _is_prime(p):
+        return 0
+    u, times_t = t, itemgetter(*t)
+    for _ in range(p - 1):
+        u = times_t(u)
+    return p if u == tuple(range(len(t))) else 0
 
 
 def _prime_order_translations(action: CosetAction):
@@ -644,7 +650,7 @@ def _prime_order_translations(action: CosetAction):
     same orbits (see `_viable_atoms`).
     """
     identity = tuple(range(action.degree))
-    gen_pairs = action.generator_pairs()
+    pairs = [(g, itemgetter(*gi)) for g, gi in action.generator_pairs()]
     class_of: dict[tuple[int, ...], int] = {}
     seeds, kinds = [], []
     for t in action.image:
@@ -662,8 +668,8 @@ def _prime_order_translations(action: CosetAction):
         class_of.update(dict.fromkeys(stack, i))
         while stack:
             a = stack.pop()
-            for g, gi in gen_pairs:
-                c = conjugate(g, a, gi)
+            for g, right in pairs:
+                c = itemgetter(*right(a))(g)
                 if c not in class_of:
                     class_of[c] = i
                     stack.append(c)

@@ -66,10 +66,10 @@ class FiniteGroup:
     the rows of a few generators by composing integer rows (see
     `_cayley_rows`): k*|G| raw products for k generators, not |G|^2, and
     the element set is checked to be closed.  Larger groups (e.g.
-    holomorphs of order in the thousands) multiply on demand from the raw
-    pair representation and cache the results; there a product outside
-    the element set raises the table's ValueError.  Inverses are read
-    from the walk over the powers of i that `element_order` takes.
+    holomorphs of order in the thousands) take each product on demand, one
+    raw product and one index lookup; there a product outside the element
+    set raises the table's ValueError.  Inverses are read from the walk
+    over the powers of i that `element_order` takes.
 
     Instances are immutable after construction.
     """
@@ -99,7 +99,6 @@ class FiniteGroup:
         m = len(self._raw)
         self._inv_list: list[int | None] = [None] * m
         self._orders: list[int | None] = [None] * m
-        self._mul_cache: dict[tuple[int, int], int] = {}
         self._table: list[tuple[int, ...]] | None = None
         if m <= TABLE_MAX:
             self._table = self._cayley_rows()
@@ -183,12 +182,7 @@ class FiniteGroup:
     def mul(self, i: int, j: int) -> int:
         if self._table is not None:
             return self._table[i][j]
-        key = (i, j)
-        out = self._mul_cache.get(key)
-        if out is None:
-            out = self._lookup(self._mul_raw(self._raw[i], self._raw[j]))
-            self._mul_cache[key] = out
-        return out
+        return self._lookup(self._mul_raw(self._raw[i], self._raw[j]))
 
     def _lookup(self, value) -> int:
         """The index of a product computed on demand; a value outside the

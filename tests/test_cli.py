@@ -146,8 +146,8 @@ def test_exit_code_group_order_cap(capsys, argv):
 
 def test_exit_code_oversized_semidirect_product_before_its_action(capsys, monkeypatch):
     # |E(2,13)| * 2 = 16,384 passes the order cap; checking the action
-    # first would take 8192^2 lazily cached products of E(2,13), so the
-    # test stops at the 10,000th
+    # first would take 8192^2 products of E(2,13), each one raw product and
+    # one lookup, so the test stops at the 10,000th
     products = 0
     lookup = FiniteGroup._lookup
 

@@ -377,10 +377,12 @@ def test_prime_order_reads_the_cycles(degree):
 @pytest.mark.parametrize("expr,mode", [("A(6)", "point"),
                                        ("Hol(E(3,2))", "complement")])
 def test_group_side_takes_few_raw_products(expr, mode, monkeypatch):
-    # both groups are above TABLE_MAX, so every new product is a raw one.
-    # Read on G, the same answers take 3,947 and 2,478 raw products for the
-    # core (conjugates of G' over all of G), and 3,336 and 8,476 for
-    # classify (G's conjugacy classes, one translation per element of G).
+    # both groups are above TABLE_MAX, where no product is kept, so every
+    # product counted is one computed: 491 and 536 to build the problem,
+    # 802 and 1,158 for classify.  Read on G, the same answers take 3,947
+    # and 2,478 raw products for the core (conjugates of G' over all of G),
+    # and 3,336 and 8,476 for classify (G's conjugacy classes, one
+    # translation per element of G).
     built = build_text(expr)
     g = built.group
     calls = 0
@@ -807,6 +809,21 @@ def test_types_carried_by_the_maps_are_iso_types(name):
     act = coset_action(symmetry_problem(name))
     for s in enumerate_regular_normalized(act, budget=NodeBudget(10**9)):
         assert s.type_name == iso_type(s.group)
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES + sorted(DEGREE_12_ROWS))
+def test_image_and_generator_pairs_match_the_generic_routes(name):
+    # the image takes one getter per element met, and lambda(g^-1) is the
+    # inverse tuple of lambda(g); the seeds are read in the image's order,
+    # so the breadth-first order of `generated` is compared, not the set
+    act = coset_action(symmetry_problem(name))
+    g = act.problem.group
+    pairs = act.generator_pairs()
+    assert [lam for lam, _ in pairs] == list(map(act.translation, act.generators))
+    assert [lam_inv for _, lam_inv in pairs] == \
+        [act.translation(g.inv(x)) for x in act.generators]
+    identity = tuple(range(act.degree))
+    assert list(act.image) == list(generated((lam for lam, _ in pairs), identity, compose))
 
 
 def unfiltered_combine(atoms, n, budget):

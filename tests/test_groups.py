@@ -153,8 +153,9 @@ def test_element_order_fills_powers_correctly(build):
 
 def test_inverses_come_from_power_walks(monkeypatch):
     # each walk over the powers of i records the inverse of every power, so
-    # inverting the whole group takes O(|G|) raw products, where a scan for
-    # the j with i j = 1 takes about |G|^2 / 2 (115,440 here)
+    # inverting the whole group takes O(|G|) products (688 here, each one
+    # computed: above TABLE_MAX no product is kept), where a scan for the j
+    # with i j = 1 takes about |G|^2 / 2 (115,440 here)
     g = build_text(MATGRP_480).group
     assert len(g) > groups.TABLE_MAX
     calls = 0
