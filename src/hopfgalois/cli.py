@@ -76,7 +76,7 @@ def _problem(built, mode: str, subgroup_text: str | None = None) -> ExtensionPro
 
 
 def _structure_document(s: HGStructure) -> dict:
-    orders = s.stable_subgroup_orders
+    orders = sorted(map(len, s.stable_subgroups))
     return {
         "type": s.type_name,
         "generators": s.generator_strings(),

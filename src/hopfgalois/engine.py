@@ -194,26 +194,23 @@ def coset_action(problem: ExtensionProblem,
 
 class HGStructure:
     """One Hopf-Galois structure: a regular, translation-normalized
-    permutation subgroup N, held as its image tuples, and its isomorphism
-    type.
+    permutation subgroup N, held as its image tuples, with its isomorphism
+    type and sub-Hopf lattice.
 
+    `key`, `generator_strings` and `stable_subgroups` read the tuples;
     `group`, N as a `FiniteGroup` with its Cayley table, is built on first
-    read; `key`, `generator_strings` and `stable_subgroup_orders` read the
-    tuples and build no group.  `type_name` is N's isomorphism type when
-    the caller knows it, else it is computed on first read: from the tuples
-    where `_tuple_type` can, else by `iso_type` from `group`.
+    read.  `type_name` is given by the caller or computed on first read:
+    from the tuples where `_tuple_type` can, else by `iso_type` of `group`.
     """
 
     def __init__(self, action: CosetAction, elements: Iterable[tuple[int, ...]],
-                 stable_subgroups: Iterable[Collection[tuple[int, ...]]] | None = None,
+                 stable_subgroups: Iterable[frozenset[tuple[int, ...]]] | None = None,
                  type_name: str | None = None):
         self.action = action
         self._key = tuple(sorted(elements))
         self._type_name = type_name
         self._group: FiniteGroup | None = None
-        self._lattice_tuples = (None if stable_subgroups is None
-                                else list(stable_subgroups))
-        self._lattice: list[SubgroupRef] | None = None
+        self._lattice = None if stable_subgroups is None else list(stable_subgroups)
 
     @property
     def group(self) -> FiniteGroup:
@@ -230,30 +227,35 @@ class HGStructure:
         return self._type_name
 
     @property
-    def stable_subgroups(self) -> list[SubgroupRef]:
+    def stable_subgroups(self) -> list[frozenset[tuple[int, ...]]]:
         """N's sub-Hopf lattice: its subgroups stable under conjugation by
-        the translations of G, sorted by (order, member set).  The search
-        supplies it as sets of image tuples (see
-        `enumerate_regular_normalized`), read here onto `group`; otherwise
-        the first read computes it (see `g_stable_subgroups`)."""
+        the translations of G, as sets of image tuples, the trivial group
+        first.  The search supplies it (see `enumerate_regular_normalized`).
+        Otherwise the first read forms it with the search's code: the
+        `_closure` of one `_conj_orbit` per orbit on N's elements other than
+        the identity (first in `key`), then `_combine_atoms` on those atoms,
+        giving {1} plus the groups formed, by the proof in `_combine_atoms`.
+        Raises KeyError if a translation does not normalize N, and
+        ValueError if N is not among the groups formed: not a regular group."""
         if self._lattice is None:
-            if self._lattice_tuples is None:
-                self._lattice = g_stable_subgroups(self)
-            else:
-                index_of = self.group.index_of
-                refs = [SubgroupRef(self.group, [index_of(t) for t in q], _checked=True)
-                        for q in self._lattice_tuples]
-                refs.sort(key=SubgroupRef.sort_key)
-                self._lattice = refs
+            n, members = self.action.degree, frozenset(self._key)
+            gen_pairs, budget = self.action.generator_pairs(), NodeBudget()
+            trivial = frozenset([tuple(range(n))])
+            visited: set[tuple[int, ...]] = set()
+            atoms: dict[frozenset, tuple] = {}
+            for t in self._key[1:]:
+                if t not in visited:
+                    orbit = _conj_orbit(t, gen_pairs, visited, budget)
+                    if not visited <= members:
+                        raise KeyError("a translation does not normalize N")
+                    grown = orbit and _closure(trivial, (), orbit, n, budget)
+                    if grown:
+                        atoms.setdefault(*grown)
+            formed = _combine_atoms(list(atoms.items()), n, budget)[1]
+            if members not in formed:
+                raise ValueError("N is not a regular group")
+            self._lattice = [trivial, *formed]
         return self._lattice
-
-    @property
-    def stable_subgroup_orders(self) -> list[int]:
-        """The orders of the sub-Hopf lattice's members, ascending.  The
-        search's lattice gives them with no group built."""
-        if self._lattice_tuples is None:
-            return [q.order for q in self.stable_subgroups]
-        return sorted(map(len, self._lattice_tuples))
 
     def key(self) -> tuple[tuple[int, ...], ...]:
         """The image tuples of N in sorted order.  The identity sorts
@@ -261,10 +263,9 @@ class HGStructure:
         return self._key
 
     def conj_action(self, x: int) -> tuple[int, ...]:
-        """Conjugation by the translation of x, as a map on N's indices.
-
-        Raises KeyError if that translation does not normalize N.
-        """
+        """Conjugation by the translation of x, as a map on N's indices, for
+        the oracle `minimality.g_stable_subgroups`.  Raises KeyError if that
+        translation does not normalize N."""
         lam = self.action.translation(x)
         conj = _conjugation(lam, inverse(lam))
         return tuple(map(self.group.index_of, map(conj, self._key)))
@@ -312,15 +313,6 @@ def _tuple_type(key: Collection[tuple[int, ...]]) -> str | None:
     point, s[t[0]] == t[s[0]]."""
     abelian = all(s[t[0]] == t[s[0]] for s, t in itertools.combinations(key, 2))
     return type_from_orders(list(map(_cycle_length_at_0, key)), abelian)
-
-
-def g_stable_subgroups(structure: HGStructure) -> list[SubgroupRef]:
-    """All subgroups of N stable under conjugation by the translations of G,
-    recomputed on every call: the sub-Hopf algebras of the structure's Hopf
-    algebra, the trivial subgroup and N among them, sorted by (order,
-    member set).  Raises KeyError if a translation does not normalize N."""
-    return structure.group.stable_subgroups(
-        structure.conj_action(x) for x in structure.action.generators)
 
 
 def _regular_normalized(elements, n: int, gen_pairs) -> bool:
@@ -929,7 +921,7 @@ def enumerate_regular_normalized(action: CosetAction, *,
     atoms, maps = _viable_atoms(action, budget)
     results, formed = _combine_atoms(atoms, n, budget)
     index = _by_least_element(formed)
-    trivial = (tuple(range(n)),)
+    trivial = frozenset([tuple(range(n))])
     type_of: dict[frozenset, str] = {}
     structures = []
     for fs in results:
@@ -950,11 +942,10 @@ def enumerate_regular_normalized(action: CosetAction, *,
 
 
 def translation_structure(action: CosetAction, members) -> HGStructure:
-    """The structure whose N is the translation image of a subgroup of G.
-
+    """The structure whose N is the translation image of a subgroup of G,
+    its lattice formed on first read (see `HGStructure.stable_subgroups`).
     Valid whenever the image is regular and normalized (e.g. the image of a
-    normal complement of G'); raises ValueError otherwise.
-    """
+    normal complement of G'); raises ValueError otherwise."""
     elements = {action.translation(x) for x in members}
     if not _regular_normalized(elements, action.degree, action.generator_pairs()):
         raise ValueError("translation image is not a regular, normalized "

@@ -3,15 +3,13 @@
 A structure is minimal when its Hopf algebra has exactly two sub-Hopf
 algebras; group-theoretically, when N has no proper nontrivial subgroup
 stable under the translation action of G.  Minimality is always decided
-from that stable-subgroup lattice, by its size, which
-`HGStructure.stable_subgroup_orders` reads with no group built; the
-characteristic-subgroup shortcut is computed separately so the implication
-can be cross-checked.
+from that stable-subgroup lattice, `HGStructure.stable_subgroups`, by its
+size; the characteristic-subgroup shortcut is computed separately so the
+implication can be cross-checked.
 
-A structure from the search carries the lattice the search formed (see
-`engine._combine_atoms`).  `g_stable_subgroups`, defined with the
-structures in `engine`, computes it independently, from N and the action
-alone, and never reads the stored one.
+The lattice, as sets of image tuples, is the one the search formed, or,
+for a structure built elsewhere, formed on first read by the search's code.
+`g_stable_subgroups` is its oracle, by another route: N's Cayley table.
 """
 
 from __future__ import annotations
@@ -20,13 +18,22 @@ from typing import NamedTuple
 
 from .engine import (CosetAction, ExtensionProblem, HGStructure, NodeBudget,
                      coset_action, enumerate_regular_normalized,
-                     g_stable_subgroups, translation_structure, DEGREE_CAP)
+                     translation_structure, DEGREE_CAP)
 from .groups import (FiniteGroup, SubgroupRef, characteristic_subgroups,
                      is_characteristically_simple, holomorph)
 
 
 def is_minimal(structure: HGStructure) -> bool:
-    return len(structure.stable_subgroup_orders) == 2
+    return len(structure.stable_subgroups) == 2
+
+
+def g_stable_subgroups(structure: HGStructure) -> list[SubgroupRef]:
+    """The oracle for `HGStructure.stable_subgroups`, recomputed on every
+    call through N's Cayley table: the subgroups of N stable under
+    conjugation by the translations of G, sorted by (order, member set).
+    Raises KeyError if a translation does not normalize N."""
+    return structure.group.stable_subgroups(
+        structure.conj_action(x) for x in structure.action.generators)
 
 
 def characteristic_obstruction(structure: HGStructure) -> SubgroupRef | None:
@@ -133,7 +140,7 @@ def correspondence_stats(problem: ExtensionProblem,
     The first never exceeds the second: the fixed-field map embeds the
     sub-Hopf lattice into the intermediate-field lattice.
     """
-    return (len(structure.stable_subgroup_orders),
+    return (len(structure.stable_subgroups),
             len(intermediate_subgroups(problem, structure.action)))
 
 
@@ -141,9 +148,10 @@ def holomorph_minimality_certificate(n: FiniteGroup) -> bool:
     """Verify that the translation structure is minimal for the extension
     modeled by (Hol(N), Aut(N)) when N is characteristically simple.
 
-    Returns True after checking through the generic machinery; a False
-    would indicate an implementation fault, never a mathematical outcome.
-    """
+    Returns True after checking through the generic machinery: the lattice
+    of `translation_structure`'s N, formed on read by the search's code; a
+    False would indicate an implementation fault, never a mathematical
+    outcome."""
     if not is_characteristically_simple(n):
         raise ValueError("requires a characteristically simple group")
     hol = holomorph(n)

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from hopfgalois import (ExtensionProblem, NodeBudget, alternating, classify,
-                        cyclic, dihedral, symmetric)
+from hopfgalois import (ExtensionProblem, NodeBudget, SubgroupRef, alternating,
+                        classify, cyclic, dihedral, symmetric)
 from hopfgalois.cli import _problem
 from hopfgalois.dsl import BuildResult, build_text
 from hopfgalois.perms import from_cycles
@@ -29,6 +29,16 @@ def read_cycles(text: str, degree: int) -> tuple[int, ...]:
     """Cycle text such as ``(0 1 2)(3 4)`` as an image tuple of `degree`."""
     return from_cycles(degree, [tuple(map(int, c.split()))
                                 for c in text.strip("()").split(")(") if c])
+
+
+def tuple_sets(lattice) -> list[frozenset]:
+    """A sub-Hopf lattice as sets of image tuples sorted by (order, sorted
+    members), so that two routes compare with ==: the sets that
+    `HGStructure.stable_subgroups` holds, or `SubgroupRef`s of N's group,
+    as `g_stable_subgroups` gives them, read back through N's tuples."""
+    sets = [frozenset(map(q.parent.raw, q.members)) if isinstance(q, SubgroupRef)
+            else q for q in lattice]
+    return sorted(sets, key=lambda q: (len(q), sorted(q)))
 
 
 # The builders below go through the command line's own, so a problem here

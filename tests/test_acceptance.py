@@ -20,7 +20,7 @@ from hopfgalois import (CapExceeded, ExtensionProblem, alternating,
                         translation_structure)
 from hopfgalois import NodeBudget, characteristic_obstruction
 
-from conftest import catalog_problems
+from conftest import catalog_problems, tuple_sets
 
 
 class _Verdict:
@@ -188,7 +188,9 @@ def test_criterion_11_property_suite(reports):
             if len(s.group) in (2, 3, 5, 7, 11):               # (b)
                 ok &= minimal
             ok &= 2 <= len(s.stable_subgroups) <= inter        # (c)
-            ok &= minimal == (len(g_stable_subgroups(s)) == 2)  # (d)
+            lattice = tuple_sets(g_stable_subgroups(s))           # (d)
+            ok &= minimal == (len(lattice) == 2)
+            ok &= tuple_sets(s.stable_subgroups) == lattice
         ok &= rep.minimal_count >= rep.normal_complement_bound
         # (e) N inside the translation image pulls back to a normal complement
         act = coset_action(prob)

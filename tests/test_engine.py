@@ -32,8 +32,9 @@ from hopfgalois.groups import (_is_automorphism_map, _is_prime, are_isomorphic,
 from hopfgalois.perms import (compose, conjugate, cycle_string, inverse,
                               uniform_cycle_length)
 
-from conftest import (catalog_problems, complement_problem, read_cycles,
-                      stabilizer_problem, subgroup_problem)
+from conftest import (ORDER_56_EXPR, catalog_problems, complement_problem,
+                      read_cycles, stabilizer_problem, subgroup_problem,
+                      tuple_sets)
 from test_canonical_digest import DEGREE_12_SHA256
 from test_corpus import ROWS
 from test_groups import greedy_generators
@@ -938,7 +939,8 @@ def test_galois_search_types_once_per_orbit(monkeypatch):
 
 def test_structures_build_a_table_only_to_type(monkeypatch, capsys):
     # the tuples type every N of every corpus row: no Cayley table of N and
-    # no isomorphism search, in classify and on the command line
+    # no isomorphism search, in classify and on the command line; and the
+    # lattices of structures built outside the search need none either
     tables = iso_calls = 0
     rows = FiniteGroup._cayley_rows
 
@@ -960,6 +962,14 @@ def test_structures_build_a_table_only_to_type(monkeypatch, capsys):
     assert hopfgalois.cli.main(["enumerate", "E(2,3)", "--galois", "--canonical",
                                 "--json"]) == 0
     assert len(json.loads(capsys.readouterr().out)["structures"]) == 106
+    assert (tables, iso_calls) == (0, 0)
+    assert hopfgalois.cli.main(["catalog", "all"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert (tables, iso_calls) == (0, 0)
+    problem = complement_problem(ORDER_56_EXPR)
+    action = coset_action(problem)
+    for m in hopfgalois.normal_complements(problem):
+        assert hopfgalois.is_minimal(translation_structure(action, m.members))
     assert (tables, iso_calls) == (0, 0)
 
 
@@ -1023,18 +1033,17 @@ def tuple_route_structures():
 
 
 def test_tuple_routes_match_the_group_routes():
-    # generators, lattice orders and key are read from N's image tuples;
-    # the group N builds gives the same answers
+    # generators, the lattice and key are read from N's image tuples; the
+    # group N builds gives the same answers
     for label, structures in tuple_route_structures():
         assert structures, label
         for s in structures:
             gens = s.generator_strings()
-            orders = s.stable_subgroup_orders
+            lattice = tuple_sets(s.stable_subgroups)
             assert gens == [cycle_string(s.group.raw(i))
                             for i in s.group.generators()], label
             assert s.group.generators() == greedy_generators(s.group), label
-            lattice = g_stable_subgroups(s)
-            assert orders == [q.order for q in lattice], label
+            assert lattice == tuple_sets(g_stable_subgroups(s)), label
             assert s.key() == s.group.raw_elements(), label
 
 

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import hopfgalois
+import hopfgalois.cli
 from hopfgalois import (ExtensionProblem, FiniteGroup, HGStructure,
                         alternating, characteristic_obstruction,
                         classify, correspondence_stats, coset_action, cyclic,
@@ -12,11 +14,13 @@ from hopfgalois import (ExtensionProblem, FiniteGroup, HGStructure,
                         holomorph_minimality_certificate, intermediate_subgroups,
                         is_minimal, minimal_lower_bound, normal_complements,
                         symmetric, translation_structure)
+from hopfgalois.cli import _problem
 from hopfgalois.dsl import build_text
 from hopfgalois.perms import compose, conjugate, cycle_string, from_cycles, inverse
-from conftest import (catalog_problems, complement_problem, stabilizer_problem,
-                      subgroup_problem)
+from conftest import (catalog_problems, complement_problem, read_cycles,
+                      stabilizer_problem, subgroup_problem, tuple_sets)
 from test_canonical_digest import DEGREE_12_SHA256
+from test_corpus import ROWS as CORPUS_ROWS
 
 
 def stable_subgroups_via_filter(group: FiniteGroup, maps) -> list:
@@ -27,7 +31,7 @@ def stable_subgroups_via_filter(group: FiniteGroup, maps) -> list:
             if all({t[i] for i in h.members} == h._set for t in maps)]
 
 
-def stable_subgroups_via_orbits(structure: HGStructure) -> set[frozenset]:
+def stable_subgroups_via_orbits(structure: HGStructure) -> list:
     """Independent route: grow cyclic subgroups to their smallest stable
     closure, then close the set of closures under joins."""
     group = structure.group
@@ -53,7 +57,7 @@ def stable_subgroups_via_orbits(structure: HGStructure) -> set[frozenset]:
             if j not in stable:
                 stable.add(j)
                 frontier.append(j)
-    return stable
+    return [group.subgroup(q) for q in stable]
 
 
 def galois_structures(group) -> tuple:
@@ -94,9 +98,9 @@ def test_lattice_two_routes_agree(reports):
     for name, report in reports.items():
         for s in report.structures:
             maps = [s.conj_action(x) for x in s.action.generators]
-            assert s.stable_subgroups == stable_subgroups_via_filter(s.group, maps), name
-            lattice = {frozenset(u.members) for u in s.stable_subgroups}
-            assert lattice == stable_subgroups_via_orbits(s), name
+            lattice = tuple_sets(s.stable_subgroups)
+            assert lattice == tuple_sets(stable_subgroups_via_filter(s.group, maps)), name
+            assert lattice == tuple_sets(stable_subgroups_via_orbits(s)), name
 
 
 @pytest.mark.parametrize("label", sorted(DEGREE_12_SHA256))
@@ -107,7 +111,8 @@ def test_search_lattices_match_oracle_degree_12(label):
     else:
         prob = subgroup_problem(expr, *rest)
     for s in classify(prob).structures:
-        assert s.stable_subgroups == g_stable_subgroups(s), label
+        assert tuple_sets(s.stable_subgroups) == tuple_sets(g_stable_subgroups(s)), label
+        assert s.stable_subgroups[0] == {tuple(range(prob.degree))}, label
 
 
 def test_classify_does_not_rebuild_lattices(monkeypatch):
@@ -126,8 +131,24 @@ def test_classify_does_not_rebuild_lattices(monkeypatch):
     assert rep.minimal_count == 0
 
 
+def shut_lattice_routes_through_n(m) -> None:
+    """Shut, on the monkeypatch context `m`, the routes to a lattice through
+    N's `FiniteGroup`: its Cayley table and `FiniteGroup.stable_subgroups`
+    raise for a group named as `HGStructure.group` names N."""
+    def shut_for_n(original):
+        def shut(self, *args):
+            if self.name.startswith("N("):
+                raise AssertionError("a lattice was read through N's group")
+            return original(self, *args)
+        return shut
+
+    m.setattr(FiniteGroup, "_cayley_rows", shut_for_n(FiniteGroup._cayley_rows))
+    m.setattr(FiniteGroup, "stable_subgroups",
+              shut_for_n(FiniteGroup.stable_subgroups))
+
+
 def test_structures_outside_the_search_compute_their_lattice_on_read(monkeypatch):
-    # construction stays cheap: with the lattice route shut, the structures
+    # construction stays cheap: with the lattice routes shut, the structures
     # the transversal engine finds are still built
     def shut(*args, **kwargs):
         raise AssertionError("a lattice was built with its structure")
@@ -135,10 +156,15 @@ def test_structures_outside_the_search_compute_their_lattice_on_read(monkeypatch
     act = coset_action(ExtensionProblem.galois(dihedral(3)))
     with monkeypatch.context() as m:
         m.setattr(FiniteGroup, "stable_subgroups", shut)
+        m.setattr(hopfgalois.engine, "_combine_atoms", shut)
         structures = [HGStructure(act, key) for key in enumerate_via_transversal(act)]
-    for s in structures:
-        assert s.stable_subgroups == g_stable_subgroups(s)
-        assert s.stable_subgroups is s.stable_subgroups  # computed once
+    with monkeypatch.context() as m:
+        shut_lattice_routes_through_n(m)
+        lattices = [s.stable_subgroups for s in structures]
+    for s, lattice in zip(structures, lattices):
+        assert tuple_sets(lattice) == tuple_sets(g_stable_subgroups(s))
+        assert lattice[0] == {tuple(range(6))}  # the trivial group first
+        assert s.stable_subgroups is lattice  # computed once
     assert [is_minimal(s) for s in structures] == [False] * 5
     # a regular group that the translations do not normalize is built, and
     # refused when its lattice is read
@@ -150,6 +176,69 @@ def test_structures_outside_the_search_compute_their_lattice_on_read(monkeypatch
     assert s.type_name == "C6"
     with pytest.raises(KeyError):
         s.stable_subgroups
+    # six elements with distinct images of 0, a set that lambda(C6)
+    # normalizes, but not a group: refused too
+    act = coset_action(ExtensionProblem.galois(cyclic(6)))
+    involutions = ["(0 1)(2 3)(4 5)", "(0 2)(1 4)(3 5)", "(0 3)(1 5)(2 4)",
+                   "(0 4)(1 3)(2 5)", "(0 5)(1 2)(3 4)"]
+    elements = [tuple(range(6))] + [read_cycles(c, 6) for c in involutions]
+    assert sorted(t[0] for t in elements) == list(range(6))
+    image = list(act.image)
+    assert all(conjugate(g, t, inverse(g)) in elements for g in image for t in elements)
+    with pytest.raises(ValueError):
+        HGStructure(act, elements).stable_subgroups
+
+
+def _bare_structures(m, source: str) -> list[HGStructure]:
+    """Structures built outside the search, with their lattices read:
+    bare copies `HGStructure(s.action, s.key())` of a searched row's
+    structures, or the translation structures that the holomorph
+    certificate or `catalog example6` builds and judges, recorded by
+    wrapping `translation_structure` on the monkeypatch context `m`."""
+    if source == "corpus" or source in DEGREE_12_SHA256:
+        if source == "corpus":
+            problems = [row.build(hopfgalois, hopfgalois.dsl) for _, row in CORPUS_ROWS]
+        else:
+            expr, flag, *rest = source.split(" ", 2)
+            problems = [_problem(build_text(expr), flag[2:].replace("-", "_"), *rest)]
+        bare = [HGStructure(s.action, s.key())
+                for prob in problems for s in classify(prob).structures]
+        for s in bare:
+            s.stable_subgroups
+        return bare
+    module = hopfgalois.minimality if source == "holomorph certificates" else hopfgalois.cli
+    make, built = module.translation_structure, []
+
+    def recorded(action, members):
+        built.append(make(action, members))
+        return built[-1]
+
+    m.setattr(module, "translation_structure", recorded)
+    if module is hopfgalois.cli:
+        assert hopfgalois.cli.main(["catalog", "example6"]) == 0
+    else:
+        for n in (elementary_abelian(2, 2), elementary_abelian(3, 2),
+                  elementary_abelian(2, 3), cyclic(5)):
+            assert holomorph_minimality_certificate(n)
+    return built
+
+
+@pytest.mark.parametrize("source", ["corpus", *sorted(DEGREE_12_SHA256),
+                                    "holomorph certificates", "catalog example6"])
+def test_bare_lattices_match_the_oracle(monkeypatch, capsys, source):
+    # a structure built outside the search forms its lattice with the
+    # search's code and reads no table of N; g_stable_subgroups, which
+    # reads N's table, is the oracle
+    with monkeypatch.context() as m:
+        shut_lattice_routes_through_n(m)
+        structures = _bare_structures(m, source)
+    capsys.readouterr()
+    for s in structures:
+        assert tuple_sets(s.stable_subgroups) == tuple_sets(g_stable_subgroups(s)), source
+    counts = {"corpus": 225, "A(4) --galois": 14, "C(12) --galois": 6,
+              "D(6) --galois": 40, "holomorph certificates": 4,
+              "catalog example6": 3}
+    assert len(structures) == counts.get(source, 0)
 
 
 def test_is_minimal_examples(reports):
@@ -340,9 +429,9 @@ def test_random_transitive_groups(gens):
     assert sorted(s.key() for s in structures) == enumerate_via_transversal(act)
     for s in structures:
         maps = [s.conj_action(x) for x in act.generators]
-        lattice = g_stable_subgroups(s)
-        assert lattice == stable_subgroups_via_filter(s.group, maps)
-        assert s.stable_subgroups == lattice  # as the search supplies it
+        lattice = tuple_sets(g_stable_subgroups(s))
+        assert lattice == tuple_sets(stable_subgroups_via_filter(s.group, maps))
+        assert tuple_sets(s.stable_subgroups) == lattice  # as the search supplies it
 
 
 # Point i is renamed sigma[i]; sigma(0) != 0, so G' of the relabelled
