@@ -230,31 +230,27 @@ class HGStructure:
     def stable_subgroups(self) -> list[frozenset[tuple[int, ...]]]:
         """N's sub-Hopf lattice: its subgroups stable under conjugation by
         the translations of G, as sets of image tuples, the trivial group
-        first.  The search supplies it (see `enumerate_regular_normalized`).
-        Otherwise the first read forms it with the search's code: the
-        `_closure` of one `_conj_orbit` per orbit on N's elements other than
-        the identity (first in `key`), then `_combine_atoms` on those atoms,
-        giving {1} plus the groups formed, by the proof in `_combine_atoms`.
-        Raises KeyError if a translation does not normalize N, and
-        ValueError if N is not among the groups formed: not a regular group."""
+        first.  The search supplies it (see `enumerate_regular_normalized`);
+        otherwise the first read forms it with the search's code, with no
+        budget limit: `_atom` from each element but the identity (first in
+        `key`), then `_combine_atoms`, giving {1} plus the groups formed, by
+        the proof there.  Raises KeyError if a translation does not normalize
+        N, and ValueError if N is not among the groups formed: not regular."""
         if self._lattice is None:
             n, members = self.action.degree, frozenset(self._key)
-            gen_pairs, budget = self.action.generator_pairs(), NodeBudget()
-            trivial = frozenset([tuple(range(n))])
+            gen_pairs, budget = self.action.generator_pairs(), NodeBudget(math.inf)
             visited: set[tuple[int, ...]] = set()
             atoms: dict[frozenset, tuple] = {}
             for t in self._key[1:]:
-                if t not in visited:
-                    orbit = _conj_orbit(t, gen_pairs, visited, budget)
-                    if not visited <= members:
-                        raise KeyError("a translation does not normalize N")
-                    grown = orbit and _closure(trivial, (), orbit, n, budget)
-                    if grown:
-                        atoms.setdefault(*grown)
+                grown = _atom(t, gen_pairs, visited, n, budget)
+                if not visited <= members:
+                    raise KeyError("a translation does not normalize N")
+                if grown:
+                    atoms.setdefault(*grown)
             formed = _combine_atoms(list(atoms.items()), n, budget)[1]
             if members not in formed:
                 raise ValueError("N is not a regular group")
-            self._lattice = [trivial, *formed]
+            self._lattice = [frozenset([tuple(range(n))]), *formed]
         return self._lattice
 
     def key(self) -> tuple[tuple[int, ...], ...]:
@@ -780,7 +776,6 @@ def _viable_atoms(action: CosetAction, budget: NodeBudget):
     budget.seeds += len(seeds)
     walked, maps = _seed_maps(action, seeds, class_of, kinds, budget)
     budget.seeds_walked += len(walked)
-    trivial = (tuple(range(n)),)
     atoms: dict[frozenset, tuple] = {}
     visited: set[tuple[int, ...]] = set()
     for sigma, p in walked:
@@ -789,17 +784,22 @@ def _viable_atoms(action: CosetAction, budget: NodeBudget):
         budget.walks_skipped += len(_divisors(n)) - len(lengths)
         for d in lengths:
             for t in _semiregular_centralizer(sigma, d):
-                if t in visited:
-                    continue
-                orbit = _conj_orbit(t, gen_pairs, visited, budget)
-                if orbit is None:
-                    continue
-                grown = _closure(trivial, (), orbit, n, budget)
-                if grown is not None:
+                grown = _atom(t, gen_pairs, visited, n, budget)
+                if grown:
                     atoms.setdefault(*grown)
     _close_under(atoms, list(atoms), maps, budget,
                  lambda gens, conj: tuple(map(conj, gens)))
     return sorted(atoms.items(), key=lambda item: sorted(item[0])), maps
+
+
+def _atom(t, gen_pairs, visited, n, budget):
+    """Stage 1 from t: (atom, generators) for the group that t's
+    translation-conjugation orbit generates, or None if t is in `visited`
+    or `_conj_orbit` or `_closure` gives None.  The orbit joins `visited`."""
+    if t in visited:
+        return None
+    orbit = _conj_orbit(t, gen_pairs, visited, budget)
+    return orbit and _closure(frozenset([tuple(range(n))]), (), orbit, n, budget)
 
 
 def _combine_atoms(atoms, n, budget):

@@ -117,13 +117,23 @@ def test_search_lattices_match_oracle_degree_12(label):
 
 def test_classify_does_not_rebuild_lattices(monkeypatch):
     # every lattice comes from the search: with the route through
-    # conj_action and stable_subgroups shut, classify still answers
+    # conj_action and stable_subgroups shut, classify still answers, and
+    # _combine_atoms runs once, as the search's stage 2, not again for a
+    # structure's lattice on read
     def shut(*args, **kwargs):
         raise AssertionError("classify rebuilt a sub-Hopf lattice")
 
+    combine, calls = hopfgalois.engine._combine_atoms, []
+
+    def counted(*args):
+        calls.append(args)
+        return combine(*args)
+
     monkeypatch.setattr(FiniteGroup, "stable_subgroups", shut)
     monkeypatch.setattr(HGStructure, "conj_action", shut)
+    monkeypatch.setattr(hopfgalois.engine, "_combine_atoms", counted)
     rep = classify(ExtensionProblem.galois(elementary_abelian(2, 3)))
+    assert len(calls) == 1
     assert rep.structure_count == 106
     # as g_stable_subgroups gives them
     assert Counter(len(s.stable_subgroups) for s in rep.structures) == {
@@ -189,24 +199,19 @@ def test_structures_outside_the_search_compute_their_lattice_on_read(monkeypatch
         HGStructure(act, elements).stable_subgroups
 
 
-def _bare_structures(m, source: str) -> list[HGStructure]:
-    """Structures built outside the search, with their lattices read:
-    bare copies `HGStructure(s.action, s.key())` of a searched row's
-    structures, or the translation structures that the holomorph
-    certificate or `catalog example6` builds and judges, recorded by
-    wrapping `translation_structure` on the monkeypatch context `m`."""
-    if source == "corpus" or source in DEGREE_12_SHA256:
-        if source == "corpus":
-            problems = [row.build(hopfgalois, hopfgalois.dsl) for _, row in CORPUS_ROWS]
-        else:
-            expr, flag, *rest = source.split(" ", 2)
-            problems = [_problem(build_text(expr), flag[2:].replace("-", "_"), *rest)]
-        bare = [HGStructure(s.action, s.key())
-                for prob in problems for s in classify(prob).structures]
-        for s in bare:
-            s.stable_subgroups
-        return bare
-    module = hopfgalois.minimality if source == "holomorph certificates" else hopfgalois.cli
+def _bare_copies(problems) -> list[HGStructure]:
+    """Bare copies `HGStructure(s.action, s.key())` of the problems'
+    searched structures, their lattices read."""
+    bare = [HGStructure(s.action, s.key())
+            for prob in problems for s in classify(prob).structures]
+    for s in bare:
+        s.stable_subgroups
+    return bare
+
+
+def _recorded_translation_structures(m, module) -> list:
+    """Wrap `module.translation_structure` on the monkeypatch context `m`
+    so that it records every structure it builds; return the record."""
     make, built = module.translation_structure, []
 
     def recorded(action, members):
@@ -214,31 +219,57 @@ def _bare_structures(m, source: str) -> list[HGStructure]:
         return built[-1]
 
     m.setattr(module, "translation_structure", recorded)
-    if module is hopfgalois.cli:
-        assert hopfgalois.cli.main(["catalog", "example6"]) == 0
-    else:
-        for n in (elementary_abelian(2, 2), elementary_abelian(3, 2),
-                  elementary_abelian(2, 3), cyclic(5)):
-            assert holomorph_minimality_certificate(n)
     return built
 
 
-@pytest.mark.parametrize("source", ["corpus", *sorted(DEGREE_12_SHA256),
-                                    "holomorph certificates", "catalog example6"])
-def test_bare_lattices_match_the_oracle(monkeypatch, capsys, source):
+def _digest_problem(label: str) -> ExtensionProblem:
+    expr, flag, *rest = label.split(" ", 2)
+    return _problem(build_text(expr), flag[2:].replace("-", "_"), *rest)
+
+
+def _holomorph_certificates(m) -> list[HGStructure]:
+    built = _recorded_translation_structures(m, hopfgalois.minimality)
+    for n in (elementary_abelian(2, 2), elementary_abelian(3, 2),
+              elementary_abelian(2, 3), cyclic(5)):
+        assert holomorph_minimality_certificate(n)
+    return built
+
+
+def _catalog_example6(m) -> list[HGStructure]:
+    built = _recorded_translation_structures(m, hopfgalois.cli)
+    assert hopfgalois.cli.main(["catalog", "example6"]) == 0
+    return built
+
+
+DIGEST_ROW_COUNTS = [("A(4) --galois", 14), ("C(12) --galois", 6),
+                     ("D(6) --galois", 40),
+                     ("S(6) --subgroup gens[(0 1 2 3 4), (0 5)(1 4)]", 0)]
+
+
+@pytest.mark.parametrize("build, count", [
+    pytest.param(lambda m: _bare_copies(
+        row.build(hopfgalois, hopfgalois.dsl) for _, row in CORPUS_ROWS),
+        225, id="corpus"),
+    *(pytest.param(lambda m, label=label: _bare_copies([_digest_problem(label)]),
+                   count, id=label) for label, count in DIGEST_ROW_COUNTS),
+    pytest.param(_holomorph_certificates, 4, id="holomorph certificates"),
+    pytest.param(_catalog_example6, 3, id="catalog example6"),
+])
+def test_bare_lattices_match_the_oracle(monkeypatch, capsys, build, count):
     # a structure built outside the search forms its lattice with the
     # search's code and reads no table of N; g_stable_subgroups, which
     # reads N's table, is the oracle
     with monkeypatch.context() as m:
         shut_lattice_routes_through_n(m)
-        structures = _bare_structures(m, source)
+        structures = build(m)
     capsys.readouterr()
     for s in structures:
-        assert tuple_sets(s.stable_subgroups) == tuple_sets(g_stable_subgroups(s)), source
-    counts = {"corpus": 225, "A(4) --galois": 14, "C(12) --galois": 6,
-              "D(6) --galois": 40, "holomorph certificates": 4,
-              "catalog example6": 3}
-    assert len(structures) == counts.get(source, 0)
+        assert tuple_sets(s.stable_subgroups) == tuple_sets(g_stable_subgroups(s))
+    assert len(structures) == count
+
+
+def test_bare_lattice_rows_are_the_digest_rows():
+    assert [label for label, _ in DIGEST_ROW_COUNTS] == sorted(DEGREE_12_SHA256)
 
 
 def test_is_minimal_examples(reports):
