@@ -125,8 +125,8 @@ class CosetAction:
     """Left-translation action of G on the cosets of G'.
 
     The points are the problem's cosets: point 0 is G' itself, the others
-    are numbered as in `_cosets`.  The image lambda(G) is built on first
-    use, from the generator translations alone.
+    are numbered as in `_cosets`.  The image lambda(G) and its blocks at
+    point 0 are built on first use, from the generator translations alone.
     """
 
     def __init__(self, problem: ExtensionProblem,
@@ -143,6 +143,7 @@ class CosetAction:
                 raise ValueError("the given indices do not generate the group")
         self._translations: dict[int, tuple[int, ...]] = {}
         self._image: dict[tuple[int, ...], None] | None = None
+        self._blocks: tuple[frozenset[int], ...] | None = None
 
     @property
     def degree(self) -> int:
@@ -185,6 +186,51 @@ class CosetAction:
                                    "order of the group")
             self._image = image
         return self._image.keys()
+
+    @property
+    def blocks(self) -> tuple[frozenset[int], ...]:
+        """The blocks of lambda(G) at point 0, {0} first (`_walk_blocks`)."""
+        if self._blocks is None:
+            self._blocks = self._walk_blocks()
+        return self._blocks
+
+    def _walk_blocks(self) -> tuple[frozenset[int], ...]:
+        """The walk starts from {0}, whose block system is the partition
+        into points.  It holds each block B's system as union-find labels
+        (class roots) and, from them, makes one pass of Atkinson's
+        union-find (Math. Comp. 29, 1975) per other class: join it to 0's
+        class, then the images of every two classes joined, under each
+        generator, until the partition is stable.  Exact by two facts.  (1)
+        If B <= C are blocks, C's system is coarser than B's; so the finest
+        invariant partition coarser than B's system that joins 0 to a point
+        a has as its class of 0 the minimal block holding B and a, and every
+        block is reached by such steps from {0}.  (2) That partition joins a
+        to a's whole class, so the points of a class give the same block.
+        """
+        n, gens = self.degree, list(map(self.translation, self.generators))
+        def find(parent, a):
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            return a
+
+        found, systems = {frozenset([0]): None}, [list(range(n))]
+        for labels in systems:
+            for a in set(labels) - {labels[0]}:
+                parent, pending = labels.copy(), [(labels[0], a)]
+                parent[a] = labels[0]
+                while pending:
+                    u, v = pending.pop()
+                    for g in gens:
+                        x, y = find(parent, g[u]), find(parent, g[v])
+                        if x != y:
+                            parent[y] = x
+                            pending.append((x, y))
+                joined = [find(parent, b) for b in range(n)]
+                block = frozenset(b for b, r in enumerate(joined) if r == joined[0])
+                if block not in found:
+                    found[block] = None
+                    systems.append(joined)
+        return tuple(found)
 
 
 def coset_action(problem: ExtensionProblem,
@@ -823,7 +869,10 @@ def _combine_atoms(atoms, n, budget):
 
     A join is skipped before any product when p and a already hold two
     distinct elements that agree on point 0: both lie in the join, so
-    `_closure` would return None.
+    `_closure` would return None.  It compares point masks, the bits t[0]
+    of a group's elements (p's once per state).  p and a are semiregular,
+    one element per point covered, so |a & p| is at most the number of
+    points both cover, with equality iff none carries two elements.
 
     A join is also read without a closure when p has an index-2 join q,
     one already closed from p with |q| = 2|p|, that holds a.  Then p < p v
@@ -837,7 +886,7 @@ def _combine_atoms(atoms, n, budget):
         if len(a) == n:
             results.add(a)
         else:
-            smaller.append((a, a_gens))
+            smaller.append((a, a_gens, sum(1 << t[0] for t in a)))
     seen = set()
     doubles: dict[frozenset, list] = {}
 
@@ -845,19 +894,17 @@ def _combine_atoms(atoms, n, budget):
         if len(p) == n:
             results.add(p)
             return
-        by0 = dict.fromkeys(range(n))
-        for t in p:
-            by0[t[0]] = t
+        p_mask = sum(1 << t[0] for t in p)
         p_doubles = doubles.setdefault(p, [])
         for j in range(start, len(smaller)):
-            a, a_gens = smaller[j]
+            a, a_gens, a_mask = smaller[j]
             if a <= p:
                 continue
             for grown in p_doubles:
                 if a <= grown[0]:
                     break
             else:
-                if any(by0[t[0]] not in (None, t) for t in a):
+                if (a_mask & p_mask).bit_count() != len(a & p):
                     continue
                 grown = _closure(p, p_gens, a_gens, n, budget)
                 if grown is None:
@@ -871,7 +918,7 @@ def _combine_atoms(atoms, n, budget):
             seen.add(state)
             extend(q, q_gens, j + 1)
 
-    for j, (a, a_gens) in enumerate(smaller):
+    for j, (a, a_gens, _) in enumerate(smaller):
         extend(a, a_gens, j + 1)
     formed = {a for a, _ in atoms}
     formed.update(q for q, _ in seen)

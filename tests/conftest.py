@@ -69,6 +69,16 @@ def d4_point_problem() -> ExtensionProblem:
     return stabilizer_problem(g)
 
 
+# degree-12 problems, built on call
+DEGREE_12_ROWS = {
+    "C(12) --galois": lambda: ExtensionProblem.galois(cyclic(12)),
+    "A(4) --galois": lambda: ExtensionProblem.galois(alternating(4)),
+    "D(6) --galois": lambda: ExtensionProblem.galois(dihedral(6)),
+    "S(6) --subgroup": lambda: subgroup_problem(
+        "S(6)", "gens[(0 1 2 3 4), (0 5)(1 4)]"),
+}
+
+
 def catalog_problems() -> dict[str, ExtensionProblem]:
     """Every desk-scale problem exercised by the property suites."""
     probs = {

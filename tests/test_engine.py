@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 from collections import Counter
 
 import pytest
@@ -32,8 +33,8 @@ from hopfgalois.groups import (_is_automorphism_map, _is_prime, are_isomorphic,
 from hopfgalois.perms import (compose, conjugate, cycle_string, inverse,
                               uniform_cycle_length)
 
-from conftest import (ORDER_56_EXPR, catalog_problems, complement_problem,
-                      read_cycles, stabilizer_problem, subgroup_problem,
+from conftest import (DEGREE_12_ROWS, ORDER_56_EXPR, catalog_problems,
+                      complement_problem, read_cycles, stabilizer_problem,
                       tuple_sets)
 from test_canonical_digest import DEGREE_12_SHA256
 from test_corpus import ROWS
@@ -756,14 +757,6 @@ def test_search_closes_groups_by_cosets():
 # -- the automorphisms of G as a symmetry of Galois problems --------------
 
 
-DEGREE_12_ROWS = {
-    "C(12) --galois": lambda: ExtensionProblem.galois(cyclic(12)),
-    "A(4) --galois": lambda: ExtensionProblem.galois(alternating(4)),
-    "D(6) --galois": lambda: ExtensionProblem.galois(dihedral(6)),
-    "S(6) --subgroup": lambda: subgroup_problem(
-        "S(6)", "gens[(0 1 2 3 4), (0 5)(1 4)]"),
-}
-
 SYMMETRY_NAMES = ORACLE_NAMES + sorted(DEGREE_9_AND_10) + sorted(DEGREE_12_ROWS)
 
 # rows where the 2-seeds skip cycle lengths p and 2p (p = 7 and 5)
@@ -864,13 +857,40 @@ def unfiltered_combine(atoms, n, budget):
     return results, formed
 
 
-@pytest.mark.parametrize("name", ORACLE_NAMES)
+@pytest.mark.parametrize("name", ORACLE_NAMES + sorted(DEGREE_12_ROWS))
 def test_skipped_joins_match_the_unfiltered_loop(name):
-    act = coset_action(oracle_problem(name))
+    act = coset_action(symmetry_problem(name))
     budget = NodeBudget(10**9)
     atoms, _ = _viable_atoms(act, budget)
     assert _combine_atoms(atoms, act.degree, budget) == \
         unfiltered_combine(atoms, act.degree, budget)
+
+
+def element_scan_clash(p, a) -> bool:
+    """The point-0 clash as stage 2 tested it before point masks: some
+    element of a sends point 0 where a different element of p sends it."""
+    by0 = {t[0]: t for t in p}
+    return any(by0.get(t[0], t) != t for t in a)
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES + sorted(DEGREE_12_ROWS))
+def test_point_mask_clash_matches_the_element_scan(name):
+    # every state that stage 2 extends is a formed group below order n,
+    # and it meets only the atoms below order n, so these pairs hold every
+    # (state, atom) pair that stage 2 tests
+    act = coset_action(symmetry_problem(name))
+    n, budget = act.degree, NodeBudget(10**9)
+    atoms, _ = _viable_atoms(act, budget)
+    _, formed = _combine_atoms(atoms, n, budget)
+
+    def mask(group) -> int:
+        return functools.reduce(operator.or_, (1 << t[0] for t in group))
+
+    smaller = [a for a, _ in atoms if len(a) < n]
+    for p in (q for q in formed if len(q) < n):
+        for a in smaller:
+            clash = (mask(a) & mask(p)).bit_count() != len(a & p)
+            assert clash == element_scan_clash(p, a), name
 
 
 def test_index_2_joins_are_closed_once(monkeypatch):

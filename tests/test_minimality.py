@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import hopfgalois
 import hopfgalois.cli
-from hopfgalois import (ExtensionProblem, FiniteGroup, HGStructure,
+from hopfgalois import (CosetAction, ExtensionProblem, FiniteGroup, HGStructure,
                         alternating, characteristic_obstruction,
                         classify, correspondence_stats, coset_action, cyclic,
                         dihedral, elementary_abelian, enumerate_regular_normalized,
@@ -17,8 +17,9 @@ from hopfgalois import (ExtensionProblem, FiniteGroup, HGStructure,
 from hopfgalois.cli import _problem
 from hopfgalois.dsl import build_text
 from hopfgalois.perms import compose, conjugate, cycle_string, from_cycles, inverse
-from conftest import (catalog_problems, complement_problem, read_cycles,
-                      stabilizer_problem, subgroup_problem, tuple_sets)
+from conftest import (DEGREE_12_ROWS, catalog_problems, complement_problem,
+                      read_cycles, stabilizer_problem, subgroup_problem,
+                      tuple_sets)
 from test_canonical_digest import DEGREE_12_SHA256
 from test_corpus import ROWS as CORPUS_ROWS
 
@@ -423,10 +424,31 @@ _ORACLE_PROBLEMS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_ORACLE_PROBLEMS))
+@pytest.mark.parametrize("name", sorted(_ORACLE_PROBLEMS) + sorted(DEGREE_12_ROWS))
 def test_intermediate_subgroups_match_closure_walk(name):
-    prob = _ORACLE_PROBLEMS[name]
+    prob = _ORACLE_PROBLEMS.get(name) or DEGREE_12_ROWS[name]()
     assert intermediate_subgroups(prob) == closure_walk_intermediate(prob)
+
+
+def test_blocks_are_walked_once_per_action(monkeypatch, capsys):
+    # classify walks the blocks of its action; correspondence_stats and the
+    # command line read them from the same action
+    walk, calls = CosetAction._walk_blocks, []
+
+    def counted(self):
+        calls.append(self)
+        return walk(self)
+
+    monkeypatch.setattr(CosetAction, "_walk_blocks", counted)
+    prob = ExtensionProblem.galois(elementary_abelian(2, 3))
+    rep = classify(prob)
+    assert rep.structure_count == 106 and rep.intermediate_count == 16
+    assert {correspondence_stats(prob, s)[1] for s in rep.structures} == {16}
+    assert len(calls) == 1
+    calls.clear()
+    assert hopfgalois.cli.main(["enumerate", "E(2,3)", "--galois"]) == 0
+    assert "intermediate subgroups 16" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 _DEGREES = st.integers(min_value=2, max_value=6)
