@@ -142,8 +142,11 @@ class CosetAction:
             if g.closure_of(self.generators) != frozenset(range(len(g))):
                 raise ValueError("the given indices do not generate the group")
         self._translations: dict[int, tuple[int, ...]] = {}
+        self._pairs = tuple((lam, inverse(lam))
+                            for lam in map(self.translation, self.generators))
         self._image: dict[tuple[int, ...], None] | None = None
         self._blocks: tuple[frozenset[int], ...] | None = None
+        self._block_bits: tuple[int, ...] | None = None
 
     @property
     def degree(self) -> int:
@@ -158,9 +161,9 @@ class CosetAction:
             self._translations[x] = t
         return t
 
-    def generator_pairs(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """(lambda(g), lambda(g^-1)) for each generator g of G."""
-        return [(lam, inverse(lam)) for lam in map(self.translation, self.generators)]
+    def generator_pairs(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """(lambda(g), lambda(g^-1)) for each generator g of G, built once."""
+        return self._pairs
 
     @property
     def image(self) -> KeysView[tuple[int, ...]]:
@@ -193,6 +196,21 @@ class CosetAction:
         if self._blocks is None:
             self._blocks = self._walk_blocks()
         return self._blocks
+
+    @property
+    def block_bits(self) -> tuple[int, ...]:
+        """For each point x, the int whose bit i is set when `blocks[i]`
+        holds x: the table `_stable_fibers` tests with (`_mark_blocks`)."""
+        if self._block_bits is None:
+            self._block_bits = self._mark_blocks()
+        return self._block_bits
+
+    def _mark_blocks(self) -> tuple[int, ...]:
+        bits = [0] * self.degree
+        for i, block in enumerate(self.blocks):
+            for x in block:
+                bits[x] |= 1 << i
+        return tuple(bits)
 
     def _walk_blocks(self) -> tuple[frozenset[int], ...]:
         """The walk starts from {0}, whose block system is the partition
@@ -243,6 +261,7 @@ class HGStructure:
     permutation subgroup N, held as its image tuples, with its isomorphism
     type and sub-Hopf lattice.
 
+    `_regular_normalized` checks N at construction (else ValueError).
     `key`, `generator_strings` and `stable_subgroups` read the tuples;
     `group`, N as a `FiniteGroup` with its Cayley table, is built on first
     read.  `type_name` is given by the caller or computed on first read:
@@ -250,13 +269,14 @@ class HGStructure:
     """
 
     def __init__(self, action: CosetAction, elements: Iterable[tuple[int, ...]],
-                 stable_subgroups: Iterable[frozenset[tuple[int, ...]]] | None = None,
                  type_name: str | None = None):
         self.action = action
         self._key = tuple(sorted(elements))
+        if not _regular_normalized(self._key, action.degree, action.generator_pairs()):
+            raise ValueError("N is not a regular group normalized by lambda(G)")
         self._type_name = type_name
         self._group: FiniteGroup | None = None
-        self._lattice = None if stable_subgroups is None else list(stable_subgroups)
+        self._lattice: list[frozenset[tuple[int, ...]]] | None = None
 
     @property
     def group(self) -> FiniteGroup:
@@ -276,27 +296,17 @@ class HGStructure:
     def stable_subgroups(self) -> list[frozenset[tuple[int, ...]]]:
         """N's sub-Hopf lattice: its subgroups stable under conjugation by
         the translations of G, as sets of image tuples, the trivial group
-        first.  The search supplies it (see `enumerate_regular_normalized`);
-        otherwise the first read forms it with the search's code, with no
-        budget limit: `_atom` from each element but the identity (first in
-        `key`), then `_combine_atoms`, giving {1} plus the groups formed, by
-        the proof there.  Raises KeyError if a translation does not normalize
-        N, and ValueError if N is not among the groups formed: not regular."""
+        first.  Read on first use through the Galois correspondence, as the
+        fibers N_B = {t in N : t[0] in B} over the blocks B of lambda(G) at
+        0 (`action.blocks`) that pass one test (`_stable_fibers`).  Exact:
+        lambda(G) permutes the orbits of a stable M <= N, so B = M.0 is a
+        block, and M = N_B since N is regular.  Conversely, a stable N_B is
+        a group: for s, t in N_B, some h in lambda(G) has h(0) = t(0), so h
+        fixes B and st(0) = h (h^-1 s h)(0) lies in B.  g t g^-1 lies in N,
+        so in N_B iff it sends 0 into B: the one test is g[t[g^-1[0]]] in B
+        for each generator pair (g, g^-1) and each t in N_B."""
         if self._lattice is None:
-            n, members = self.action.degree, frozenset(self._key)
-            gen_pairs, budget = self.action.generator_pairs(), NodeBudget(math.inf)
-            visited: set[tuple[int, ...]] = set()
-            atoms: dict[frozenset, tuple] = {}
-            for t in self._key[1:]:
-                grown = _atom(t, gen_pairs, visited, n, budget)
-                if not visited <= members:
-                    raise KeyError("a translation does not normalize N")
-                if grown:
-                    atoms.setdefault(*grown)
-            formed = _combine_atoms(list(atoms.items()), n, budget)[1]
-            if members not in formed:
-                raise ValueError("N is not a regular group")
-            self._lattice = [frozenset([tuple(range(n))]), *formed]
+            self._lattice = _stable_fibers(self.action, self._key)
         return self._lattice
 
     def key(self) -> tuple[tuple[int, ...], ...]:
@@ -306,8 +316,8 @@ class HGStructure:
 
     def conj_action(self, x: int) -> tuple[int, ...]:
         """Conjugation by the translation of x, as a map on N's indices, for
-        the oracle `minimality.g_stable_subgroups`.  Raises KeyError if that
-        translation does not normalize N."""
+        the oracle `minimality.g_stable_subgroups`; it normalizes N, as
+        checked at construction."""
         lam = self.action.translation(x)
         conj = _conjugation(lam, inverse(lam))
         return tuple(map(self.group.index_of, map(conj, self._key)))
@@ -357,8 +367,26 @@ def _tuple_type(key: Collection[tuple[int, ...]]) -> str | None:
     return type_from_orders(list(map(_cycle_length_at_0, key)), abelian)
 
 
+def _stable_fibers(action: CosetAction, key) -> list[frozenset[tuple[int, ...]]]:
+    """The fibers of N (its sorted tuples `key`) over the blocks of
+    `action` that pass the test of `HGStructure.stable_subgroups`.  `good`
+    has one bit per block, cleared for the blocks that hold t[0] but not
+    g[t[g^-1[0]]]: n - 1 mask steps per generator pair, read off the
+    per-action table `block_bits`."""
+    bits, blocks = action.block_bits, action.blocks
+    pairs = [(g, gi[0]) for g, gi in action.generator_pairs()]
+    good = (1 << len(blocks)) - 1
+    for t in key[1:]:
+        miss = ~bits[t[0]]
+        for g, a in pairs:
+            good &= bits[g[t[a]]] | miss
+    by0 = {t[0]: t for t in key}
+    return [frozenset(map(by0.__getitem__, block))
+            for i, block in enumerate(blocks) if good >> i & 1]
+
+
 def _regular_normalized(elements, n: int, gen_pairs) -> bool:
-    """The post-hoc check of a group given as a set of image tuples.
+    """The post-hoc check of a group given as a collection of image tuples.
 
     Regular: n elements whose images of point 0 are all distinct; `by0`
     holds each under that image, and the one fixing 0 is the identity.
@@ -368,9 +396,10 @@ def _regular_normalized(elements, n: int, gen_pairs) -> bool:
     grows by right cosets, as in `_closure`: H x, then for each
     representative r and generator g, r g lies in a coset already met or
     opens the new coset H r g.
-    Normalized: g t g^-1 lies in the set for every picked generator t and
-    every pair (g, g^-1) of `gen_pairs`.  Conjugation by g is an
-    automorphism, so it then maps the group the picks generate into itself.
+    Normalized: g t g^-1 lies in the set, as the element of `by0` at its
+    image of 0, for every picked generator t and every pair (g, g^-1) of
+    `gen_pairs`.  Conjugation by g is an automorphism, so it then maps the
+    group the picks generate into itself.
 
     Every product is written out here, with no permutation kernel.
     """
@@ -410,7 +439,8 @@ def _regular_normalized(elements, n: int, gen_pairs) -> bool:
                     return False
     for g, gi in gen_pairs:
         for t in gens:
-            if tuple([g[t[j]] for j in gi]) not in elements:
+            c = tuple([g[t[j]] for j in gi])
+            if c != by0[c[0]]:
                 return False
     return True
 
@@ -818,6 +848,7 @@ def _viable_atoms(action: CosetAction, budget: NodeBudget):
     """
     n, order = action.degree, len(action.problem.group)
     gen_pairs = action.generator_pairs()
+    trivial = frozenset([tuple(range(n))])
     seeds, class_of, kinds = _prime_order_translations(action)
     budget.seeds += len(seeds)
     walked, maps = _seed_maps(action, seeds, class_of, kinds, budget)
@@ -830,22 +861,15 @@ def _viable_atoms(action: CosetAction, budget: NodeBudget):
         budget.walks_skipped += len(_divisors(n)) - len(lengths)
         for d in lengths:
             for t in _semiregular_centralizer(sigma, d):
-                grown = _atom(t, gen_pairs, visited, n, budget)
+                if t in visited:
+                    continue
+                orbit = _conj_orbit(t, gen_pairs, visited, budget)
+                grown = orbit and _closure(trivial, (), orbit, n, budget)
                 if grown:
                     atoms.setdefault(*grown)
     _close_under(atoms, list(atoms), maps, budget,
                  lambda gens, conj: tuple(map(conj, gens)))
     return sorted(atoms.items(), key=lambda item: sorted(item[0])), maps
-
-
-def _atom(t, gen_pairs, visited, n, budget):
-    """Stage 1 from t: (atom, generators) for the group that t's
-    translation-conjugation orbit generates, or None if t is in `visited`
-    or `_conj_orbit` or `_closure` gives None.  The orbit joins `visited`."""
-    if t in visited:
-        return None
-    orbit = _conj_orbit(t, gen_pairs, visited, budget)
-    return orbit and _closure(frozenset([tuple(range(n))]), (), orbit, n, budget)
 
 
 def _combine_atoms(atoms, n, budget):
@@ -856,16 +880,9 @@ def _combine_atoms(atoms, n, budget):
     a is closed from p's generators plus a's (see `_closure`): they
     generate the same group as p and a.
 
-    Returns (results, formed): the regular groups found, and every group
-    formed on the way, the atoms and each `q` of `seen`.  A regular N's
-    sub-Hopf lattice is {1} plus the formed groups inside N.  Let M be a
-    G-stable subgroup of N.  M is semiregular and lambda(G)-stable, so for
-    each t in M the lambda(G)-orbit of t lies in M and generates a
-    semiregular group, a stage-1 atom.  So M is the join of the atoms
-    inside it.  Stage 2 reaches M by adding those atoms in index order:
-    every partial join stays inside M, so it is never pruned, and each one
-    is an atom or the `q` of some state (q, j + 1) in `seen`.  N itself is
-    an atom or a `q`.
+    Returns the set of regular groups found, every regular normalized N:
+    N is the join of the atoms inside it (the groups that the orbits of its
+    elements generate), and adding them in index order prunes no step.
 
     A join is skipped before any product when p and a already hold two
     distinct elements that agree on point 0: both lie in the join, so
@@ -920,23 +937,7 @@ def _combine_atoms(atoms, n, budget):
 
     for j, (a, a_gens, _) in enumerate(smaller):
         extend(a, a_gens, j + 1)
-    formed = {a for a, _ in atoms}
-    formed.update(q for q, _ in seen)
-    return results, formed
-
-
-def _by_least_element(groups) -> dict[tuple[int, ...], list[frozenset]]:
-    """The groups keyed by their least non-identity element.
-
-    Every group here is semiregular, so its identity is the one element
-    fixing point 0 (and the least tuple); the key is the least t with
-    t[0] != 0.  A subgroup of N has its key in N, so looking up N's n
-    elements finds each subgroup of N once, without a scan of every group.
-    """
-    index: dict[tuple[int, ...], list[frozenset]] = {}
-    for q in groups:
-        index.setdefault(min(t for t in q if t[0]), []).append(q)
-    return index
+    return results
 
 
 def enumerate_regular_normalized(action: CosetAction, *,
@@ -945,11 +946,10 @@ def enumerate_regular_normalized(action: CosetAction, *,
     """All regular subgroups of Sym(points) normalized by the translation
     image of G, each exactly once, in canonical order.
 
-    Every result is re-checked post hoc (`_regular_normalized`): a regular
-    group normalized by the translations, independently of the pruning
-    used by the search.  Each carries its sub-Hopf lattice, the groups
-    stage 2 formed inside it (see `_combine_atoms`), as sets of image
-    tuples; N's `FiniteGroup` is built only where its type is computed.
+    Every result is re-checked post hoc as its `HGStructure` is built,
+    independently of the pruning (a failure raises RuntimeError), and
+    reads its lattice like any other; N's `FiniteGroup` is built only
+    where its type is computed.
 
     Stage 1 walks one seed per class of cyclic subgroups of prime order
     (see `_prime_order_translations`), each over the cycle lengths `_walked_lengths`
@@ -964,22 +964,16 @@ def enumerate_regular_normalized(action: CosetAction, *,
         raise CapExceeded(f"enumeration capped at degree {degree_cap}, got {n}")
     if budget is None:
         budget = NodeBudget()
-    gen_pairs = action.generator_pairs()
     atoms, maps = _viable_atoms(action, budget)
-    results, formed = _combine_atoms(atoms, n, budget)
-    index = _by_least_element(formed)
-    trivial = frozenset([tuple(range(n))])
     type_of: dict[frozenset, str] = {}
     structures = []
-    for fs in results:
-        if not _regular_normalized(fs, n, gen_pairs):
-            raise RuntimeError("search produced an invalid subgroup; "
-                               "this is a bug in the pruning")
-        lattice = [trivial]
-        for t in fs:
-            lattice.extend(q for q in index.get(t, ()) if q <= fs)
+    for fs in _combine_atoms(atoms, n, budget):
         name = type_of.get(fs) or _tuple_type(fs)
-        structure = HGStructure(action, fs, lattice, name)
+        try:
+            structure = HGStructure(action, fs, name)
+        except ValueError as error:
+            raise RuntimeError("search produced an invalid subgroup; "
+                               "this is a bug in the pruning") from error
         if name is None:
             type_of[fs] = structure.type_name
             _close_under(type_of, [fs], maps, budget, lambda name, _: name)
@@ -989,15 +983,10 @@ def enumerate_regular_normalized(action: CosetAction, *,
 
 
 def translation_structure(action: CosetAction, members) -> HGStructure:
-    """The structure whose N is the translation image of a subgroup of G,
-    its lattice formed on first read (see `HGStructure.stable_subgroups`).
-    Valid whenever the image is regular and normalized (e.g. the image of a
-    normal complement of G'); raises ValueError otherwise."""
-    elements = {action.translation(x) for x in members}
-    if not _regular_normalized(elements, action.degree, action.generator_pairs()):
-        raise ValueError("translation image is not a regular, normalized "
-                         "subgroup")
-    return HGStructure(action, elements)
+    """The structure whose N is the translation image of a subgroup of G.
+    Valid whenever the image is regular and normalized (e.g. the image of
+    a normal complement of G'); `HGStructure` raises ValueError otherwise."""
+    return HGStructure(action, {action.translation(x) for x in members})
 
 
 def enumerate_via_transversal(action: CosetAction, *,

@@ -7,9 +7,10 @@ from that stable-subgroup lattice, `HGStructure.stable_subgroups`, by its
 size; the characteristic-subgroup shortcut is computed separately so the
 implication can be cross-checked.
 
-The lattice, as sets of image tuples, is the one the search formed, or,
-for a structure built elsewhere, formed on first read by the search's code.
-`g_stable_subgroups` is its oracle, by another route: N's Cayley table.
+The lattice, as sets of image tuples, is read for every structure through
+the Galois correspondence, as the fibers of N over the blocks of lambda(G)
+at point 0 (`HGStructure.stable_subgroups`).  `g_stable_subgroups` is its
+oracle, by another route: N's Cayley table.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ def is_minimal(structure: HGStructure) -> bool:
 def g_stable_subgroups(structure: HGStructure) -> list[SubgroupRef]:
     """The oracle for `HGStructure.stable_subgroups`, recomputed on every
     call through N's Cayley table: the subgroups of N stable under
-    conjugation by the translations of G, sorted by (order, member set).
-    Raises KeyError if a translation does not normalize N."""
+    conjugation by the translations of G, sorted by (order, member set)."""
     return structure.group.stable_subgroups(
         structure.conj_action(x) for x in structure.action.generators)
 
@@ -92,8 +92,11 @@ def correspondence_stats(problem: ExtensionProblem,
     the second read from `blocks` of N's action, walked once per action.
 
     The first never exceeds the second: the fixed-field map embeds the
-    sub-Hopf lattice into the intermediate-field lattice.
+    sub-Hopf lattice into the intermediate-field lattice.  Raises
+    ValueError unless the structure's action was built from `problem`.
     """
+    if structure.action.problem is not problem:
+        raise ValueError("the structure belongs to another extension problem")
     return len(structure.stable_subgroups), len(structure.action.blocks)
 
 
@@ -102,9 +105,9 @@ def holomorph_minimality_certificate(n: FiniteGroup) -> bool:
     modeled by (Hol(N), Aut(N)) when N is characteristically simple.
 
     Returns True after checking through the generic machinery: the lattice
-    of `translation_structure`'s N, formed on read by the search's code; a
-    False would indicate an implementation fault, never a mathematical
-    outcome."""
+    of `translation_structure`'s N, read through the blocks like any
+    other; a False would indicate an implementation fault, never a
+    mathematical outcome."""
     if not is_characteristically_simple(n):
         raise ValueError("requires a characteristically simple group")
     hol = holomorph(n)

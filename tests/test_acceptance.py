@@ -42,8 +42,7 @@ def test_criterion_01_quartic_symmetric_case(reports):
     ok = (rep.structure_count == 1
           and rep.types() == ["E(2,2)"]
           and is_minimal(rep.structures[0])
-          and correspondence_stats(catalog_problems()["S4/S3"],
-                                   rep.structures[0]) == (2, 2))
+          and correspondence_stats(rep.problem, rep.structures[0]) == (2, 2))
     assert v.record(ok)
 
 

@@ -184,10 +184,11 @@ def test_induced_action_klein_image_order_6():
 
 
 def test_induced_action_requires_normalized():
+    # refused when the structure is built, before any action is read
     act = coset_action(ExtensionProblem.galois(symmetric(3)))
     not_normalized = build_text("gens[(0 1)(5)]").group.raw_elements()
-    with pytest.raises(KeyError):
-        induced_action(HGStructure(act, not_normalized))
+    with pytest.raises(ValueError):
+        HGStructure(act, not_normalized)
 
 
 def test_translation_structure():
@@ -857,12 +858,29 @@ def unfiltered_combine(atoms, n, budget):
     return results, formed
 
 
+def recorded_combine(m, atoms, n, budget):
+    """(results, formed) of `_combine_atoms`, with the engine's `_closure`
+    wrapped on the monkeypatch context `m` to record every group stage 2
+    formed: the atoms and each group a closure returned, which are the `q`
+    of `seen`."""
+    formed, closure = {a for a, _ in atoms}, hopfgalois.engine._closure
+
+    def recorded(*args):
+        grown = closure(*args)
+        if grown is not None:
+            formed.add(grown[0])
+        return grown
+
+    m.setattr(hopfgalois.engine, "_closure", recorded)
+    return _combine_atoms(atoms, n, budget), formed
+
+
 @pytest.mark.parametrize("name", ORACLE_NAMES + sorted(DEGREE_12_ROWS))
-def test_skipped_joins_match_the_unfiltered_loop(name):
+def test_skipped_joins_match_the_unfiltered_loop(monkeypatch, name):
     act = coset_action(symmetry_problem(name))
     budget = NodeBudget(10**9)
     atoms, _ = _viable_atoms(act, budget)
-    assert _combine_atoms(atoms, act.degree, budget) == \
+    assert recorded_combine(monkeypatch, atoms, act.degree, budget) == \
         unfiltered_combine(atoms, act.degree, budget)
 
 
@@ -874,14 +892,15 @@ def element_scan_clash(p, a) -> bool:
 
 
 @pytest.mark.parametrize("name", ORACLE_NAMES + sorted(DEGREE_12_ROWS))
-def test_point_mask_clash_matches_the_element_scan(name):
+def test_point_mask_clash_matches_the_element_scan(monkeypatch, name):
     # every state that stage 2 extends is a formed group below order n,
     # and it meets only the atoms below order n, so these pairs hold every
     # (state, atom) pair that stage 2 tests
     act = coset_action(symmetry_problem(name))
     n, budget = act.degree, NodeBudget(10**9)
     atoms, _ = _viable_atoms(act, budget)
-    _, formed = _combine_atoms(atoms, n, budget)
+    with monkeypatch.context() as m:
+        _, formed = recorded_combine(m, atoms, n, budget)
 
     def mask(group) -> int:
         return functools.reduce(operator.or_, (1 << t[0] for t in group))
@@ -907,7 +926,7 @@ def test_index_2_joins_are_closed_once(monkeypatch):
         return _closure(*args)
 
     monkeypatch.setattr(hopfgalois.engine, "_closure", counted)
-    results, formed = _combine_atoms(atoms, act.degree, budget)
+    results, formed = recorded_combine(monkeypatch, atoms, act.degree, budget)
     assert (len(results), len(formed)) == (106, 183)
     assert calls <= 350
 

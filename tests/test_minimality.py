@@ -117,29 +117,36 @@ def test_search_lattices_match_oracle_degree_12(label):
 
 
 def test_classify_does_not_rebuild_lattices(monkeypatch):
-    # every lattice comes from the search: with the route through
-    # conj_action and stable_subgroups shut, classify still answers, and
-    # _combine_atoms runs once, as the search's stage 2, not again for a
-    # structure's lattice on read
+    # every lattice is read through the blocks: with the route through
+    # conj_action and stable_subgroups shut, classify still answers; the
+    # action marks its blocks once, each structure reads its fibers once,
+    # and _combine_atoms runs once, as the search's stage 2
     def shut(*args, **kwargs):
         raise AssertionError("classify rebuilt a sub-Hopf lattice")
 
-    combine, calls = hopfgalois.engine._combine_atoms, []
+    def counted(owner, name):
+        original, calls = getattr(owner, name), []
 
-    def counted(*args):
-        calls.append(args)
-        return combine(*args)
+        def wrapper(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+        return calls
 
     monkeypatch.setattr(FiniteGroup, "stable_subgroups", shut)
     monkeypatch.setattr(HGStructure, "conj_action", shut)
-    monkeypatch.setattr(hopfgalois.engine, "_combine_atoms", counted)
+    combines = counted(hopfgalois.engine, "_combine_atoms")
+    tables = counted(CosetAction, "_mark_blocks")
+    fibers = counted(hopfgalois.engine, "_stable_fibers")
     rep = classify(ExtensionProblem.galois(elementary_abelian(2, 3)))
-    assert len(calls) == 1
+    assert len(combines) == 1
     assert rep.structure_count == 106
     # as g_stable_subgroups gives them
     assert Counter(len(s.stable_subgroups) for s in rep.structures) == {
         6: 42, 8: 63, 16: 1}
     assert rep.minimal_count == 0
+    assert len(tables) == 1 and len(fibers) == 106  # each lattice read once
 
 
 def shut_lattice_routes_through_n(m) -> None:
@@ -167,7 +174,7 @@ def test_structures_outside_the_search_compute_their_lattice_on_read(monkeypatch
     act = coset_action(ExtensionProblem.galois(dihedral(3)))
     with monkeypatch.context() as m:
         m.setattr(FiniteGroup, "stable_subgroups", shut)
-        m.setattr(hopfgalois.engine, "_combine_atoms", shut)
+        m.setattr(hopfgalois.engine, "_stable_fibers", shut)
         structures = [HGStructure(act, key) for key in enumerate_via_transversal(act)]
     with monkeypatch.context() as m:
         shut_lattice_routes_through_n(m)
@@ -177,16 +184,14 @@ def test_structures_outside_the_search_compute_their_lattice_on_read(monkeypatch
         assert lattice[0] == {tuple(range(6))}  # the trivial group first
         assert s.stable_subgroups is lattice  # computed once
     assert [is_minimal(s) for s in structures] == [False] * 5
-    # a regular group that the translations do not normalize is built, and
-    # refused when its lattice is read
+    # a regular group that the translations do not normalize is refused
+    # when it is built
     t = from_cycles(6, [(0, 1, 2, 3, 5, 4)])
     powers = [tuple(range(6))]
     while len(powers) < 6:
         powers.append(compose(t, powers[-1]))
-    s = HGStructure(act, powers)
-    assert s.type_name == "C6"
-    with pytest.raises(KeyError):
-        s.stable_subgroups
+    with pytest.raises(ValueError):
+        HGStructure(act, powers)
     # six elements with distinct images of 0, a set that lambda(C6)
     # normalizes, but not a group: refused too
     act = coset_action(ExtensionProblem.galois(cyclic(6)))
@@ -197,7 +202,7 @@ def test_structures_outside_the_search_compute_their_lattice_on_read(monkeypatch
     image = list(act.image)
     assert all(conjugate(g, t, inverse(g)) in elements for g in image for t in elements)
     with pytest.raises(ValueError):
-        HGStructure(act, elements).stable_subgroups
+        HGStructure(act, elements)
 
 
 def _bare_copies(problems) -> list[HGStructure]:
@@ -257,9 +262,9 @@ DIGEST_ROW_COUNTS = [("A(4) --galois", 14), ("C(12) --galois", 6),
     pytest.param(_catalog_example6, 3, id="catalog example6"),
 ])
 def test_bare_lattices_match_the_oracle(monkeypatch, capsys, build, count):
-    # a structure built outside the search forms its lattice with the
-    # search's code and reads no table of N; g_stable_subgroups, which
-    # reads N's table, is the oracle
+    # a structure built outside the search reads its lattice through the
+    # blocks, as a searched one does, and reads no table of N;
+    # g_stable_subgroups, which reads N's table, is the oracle
     with monkeypatch.context() as m:
         shut_lattice_routes_through_n(m)
         structures = build(m)
@@ -267,6 +272,15 @@ def test_bare_lattices_match_the_oracle(monkeypatch, capsys, build, count):
     for s in structures:
         assert tuple_sets(s.stable_subgroups) == tuple_sets(g_stable_subgroups(s))
     assert len(structures) == count
+
+
+@pytest.mark.slow
+def test_fiber_lattices_match_the_oracle_on_e_2_4():
+    # every one of the 15,016 structures of E(2,4) --galois at degree 16
+    rep = classify(ExtensionProblem.galois(elementary_abelian(2, 4)), degree_cap=16)
+    assert rep.structure_count == 15_016
+    for s in rep.structures:
+        assert tuple_sets(s.stable_subgroups) == tuple_sets(g_stable_subgroups(s))
 
 
 def test_bare_lattice_rows_are_the_digest_rows():
@@ -374,18 +388,49 @@ def test_smaller_acting_groups_still_minimal():
 def test_correspondence_stats(reports):
     probs = catalog_problems()
     s4 = reports["S4/S3"]
-    assert correspondence_stats(probs["S4/S3"], s4.structures[0]) == (2, 2)
+    assert correspondence_stats(s4.problem, s4.structures[0]) == (2, 2)
 
     act, structures = galois_structures(cyclic(8))
-    prob = ExtensionProblem.galois(cyclic(8))
     cyclic_type = next(s for s in structures if s.type_name == "C8")
-    assert correspondence_stats(prob, cyclic_type) == (4, 4)
+    assert correspondence_stats(act.problem, cyclic_type) == (4, 4)
+    # a structure is answered for only with its own problem, not with
+    # another problem, nor with an equal one built separately
+    for other in (ExtensionProblem.galois(dihedral(3)), probs["galois C8"]):
+        with pytest.raises(ValueError):
+            correspondence_stats(other, cyclic_type)
 
     prob = ExtensionProblem.galois(symmetric(3))
     act = coset_action(prob)
     rho = [s for s in enumerate_regular_normalized(act)
            if s.type_name == "S3" and len(g_stable_subgroups(s)) == 6]
     assert correspondence_stats(prob, rho[0]) == (6, 6)
+
+
+GALOIS_ANCHOR_ROWS = {
+    **{row.label: (lambda row=row: row.build(hopfgalois, hopfgalois.dsl))
+       for _, row in CORPUS_ROWS if row.flags == ("--galois",)},
+    **{label: build for label, build in DEGREE_12_ROWS.items()
+       if label.endswith("--galois")},
+}
+
+
+@pytest.mark.parametrize("label", sorted(GALOIS_ANCHOR_ROWS))
+def test_galois_correspondence_anchors(label):
+    # Greither-Pareigis 1987, Crespo-Rio-Vela 2016: on a Galois problem the
+    # classical structure rho(G), the centralizer of lambda(G), maps onto
+    # every intermediate group, and lambda(G) itself onto the normal ones
+    prob = GALOIS_ANCHOR_ROWS[label]()
+    rep = classify(prob)
+    act, n = rep.structures[0].action, prob.degree
+    # with n_i the element of lambda(G) sending 0 to i, r_x(i) = n_i(x)
+    lam = {t[0]: t for t in act.image}
+    rho = tuple(sorted(tuple(lam[i][x] for i in range(n)) for x in range(n)))
+    assert all(compose(g, r) == compose(r, g) for g, _ in act.generator_pairs()
+               for r in rho), label
+    by_key = {s.key(): s for s in rep.structures}
+    assert len(by_key[rho].stable_subgroups) == len(act.blocks), label
+    assert len(by_key[tuple(sorted(act.image))].stable_subgroups) == \
+        len(prob.group.normal_subgroups()), label
 
 
 def test_intermediate_subgroups():
