@@ -76,7 +76,9 @@ def _problem(built, mode: str, subgroup_text: str | None = None) -> ExtensionPro
 
 
 def _structure_document(s: HGStructure) -> dict:
-    orders = sorted(map(len, s.stable_subgroups))
+    # |N_B| = |B|: the lattice's orders are the sizes of its blocks
+    orders = sorted(len(b) for i, b in enumerate(s.action.blocks)
+                    if s.lattice_bits >> i & 1)
     return {
         "type": s.type_name,
         "generators": s.generator_strings(),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Collection, KeysView
+from collections.abc import KeysView
 from operator import itemgetter
 from typing import Iterable
 
@@ -30,7 +30,9 @@ class NodeBudget:
     """A counter of search work; raises once the limit is hit.
 
     One node is one permutation product or conjugation computed inside the
-    search.  Exhaustion is always loud, never a silent truncation.  It also
+    search; each backtrack of `_seed_maps` for an automorphism, found or
+    not, costs one node per seed.  Exhaustion is always loud, never a
+    silent truncation.  It also
     counts the stage-1 seeds: `seeds`, one per conjugacy class of cyclic
     subgroups of prime order (see `_prime_order_translations`), and
     `seeds_walked`, one per class of those under the automorphisms the
@@ -261,21 +263,28 @@ class HGStructure:
     permutation subgroup N, held as its image tuples, with its isomorphism
     type and sub-Hopf lattice.
 
-    `_regular_normalized` checks N at construction (else ValueError).
-    `key`, `generator_strings` and `stable_subgroups` read the tuples;
-    `group`, N as a `FiniteGroup` with its Cayley table, is built on first
-    read.  `type_name` is given by the caller or computed on first read:
-    from the tuples where `_tuple_type` can, else by `iso_type` of `group`.
+    `_regular_normalized` checks N at construction (else ValueError), and
+    its picks are N's generators.  `key`, `generator_strings`,
+    `lattice_bits` and `stable_subgroups` read the tuples; `group`, N as a
+    `FiniteGroup` with its Cayley table, is built on first read.
+    `type_name` is given by the caller, or read from the tuples where
+    `_tuple_type` can, or else computed on first read by `iso_type` of
+    `group`.
     """
 
     def __init__(self, action: CosetAction, elements: Iterable[tuple[int, ...]],
                  type_name: str | None = None):
         self.action = action
-        self._key = tuple(sorted(elements))
-        if not _regular_normalized(self._key, action.degree, action.generator_pairs()):
+        self._key = key = tuple(sorted(elements))
+        orders = list(map(_cycle_length_at_0, key))
+        greedy = sorted(range(len(key)), key=lambda i: -orders[i])
+        self._picks = _regular_normalized([key[i] for i in greedy], action.degree,
+                                          action.generator_pairs())
+        if self._picks is None:
             raise ValueError("N is not a regular group normalized by lambda(G)")
-        self._type_name = type_name
+        self._type_name = type_name or _tuple_type(orders, self._picks)
         self._group: FiniteGroup | None = None
+        self._bits: int | None = None
         self._lattice: list[frozenset[tuple[int, ...]]] | None = None
 
     @property
@@ -289,24 +298,37 @@ class HGStructure:
     @property
     def type_name(self) -> str:
         if self._type_name is None:
-            self._type_name = _tuple_type(self._key) or iso_type(self.group)
+            self._type_name = iso_type(self.group)
         return self._type_name
+
+    @property
+    def lattice_bits(self) -> int:
+        """N's sub-Hopf lattice as the image of the Galois correspondence:
+        the int whose bit i is set when the fiber N_B over B = `blocks[i]`
+        of the action is in the lattice (`stable_subgroups`), read on first
+        use by `_stable_fibers`.  So the lattice has `bit_count()` members,
+        and N_B has |B| elements, since N is regular."""
+        if self._bits is None:
+            self._bits = _stable_fibers(self.action, self._key)
+        return self._bits
 
     @property
     def stable_subgroups(self) -> list[frozenset[tuple[int, ...]]]:
         """N's sub-Hopf lattice: its subgroups stable under conjugation by
         the translations of G, as sets of image tuples, the trivial group
-        first.  Read on first use through the Galois correspondence, as the
+        first.  They are read through the Galois correspondence, as the
         fibers N_B = {t in N : t[0] in B} over the blocks B of lambda(G) at
-        0 (`action.blocks`) that pass one test (`_stable_fibers`).  Exact:
-        lambda(G) permutes the orbits of a stable M <= N, so B = M.0 is a
-        block, and M = N_B since N is regular.  Conversely, a stable N_B is
-        a group: for s, t in N_B, some h in lambda(G) has h(0) = t(0), so h
-        fixes B and st(0) = h (h^-1 s h)(0) lies in B.  g t g^-1 lies in N,
-        so in N_B iff it sends 0 into B: the one test is g[t[g^-1[0]]] in B
-        for each generator pair (g, g^-1) and each t in N_B."""
+        0 (`action.blocks`) that `lattice_bits` marks, and built on first
+        read only (`_fiber_sets`).  Exact: lambda(G) permutes the orbits of
+        a stable M <= N, so B = M.0 is a block, and M = N_B since N is
+        regular.  Conversely, a stable N_B is a group: for s, t in N_B, some
+        h in lambda(G) has h(0) = t(0), so h fixes B and st(0) = h (h^-1 s
+        h)(0) lies in B.  g t g^-1 lies in N, so in N_B iff it sends 0 into
+        B: the one test is g[t[g^-1[0]]] in B for each generator pair (g,
+        g^-1) and each t in N_B."""
         if self._lattice is None:
-            self._lattice = _stable_fibers(self.action, self._key)
+            self._lattice = _fiber_sets(self.action.blocks, self._key,
+                                        self.lattice_bits)
         return self._lattice
 
     def key(self) -> tuple[tuple[int, ...], ...]:
@@ -323,28 +345,9 @@ class HGStructure:
         return tuple(map(self.group.index_of, map(conj, self._key)))
 
     def generator_strings(self) -> list[str]:
-        """N's generators as cycle strings, picked by the greedy rule of
-        `FiniteGroup.generators` on the image tuples: by descending element
-        order, then in `key` order, each element that the earlier picks do
-        not generate.  N is semiregular, so the order of t is the length of
-        its cycle through point 0, and t is the one element of N sending 0
-        to t[0]; `have` holds the picks' group by those points, grown by
-        right cosets as in `_closure`."""
-        identity, *rest = self._key
-        have, gens = {0: identity}, []
-        for t in sorted(rest, key=lambda t: -_cycle_length_at_0(t)):
-            if t[0] in have:
-                continue
-            gens.append(t)
-            sub, reps = tuple(have.values()), [t]
-            have.update({c[0]: c for c in map(itemgetter(*t), sub)})
-            for r in reps:
-                for g in gens:
-                    y = compose(r, g)
-                    if y[0] not in have:
-                        have.update({c[0]: c for c in map(itemgetter(*y), sub)})
-                        reps.append(y)
-        return [cycle_string(t) for t in gens]
+        """N's generators as cycle strings: the picks of the post-hoc check,
+        which walks N by the greedy rule of `FiniteGroup.generators`."""
+        return [cycle_string(t) for t in self._picks]
 
     def __repr__(self) -> str:
         return f"<HGStructure type {self.type_name} degree {self.action.degree}>"
@@ -352,50 +355,61 @@ class HGStructure:
 
 def _cycle_length_at_0(t: tuple[int, ...]) -> int:
     """The length of t's cycle through point 0: t's order if t is
-    semiregular."""
-    k, j = 1, t[0]
-    while j:
+    semiregular.  The walk stops after len(t) steps, so a tuple that is no
+    permutation gives some length and no endless loop."""
+    k, j, n = 1, t[0], len(t)
+    while j and k < n:
         j, k = t[j], k + 1
     return k
 
 
-def _tuple_type(key: Collection[tuple[int, ...]]) -> str | None:
-    """N's type from its image tuples, or None where `type_from_orders`
-    needs a group.  N is regular, so s t = t s iff both send 0 to the same
-    point, s[t[0]] == t[s[0]]."""
-    abelian = all(s[t[0]] == t[s[0]] for s, t in itertools.combinations(key, 2))
-    return type_from_orders(list(map(_cycle_length_at_0, key)), abelian)
+def _tuple_type(orders: list[int], picks) -> str | None:
+    """The type of a regular N from its element orders and generators
+    `picks`, or None where `type_from_orders` needs a group.  N is abelian
+    iff its generators commute pairwise, and, N being regular, s t = t s
+    iff both send 0 to the same point, s[t[0]] == t[s[0]]."""
+    abelian = all(s[t[0]] == t[s[0]] for s, t in itertools.combinations(picks, 2))
+    return type_from_orders(orders, abelian)
 
 
-def _stable_fibers(action: CosetAction, key) -> list[frozenset[tuple[int, ...]]]:
-    """The fibers of N (its sorted tuples `key`) over the blocks of
-    `action` that pass the test of `HGStructure.stable_subgroups`.  `good`
-    has one bit per block, cleared for the blocks that hold t[0] but not
-    g[t[g^-1[0]]]: n - 1 mask steps per generator pair, read off the
-    per-action table `block_bits`."""
-    bits, blocks = action.block_bits, action.blocks
+def _stable_fibers(action: CosetAction, key) -> int:
+    """The int with bit i set when the fiber of N (its sorted tuples
+    `key`) over `action.blocks[i]` passes the test of
+    `HGStructure.stable_subgroups`.  `good` has one bit per block, cleared
+    for the blocks that hold t[0] but not g[t[g^-1[0]]]: n - 1 mask steps
+    per generator pair, read off the per-action table `block_bits`."""
+    bits = action.block_bits
     pairs = [(g, gi[0]) for g, gi in action.generator_pairs()]
-    good = (1 << len(blocks)) - 1
+    good = (1 << len(action.blocks)) - 1
     for t in key[1:]:
         miss = ~bits[t[0]]
         for g, a in pairs:
             good &= bits[g[t[a]]] | miss
+    return good
+
+
+def _fiber_sets(blocks, key, good: int) -> list[frozenset[tuple[int, ...]]]:
+    """The fibers of N (its sorted tuples `key`) over the blocks whose
+    bits `good` sets, as sets of image tuples."""
     by0 = {t[0]: t for t in key}
     return [frozenset(map(by0.__getitem__, block))
             for i, block in enumerate(blocks) if good >> i & 1]
 
 
-def _regular_normalized(elements, n: int, gen_pairs) -> bool:
-    """The post-hoc check of a group given as a collection of image tuples.
+def _regular_normalized(elements, n: int, gen_pairs) -> list[tuple[int, ...]] | None:
+    """The post-hoc check of a group given as a collection of image tuples:
+    its generators picked in the order given, or None when it fails.
 
     Regular: n elements whose images of point 0 are all distinct; `by0`
     holds each under that image, and the one fixing 0 is the identity.
     A group: closing the identity under generators picked from the set
     meets every element, and every product it takes lies in the set.  Each
-    element not met yet becomes a generator, and the group H closed so far
-    grows by right cosets, as in `_closure`: H x, then for each
-    representative r and generator g, r g lies in a coset already met or
-    opens the new coset H r g.
+    element not met yet, in the order of `elements`, becomes a generator,
+    and the group H closed so far grows by right cosets, as in `_closure`:
+    H x, then for each representative r and generator g, r g lies in a
+    coset already met or opens the new coset H r g.  `HGStructure` walks N
+    by descending element order, then in `key` order: the greedy rule of
+    `FiniteGroup.generators`.
     Normalized: g t g^-1 lies in the set, as the element of `by0` at its
     image of 0, for every picked generator t and every pair (g, g^-1) of
     `gen_pairs`.  Conjugation by g is an automorphism, so it then maps the
@@ -405,7 +419,7 @@ def _regular_normalized(elements, n: int, gen_pairs) -> bool:
     """
     by0 = {t[0]: t for t in elements}
     if len(elements) != n or len(by0) != n or by0[0] != tuple(range(n)):
-        return False
+        return None
     met = [False] * n
     met[0] = True
     found: list[tuple[int, ...]] = []  # the non-identity elements met
@@ -426,23 +440,23 @@ def _regular_normalized(elements, n: int, gen_pairs) -> bool:
         sub = tuple(found)
         gens.append(x)
         if not add_coset(x):
-            return False
+            return None
         reps = [x]
         for r in reps:
             for g in gens:
                 y = tuple([r[j] for j in g])
                 if not met[y[0]]:
                     if not add_coset(y):
-                        return False
+                        return None
                     reps.append(y)
                 elif y != by0[y[0]]:
-                    return False
+                    return None
     for g, gi in gen_pairs:
         for t in gens:
             c = tuple([g[t[j]] for j in gi])
             if c != by0[c[0]]:
-                return False
-    return True
+                return None
+    return gens
 
 
 # -- the search ----------------------------------------------------------
@@ -742,8 +756,9 @@ def _prime_order_translations(action: CosetAction):
 
 
 def _seed_maps(action: CosetAction, seeds, class_of, kinds, budget):
-    """(the seeds to walk, each as (sigma, its prime), and the maps
-    (phibar, phibar^-1)) for stage 1.
+    """(label, maps) for stage 1: label[i] is the least seed whose class an
+    automorphism of G maps onto seed i's, and maps are the pairs (phibar,
+    phibar^-1) kept; the seeds with label[i] == i are walked.
 
     `seeds`, `class_of` and `kinds` are as `_prime_order_translations`
     returns them.  Only Galois problems (G' trivial) look for maps; the
@@ -751,35 +766,53 @@ def _seed_maps(action: CosetAction, seeds, class_of, kinds, budget):
     the points by phibar(i) = coset_of[phi(reps[i])], and phibar lambda(g)
     phibar^-1 = lambda(phi(g)).  So phibar maps the seed class of sigma
     onto the class of phibar sigma phibar^-1, and the atoms met from sigma
-    onto the atoms met from it (see `_viable_atoms`).  The maps are read
-    lazily from the isomorphisms G -> G, and one is kept when it merges two
-    seed classes; `label[i]` is the least seed merged with seed i.  An
-    automorphism keeps the order p of a generator and the number of
-    generators of the conjugates of <sigma>, so classes of different kinds
-    never merge: the search stops once as many classes are left as there
-    are kinds, and otherwise runs through Aut(G).  Each conjugation of a
-    seed is a node.
+    onto the atoms met from it (see `_viable_atoms`).  An automorphism
+    keeps the order p of a generator and the number of generators of the
+    conjugates of <sigma>, so only classes of one kind can merge.
+
+    The seeds are taken in index order.  A seed not merged yet is tried
+    against each walked root r of its kind, by one backtrack over the
+    automorphisms phi that send x, the element with lambda(x) = seeds[r],
+    into the seed's class (`_iso_image_maps` on a generating sequence that
+    starts with x).  The first phi found is kept, and it merges every two
+    classes it maps onto each other: `label` takes the least seed of each
+    merged set.  A seed that no backtrack reaches is a root.  Each backtrack
+    is exhaustive, so the roots are the least seeds of the orbits of Aut(G)
+    on the classes, as a scan of all of Aut(G) gives them.  Each one costs
+    len(seeds) nodes, as many as the conjugations of the seeds by a kept
+    map.
     """
-    target = len(set(kinds))
     label = list(range(len(seeds)))
     maps = []
-    if action.problem.subgroup.order == 1 and target < len(seeds):
-        g = action.problem.group
-        reps, coset_of = action.reps, action.coset_of
-        for phi in _iso_image_maps(g, g):
-            if len(set(label)) == target:
-                break
-            bar = tuple(coset_of[phi[r]] for r in reps)
-            bar_inv = inverse(bar)
+    if action.problem.subgroup.order > 1:
+        return label, maps
+    g = action.problem.group
+    reps, coset_of = action.reps, action.coset_of
+    members: dict[int, list[int]] = {}
+    for t, i in class_of.items():
+        members.setdefault(i, []).append(reps[t[0]])
+    roots: list[tuple[int, tuple[int, ...]]] = []  # (seed, gens from its x)
+    for j in range(len(seeds)):
+        if label[j] != j:
+            continue
+        for r, gens in roots:
+            if kinds[r] != kinds[j]:
+                continue
             budget.spend(len(seeds))
-            before = label
-            for i, sigma in enumerate(seeds):
-                a, b = sorted((label[i], label[class_of[conjugate(bar, sigma, bar_inv)]]))
-                label = [a if x == b else x for x in label]
-            if label != before:
-                maps.append((bar, bar_inv))
-    return [(sigma, kinds[i][0]) for i, sigma in enumerate(seeds)
-            if label[i] == i], maps
+            phi = next(_iso_image_maps(g, g, gens, members[j]), None)
+            if phi is not None:
+                break
+        else:
+            x = reps[seeds[j][0]]
+            roots.append((j, g._grow((0,), (), (x, *g.generators()))[1]))
+            continue
+        bar = tuple(coset_of[phi[r]] for r in reps)
+        bar_inv = inverse(bar)
+        maps.append((bar, bar_inv))
+        for i, sigma in enumerate(seeds):
+            a, b = sorted((label[i], label[class_of[conjugate(bar, sigma, bar_inv)]]))
+            label = [a if x == b else x for x in label]
+    return label, maps
 
 
 def _conjugation(bar, bar_inv):
@@ -851,7 +884,8 @@ def _viable_atoms(action: CosetAction, budget: NodeBudget):
     trivial = frozenset([tuple(range(n))])
     seeds, class_of, kinds = _prime_order_translations(action)
     budget.seeds += len(seeds)
-    walked, maps = _seed_maps(action, seeds, class_of, kinds, budget)
+    label, maps = _seed_maps(action, seeds, class_of, kinds, budget)
+    walked = [(sigma, kinds[i][0]) for i, sigma in enumerate(seeds) if label[i] == i]
     budget.seeds_walked += len(walked)
     atoms: dict[frozenset, tuple] = {}
     visited: set[tuple[int, ...]] = set()
@@ -884,18 +918,30 @@ def _combine_atoms(atoms, n, budget):
     N is the join of the atoms inside it (the groups that the orbits of its
     elements generate), and adding them in index order prunes no step.
 
+    A group p reached with start s is joined with the atoms of index >= s,
+    and only at its first arrival: `walked` holds the groups walked, and a
+    later arrival is skipped.  No join is lost, since the first arrival has
+    the least start.  The walk meets the chains of atoms (indices
+    ascending, each atom outside the join before it) in lexicographic
+    order, and a chain to p holds atoms inside p only.  So the first chain
+    to p is the greedy one, each atom of p in index order that the join
+    before it does not hold; it ends at the least m such that the atoms of
+    p up to index m join to p, and no chain to p ends below m.  A skipped
+    arrival cuts only joins that an earlier walk of the same group, from a
+    start no higher, made before it.
+
     A join is skipped before any product when p and a already hold two
     distinct elements that agree on point 0: both lie in the join, so
     `_closure` would return None.  It compares point masks, the bits t[0]
-    of a group's elements (p's once per state).  p and a are semiregular,
+    of a group's elements (p's once per walk).  p and a are semiregular,
     one element per point covered, so |a & p| is at most the number of
     points both cover, with equality iff none carries two elements.
 
     A join is also read without a closure when p has an index-2 join q,
     one already closed from p with |q| = 2|p|, that holds a.  Then p < p v
     a <= q, since a is not inside p, and |p v a| is a multiple of |p| by
-    Lagrange, so it is 2|p| and p v a = q.  `doubles` keeps these q, with
-    their generators, per p, over every state of p.
+    Lagrange, so it is 2|p| and p v a = q.  `p_doubles` keeps these q, with
+    their generators, over p's one walk.
     """
     results: set[frozenset] = set()
     smaller = []
@@ -904,15 +950,17 @@ def _combine_atoms(atoms, n, budget):
             results.add(a)
         else:
             smaller.append((a, a_gens, sum(1 << t[0] for t in a)))
-    seen = set()
-    doubles: dict[frozenset, list] = {}
+    walked: set[frozenset] = set()
 
     def extend(p, p_gens, start):
         if len(p) == n:
             results.add(p)
             return
+        if p in walked:
+            return
+        walked.add(p)
+        p_doubles = []
         p_mask = sum(1 << t[0] for t in p)
-        p_doubles = doubles.setdefault(p, [])
         for j in range(start, len(smaller)):
             a, a_gens, a_mask = smaller[j]
             if a <= p:
@@ -928,12 +976,7 @@ def _combine_atoms(atoms, n, budget):
                     continue
                 if len(grown[0]) == 2 * len(p):
                     p_doubles.append(grown)
-            q, q_gens = grown
-            state = (q, j + 1)
-            if state in seen:
-                continue
-            seen.add(state)
-            extend(q, q_gens, j + 1)
+            extend(*grown, j + 1)
 
     for j, (a, a_gens, _) in enumerate(smaller):
         extend(a, a_gens, j + 1)
@@ -968,13 +1011,12 @@ def enumerate_regular_normalized(action: CosetAction, *,
     type_of: dict[frozenset, str] = {}
     structures = []
     for fs in _combine_atoms(atoms, n, budget):
-        name = type_of.get(fs) or _tuple_type(fs)
         try:
-            structure = HGStructure(action, fs, name)
+            structure = HGStructure(action, fs, type_of.get(fs))
         except ValueError as error:
             raise RuntimeError("search produced an invalid subgroup; "
                                "this is a bug in the pruning") from error
-        if name is None:
+        if structure._type_name is None:  # its tuples do not fix N's type
             type_of[fs] = structure.type_name
             _close_under(type_of, [fs], maps, budget, lambda name, _: name)
         structures.append(structure)
@@ -1060,6 +1102,6 @@ def enumerate_via_transversal(action: CosetAction, *,
 
     dfs(frozenset({id_t}))
     for fs in results:
-        if not _regular_normalized(fs, n, gen_pairs):
+        if _regular_normalized(fs, n, gen_pairs) is None:
             raise RuntimeError("transversal search produced an invalid subgroup")
     return sorted(tuple(sorted(fs)) for fs in results)

@@ -583,17 +583,24 @@ def _fingerprint(g: FiniteGroup) -> tuple:
     return g._fp
 
 
-def _iso_image_maps(a: FiniteGroup, b: FiniteGroup) -> Iterator[tuple[int, ...]]:
+def _iso_image_maps(a: FiniteGroup, b: FiniteGroup,
+                    gens: tuple[int, ...] | None = None,
+                    first: list[int] | None = None) -> Iterator[tuple[int, ...]]:
     """Yield the image tables of all isomorphisms a -> b.
 
     Backtracks over images of a generating sequence of ``a``, pruning by
     element order, and extends each assignment over the generated subgroup
-    with consistency and injectivity checks.
+    with consistency and injectivity checks.  ``gens`` is that sequence
+    (default ``a.generators()``), and ``first``, when given, holds the only
+    images tried for its first element: then exactly the isomorphisms that
+    send it into ``first`` are yielded.  A group is not fingerprinted
+    against itself.
     """
     m = len(a)
-    if len(b) != m or _fingerprint(a) != _fingerprint(b):
+    if len(b) != m or a is not b and _fingerprint(a) != _fingerprint(b):
         return
-    gens = a.generators()
+    if gens is None:
+        gens = a.generators()
     by_order: dict[int, list[int]] = {}
     for i in range(m):
         by_order.setdefault(b.element_order(i), []).append(i)
@@ -626,7 +633,11 @@ def _iso_image_maps(a: FiniteGroup, b: FiniteGroup) -> Iterator[tuple[int, ...]]
             if mapping is not None and len(mapping) == m:
                 yield tuple(mapping[i] for i in range(m))
             return
-        for cand in by_order.get(a.element_order(gens[level]), ()):
+        if level == 0 and first is not None:
+            cands = first
+        else:
+            cands = by_order.get(a.element_order(gens[level]), ())
+        for cand in cands:
             assigned.append(cand)
             if extend(assigned) is not None:
                 yield from place(level + 1, assigned)

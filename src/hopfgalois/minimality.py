@@ -3,14 +3,15 @@
 A structure is minimal when its Hopf algebra has exactly two sub-Hopf
 algebras; group-theoretically, when N has no proper nontrivial subgroup
 stable under the translation action of G.  Minimality is always decided
-from that stable-subgroup lattice, `HGStructure.stable_subgroups`, by its
-size; the characteristic-subgroup shortcut is computed separately so the
-implication can be cross-checked.
+from that stable-subgroup lattice by its size; the characteristic-subgroup
+shortcut is computed separately so the implication can be cross-checked.
 
-The lattice, as sets of image tuples, is read for every structure through
-the Galois correspondence, as the fibers of N over the blocks of lambda(G)
-at point 0 (`HGStructure.stable_subgroups`).  `g_stable_subgroups` is its
-oracle, by another route: N's Cayley table.
+The lattice is read for every structure through the Galois correspondence,
+as the fibers of N over the blocks of lambda(G) at point 0, and held as its
+image, one bit per block (`HGStructure.lattice_bits`); its size is the
+number of bits set, and the fibers themselves, as sets of image tuples, are
+built only where `HGStructure.stable_subgroups` is read.
+`g_stable_subgroups` is its oracle, by another route: N's Cayley table.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .groups import (FiniteGroup, SubgroupRef, characteristic_subgroups,
 
 
 def is_minimal(structure: HGStructure) -> bool:
-    return len(structure.stable_subgroups) == 2
+    return structure.lattice_bits.bit_count() == 2
 
 
 def g_stable_subgroups(structure: HGStructure) -> list[SubgroupRef]:
@@ -89,7 +90,8 @@ def intermediate_subgroups(problem: ExtensionProblem,
 def correspondence_stats(problem: ExtensionProblem,
                          structure: HGStructure) -> tuple[int, int]:
     """(number of stable subgroups of N, number of intermediate subgroups),
-    the second read from `blocks` of N's action, walked once per action.
+    read from the bits of `lattice_bits` and from `blocks` of N's action,
+    walked once per action.
 
     The first never exceeds the second: the fixed-field map embeds the
     sub-Hopf lattice into the intermediate-field lattice.  Raises
@@ -97,7 +99,7 @@ def correspondence_stats(problem: ExtensionProblem,
     """
     if structure.action.problem is not problem:
         raise ValueError("the structure belongs to another extension problem")
-    return len(structure.stable_subgroups), len(structure.action.blocks)
+    return structure.lattice_bits.bit_count(), len(structure.action.blocks)
 
 
 def holomorph_minimality_certificate(n: FiniteGroup) -> bool:
@@ -181,7 +183,7 @@ def classify(problem: ExtensionProblem, *, degree_cap: int = DEGREE_CAP,
     return ClassificationReport(
         problem=problem,
         structures=structures,
-        intermediate_count=len(intermediate_subgroups(problem, action)),
+        intermediate_count=len(action.blocks),
         normal_complement_bound=_complement_bound(action, structures),
         engine=budget.counters(),
     )

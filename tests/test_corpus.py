@@ -53,7 +53,7 @@ def test_corpus_row(workload, row):
 
 
 @pytest.mark.parametrize("workload,nodes", [
-    ("search", 2_848), ("stats", 530), ("lattice", 8_502)])
+    ("search", 2_804), ("stats", 530), ("lattice", 7_783)])
 def test_nodes_per_pass(workload, nodes):
     # the search's work per benchmark pass, deterministic; a change that
     # moves it updates these numbers

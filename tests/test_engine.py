@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import operator
+import random
 from collections import Counter
 
 import pytest
@@ -22,14 +23,15 @@ from hopfgalois.dsl import build_text
 from hopfgalois.catalog import _nonabelian_candidates, iso_type
 from hopfgalois.cli import _problem
 from hopfgalois.engine import (DEGREE_CAP, CosetAction, _closure, _combine_atoms,
-                               _conj_orbit, _core, _cosets,
+                               _conj_orbit, _core, _cosets, _cycle_length_at_0,
                                _divisors, _orbit_bound, _prime_factors,
                                _prime_order, _prime_order_translations,
-                               _regular_normalized, _semiregular_centralizer,
+                               _regular_normalized, _seed_maps,
+                               _semiregular_centralizer,
                                _semiregular_tuples, _tuple_type,
                                _viable_atoms, _walked_lengths)
-from hopfgalois.groups import (_is_automorphism_map, _is_prime, are_isomorphic,
-                               generated)
+from hopfgalois.groups import (_is_automorphism_map, _is_prime, _iso_image_maps,
+                               are_isomorphic, generated)
 from hopfgalois.perms import (compose, conjugate, cycle_string, inverse,
                               uniform_cycle_length)
 
@@ -784,19 +786,70 @@ def test_atoms_carried_by_the_maps_match_the_all_seeds_walk(name):
     assert_carried_generators(atoms, n)
     if act.problem.subgroup.order > 1:
         assert maps == []
-    g = act.problem.group
+    assert_automorphism_maps(act, maps)
     found = {a for a, _ in atoms}
     for bar, bar_inv in maps:
-        assert bar_inv == inverse(bar)
         assert {frozenset(conjugate(bar, t, bar_inv) for t in a) for a in found} == found
-        # phibar comes from an automorphism phi of G, and
-        # phibar lambda(x) phibar^-1 = lambda(phi(x)) on the generators
+
+
+def assert_automorphism_maps(act, maps) -> None:
+    """Each (phibar, phibar^-1) of `maps` comes from an automorphism phi of
+    G, and phibar lambda(x) phibar^-1 = lambda(phi(x)) on the generators."""
+    g = act.problem.group
+    for bar, bar_inv in maps:
+        assert bar_inv == inverse(bar)
         phi = tuple(act.reps[bar[act.coset_of[x]]] for x in range(len(g)))
         assert sorted(phi) == list(range(len(g)))
         assert _is_automorphism_map(g, phi)
         for x in act.generators:
             assert conjugate(bar, act.translation(x), bar_inv) == \
                 act.translation(phi[x])
+
+
+def scanned_seed_labels(act, seeds, class_of, kinds) -> list[int]:
+    """The seed labels as a scan of Aut(G) in backtrack order gives them:
+    each automorphism merges every two seed classes it maps onto each
+    other, until as many classes are left as there are kinds; label[i] is
+    the least seed merged with seed i.  Only Galois problems merge."""
+    label = list(range(len(seeds)))
+    if act.problem.subgroup.order > 1:
+        return label
+    g, target = act.problem.group, len(set(kinds))
+    for phi in _iso_image_maps(g, g):
+        if len(set(label)) == target:
+            break
+        bar = tuple(act.coset_of[phi[r]] for r in act.reps)
+        for i, sigma in enumerate(seeds):
+            a, b = sorted((label[i], label[class_of[conjugate(bar, sigma, inverse(bar))]]))
+            label = [a if x == b else x for x in label]
+    return label
+
+
+@pytest.mark.parametrize("name", SYMMETRY_NAMES)
+def test_targeted_seed_maps_match_the_full_scan(name):
+    # one backtrack per unmerged class and walked root of its kind gives
+    # the labels, so the walked seeds, of a scan through Aut(G)
+    act = coset_action(symmetry_problem(name))
+    seeds, class_of, kinds = _prime_order_translations(act)
+    label, maps = _seed_maps(act, seeds, class_of, kinds, NodeBudget(10**9))
+    assert label == scanned_seed_labels(act, seeds, class_of, kinds), name
+    assert_automorphism_maps(act, maps)
+
+
+@pytest.mark.parametrize("group,seeds,walked,kept", [
+    pytest.param(lambda: elementary_abelian(2, 4), 15, 1, 4, id="E(2,4)"),
+    pytest.param(lambda: direct_product(dihedral(4), cyclic(2)), 7, 3, 3,
+                 id="D(4) x C(2)"),
+])
+def test_targeted_seed_maps_at_order_16(group, seeds, walked, kept):
+    # the seeds alone, with no stage 1; the scan keeps 9 maps on E(2,4)
+    act = coset_action(ExtensionProblem.galois(group()))
+    found, class_of, kinds = _prime_order_translations(act)
+    label, maps = _seed_maps(act, found, class_of, kinds, NodeBudget(10**9))
+    assert label == scanned_seed_labels(act, found, class_of, kinds)
+    roots = [i for i, x in enumerate(label) if i == x]
+    assert (len(label), len(roots), len(maps)) == (seeds, walked, kept)
+    assert_automorphism_maps(act, maps)
 
 
 @pytest.mark.parametrize("name", SYMMETRY_NAMES)
@@ -882,6 +935,22 @@ def test_skipped_joins_match_the_unfiltered_loop(monkeypatch, name):
     atoms, _ = _viable_atoms(act, budget)
     assert recorded_combine(monkeypatch, atoms, act.degree, budget) == \
         unfiltered_combine(atoms, act.degree, budget)
+
+
+@pytest.mark.parametrize("name", ["corpus: D(4) --galois", "corpus: E(2,3) --galois",
+                                  "D(6) --galois"])
+def test_first_arrival_walks_match_the_unfiltered_loop_in_any_atom_order(
+        monkeypatch, name):
+    # stage 2 walks a group at its first arrival only, whose start is the
+    # least whatever order the atoms come in
+    act = coset_action(symmetry_problem(name))
+    budget, rng = NodeBudget(10**9), random.Random(2)
+    atoms, _ = _viable_atoms(act, budget)
+    for _ in range(3):
+        rng.shuffle(atoms)
+        with monkeypatch.context() as m:
+            assert recorded_combine(m, atoms, act.degree, budget) == \
+                unfiltered_combine(atoms, act.degree, budget), name
 
 
 def element_scan_clash(p, a) -> bool:
@@ -1025,6 +1094,14 @@ def _regular_tuples(g: FiniteGroup) -> list[tuple[int, ...]]:
     return [tuple(g.mul(x, i) for i in range(len(g))) for x in range(len(g))]
 
 
+def tuples_type(tuples) -> str | None:
+    """`_tuple_type` of a regular group given as image tuples: its element
+    orders, and the generators the post-hoc check picks in the order given."""
+    picks = _regular_normalized(tuples, len(tuples), [])
+    assert picks is not None
+    return _tuple_type(list(map(_cycle_length_at_0, tuples)), picks)
+
+
 def test_order_statistics_fix_the_nonabelian_types_below_16():
     nonabelian = {6: {"S3"}, 8: {"D4", "Q8"}, 10: {"D5"},
                   12: {"A4", "D6", "Dic3"}, 14: {"D7"}}
@@ -1036,7 +1113,7 @@ def test_order_statistics_fix_the_nonabelian_types_below_16():
                     map(h.element_order, range(m))):
                 assert are_isomorphic(g, h)
         for _, g in candidates:
-            assert _tuple_type(_regular_tuples(g)) == iso_type(g)
+            assert tuples_type(_regular_tuples(g)) == iso_type(g)
 
 
 CATALOG_BELOW_16 = ([g for m in range(1, 16) for _, g in _nonabelian_candidates(m)]
@@ -1055,7 +1132,7 @@ def test_tuple_type_of_a_relabeled_regular_group(g, data):
     sigma = data.draw(st.permutations(range(len(g))))
     sigma_inv = inverse(sigma)
     tuples = [conjugate(sigma, t, sigma_inv) for t in _regular_tuples(g)]
-    assert _tuple_type(data.draw(st.permutations(tuples))) == iso_type(g)
+    assert tuples_type(data.draw(st.permutations(tuples))) == iso_type(g)
 
 
 def tuple_route_structures():
@@ -1084,6 +1161,51 @@ def test_tuple_routes_match_the_group_routes():
             assert s.group.generators() == greedy_generators(s.group), label
             assert lattice == tuple_sets(g_stable_subgroups(s)), label
             assert s.key() == s.group.raw_elements(), label
+
+
+def coset_walk_generators(key) -> list[tuple[int, ...]]:
+    """N's generators, from its sorted image tuples `key`, by the greedy
+    rule of `FiniteGroup.generators`: by descending element order, then in
+    key order, each element that the earlier picks do not generate.  N is
+    semiregular, so the order of t is the length of its cycle through
+    point 0, and t is the one element of N sending 0 to t[0]; `have` holds
+    the picks' group by those points, grown by right cosets."""
+    identity, *rest = key
+    have, gens = {0: identity}, []
+    for t in sorted(rest, key=lambda t: -_cycle_length_at_0(t)):
+        if t[0] in have:
+            continue
+        gens.append(t)
+        sub, reps = tuple(have.values()), [t]
+        have.update({c[0]: c for c in map(operator.itemgetter(*t), sub)})
+        for r in reps:
+            for g in gens:
+                y = compose(r, g)
+                if y[0] not in have:
+                    have.update({c[0]: c for c in map(operator.itemgetter(*y), sub)})
+                    reps.append(y)
+    return gens
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES + sorted(DEGREE_12_SHA256))
+def test_generators_are_the_greedy_coset_walk(name):
+    # the post-hoc check's picks, printed as N's generators
+    if name in DEGREE_12_SHA256:
+        expr, flag, *rest = name.split(" ", 2)
+        problem = _problem(build_text(expr), flag[2:].replace("-", "_"), *rest)
+    else:
+        problem = oracle_problem(name)
+    for s in classify(problem).structures:
+        assert s.generator_strings() == \
+            list(map(cycle_string, coset_walk_generators(s.key()))), name
+
+
+def test_a_set_of_tuples_that_are_no_permutations_is_refused():
+    # (1, 1) sends 0 into a cycle that avoids 0: its order walk stops, and
+    # the post-hoc check refuses the set
+    act = coset_action(ExtensionProblem.galois(cyclic(2)))
+    with pytest.raises(ValueError):
+        HGStructure(act, [(0, 1), (1, 1)])
 
 
 def naive_regular_normalized(elements, n, gen_pairs) -> bool:
@@ -1129,7 +1251,7 @@ def post_hoc_inputs(draw):
 @settings(max_examples=300, deadline=None)
 @given(post_hoc_inputs())
 def test_post_hoc_check_matches_its_definition(inputs):
-    assert _regular_normalized(*inputs) == naive_regular_normalized(*inputs)
+    assert (_regular_normalized(*inputs) is not None) == naive_regular_normalized(*inputs)
 
 
 def test_post_hoc_check_refuses_a_regular_set_that_is_not_closed():

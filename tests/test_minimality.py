@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import pytest
@@ -147,6 +148,36 @@ def test_classify_does_not_rebuild_lattices(monkeypatch):
         6: 42, 8: 63, 16: 1}
     assert rep.minimal_count == 0
     assert len(tables) == 1 and len(fibers) == 106  # each lattice read once
+
+
+def test_classify_and_the_cli_build_no_fiber_set(monkeypatch, capsys):
+    # a lattice is held as its image under the correspondence, one bit per
+    # block: with the fiber builder and intermediate_subgroups shut,
+    # classify and the command line still answer, and each reads the 106
+    # lattices once
+    def shut(*args, **kwargs):
+        raise AssertionError("a fiber or intermediate set was built")
+
+    fibers, calls = hopfgalois.engine._stable_fibers, []
+
+    def counted(*args):
+        calls.append(args)
+        return fibers(*args)
+
+    monkeypatch.setattr(hopfgalois.engine, "_fiber_sets", shut)
+    monkeypatch.setattr(hopfgalois.minimality, "intermediate_subgroups", shut)
+    monkeypatch.setattr(hopfgalois.engine, "_stable_fibers", counted)
+    rep = classify(ExtensionProblem.galois(elementary_abelian(2, 3)))
+    assert (rep.structure_count, rep.minimal_count, rep.intermediate_count) == \
+        (106, 0, 16)
+    assert Counter(correspondence_stats(rep.problem, s) for s in rep.structures) == {
+        (6, 16): 42, (8, 16): 63, (16, 16): 1}
+    assert len(calls) == 106
+    calls.clear()
+    assert hopfgalois.cli.main(["enumerate", "E(2,3)", "--galois", "--canonical"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert Counter(s["subhopf_count"] for s in doc["structures"]) == {6: 42, 8: 63, 16: 1}
+    assert len(calls) == 106
 
 
 def shut_lattice_routes_through_n(m) -> None:
