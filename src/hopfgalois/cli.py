@@ -309,7 +309,7 @@ def _fixture_example6(_budget: NodeBudget, _args) -> list[dict]:
         _check(checks, f"{expr}: complement is core-free", True, True)
         action = coset_action(problem)
         _check(checks, f"{expr}: two intermediate subgroups", 2,
-               len(intermediate_subgroups(problem, action)))
+               len(intermediate_subgroups(action)))
         base = [built.group.index_of((x, 0)) for x in range(16)]
         structure = translation_structure(action, base)
         _check(checks, f"{expr}: translation structure type", "E(2,4)",

@@ -18,7 +18,7 @@ from typing import Iterable
 from .catalog import _totient, iso_type, type_from_orders
 from .errors import BudgetExceeded, CapExceeded, NotNormalClosure
 from .groups import FiniteGroup, SubgroupRef, _is_prime, _iso_image_maps
-from .perms import (compose, conjugate, cycle_string, cycles, inverse,
+from .perms import (compose, cycle_string, cycles, inverse,
                     uniform_cycle_length)
 
 DEGREE_CAP = 12
@@ -127,25 +127,24 @@ class CosetAction:
     """Left-translation action of G on the cosets of G'.
 
     The points are the problem's cosets: point 0 is G' itself, the others
-    are numbered as in `_cosets`.  The image lambda(G) and its blocks at
-    point 0 are built on first use, from the generator translations alone.
+    are numbered as in `_cosets`.  G's own `generators()` give the
+    generator data, built once here: their translations lambda(g), the
+    pairs (lambda(g), lambda(g^-1)) of `generator_pairs`, and the
+    `conjugators`, one per pair: lambda(g) with a getter of lambda(g^-1)'s
+    images, so that g a g^-1 is `itemgetter(*right(a))(g)`.  The image
+    lambda(G) and its blocks at point 0 are built on first use, from the
+    generator translations alone.
     """
 
-    def __init__(self, problem: ExtensionProblem,
-                 generators: tuple[int, ...] | None = None):
+    def __init__(self, problem: ExtensionProblem):
         self.problem = problem
-        g = problem.group
         self.reps = problem.reps
         self.coset_of = problem.coset_of
-        if generators is None:
-            self.generators = g.generators()
-        else:
-            self.generators = tuple(generators)
-            if g.closure_of(self.generators) != frozenset(range(len(g))):
-                raise ValueError("the given indices do not generate the group")
-        self._translations: dict[int, tuple[int, ...]] = {}
-        self._pairs = tuple((lam, inverse(lam))
-                            for lam in map(self.translation, self.generators))
+        self.generators = problem.group.generators()
+        self._lams = tuple(map(self.translation, self.generators))
+        self._pairs = tuple((lam, inverse(lam)) for lam in self._lams)
+        self.conjugators = tuple((lam, itemgetter(*lam_inv))
+                                 for lam, lam_inv in self._pairs)
         self._image: dict[tuple[int, ...], None] | None = None
         self._blocks: tuple[frozenset[int], ...] | None = None
         self._block_bits: tuple[int, ...] | None = None
@@ -156,12 +155,8 @@ class CosetAction:
 
     def translation(self, x: int) -> tuple[int, ...]:
         """The image tuple of the cosets under left translation by x."""
-        t = self._translations.get(x)
-        if t is None:
-            g = self.problem.group
-            t = tuple(self.coset_of[g.mul(x, r)] for r in self.reps)
-            self._translations[x] = t
-        return t
+        g = self.problem.group
+        return tuple(self.coset_of[g.mul(x, r)] for r in self.reps)
 
     def generator_pairs(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         """(lambda(g), lambda(g^-1)) for each generator g of G, built once."""
@@ -178,11 +173,10 @@ class CosetAction:
         generators generate G, so the image has |G| elements; that is checked.
         """
         if self._image is None:
-            lams = list(map(self.translation, self.generators))
             queue = [tuple(range(self.degree))]
             image = dict.fromkeys(queue)
             for a in queue:
-                for c in map(itemgetter(*a), lams):
+                for c in map(itemgetter(*a), self._lams):
                     if c not in image:
                         image[c] = None
                         queue.append(c)
@@ -196,26 +190,21 @@ class CosetAction:
     def blocks(self) -> tuple[frozenset[int], ...]:
         """The blocks of lambda(G) at point 0, {0} first (`_walk_blocks`)."""
         if self._blocks is None:
-            self._blocks = self._walk_blocks()
+            self._blocks, self._block_bits = self._walk_blocks()
         return self._blocks
 
     @property
     def block_bits(self) -> tuple[int, ...]:
         """For each point x, the int whose bit i is set when `blocks[i]`
-        holds x: the table `_stable_fibers` tests with (`_mark_blocks`)."""
+        holds x: the table `_stable_fibers` tests with (`_walk_blocks`)."""
         if self._block_bits is None:
-            self._block_bits = self._mark_blocks()
+            self._blocks, self._block_bits = self._walk_blocks()
         return self._block_bits
 
-    def _mark_blocks(self) -> tuple[int, ...]:
-        bits = [0] * self.degree
-        for i, block in enumerate(self.blocks):
-            for x in block:
-                bits[x] |= 1 << i
-        return tuple(bits)
+    def _walk_blocks(self) -> tuple[tuple[frozenset[int], ...], tuple[int, ...]]:
+        """(blocks, block_bits), each block's bits set as it is found.
 
-    def _walk_blocks(self) -> tuple[frozenset[int], ...]:
-        """The walk starts from {0}, whose block system is the partition
+        The walk starts from {0}, whose block system is the partition
         into points.  It holds each block B's system as union-find labels
         (class roots) and, from them, makes one pass of Atkinson's
         union-find (Math. Comp. 29, 1975) per other class: join it to 0's
@@ -227,13 +216,14 @@ class CosetAction:
         block is reached by such steps from {0}.  (2) That partition joins a
         to a's whole class, so the points of a class give the same block.
         """
-        n, gens = self.degree, list(map(self.translation, self.generators))
+        n, gens = self.degree, self._lams
         def find(parent, a):
             while parent[a] != a:
                 parent[a] = a = parent[parent[a]]
             return a
 
         found, systems = {frozenset([0]): None}, [list(range(n))]
+        bits = [1] + [0] * (n - 1)
         for labels in systems:
             for a in set(labels) - {labels[0]}:
                 parent, pending = labels.copy(), [(labels[0], a)]
@@ -248,14 +238,15 @@ class CosetAction:
                 joined = [find(parent, b) for b in range(n)]
                 block = frozenset(b for b, r in enumerate(joined) if r == joined[0])
                 if block not in found:
+                    for b in block:
+                        bits[b] |= 1 << len(found)
                     found[block] = None
                     systems.append(joined)
-        return tuple(found)
+        return tuple(found), tuple(bits)
 
 
-def coset_action(problem: ExtensionProblem,
-                 generators: tuple[int, ...] | None = None) -> CosetAction:
-    return CosetAction(problem, generators)
+def coset_action(problem: ExtensionProblem) -> CosetAction:
+    return CosetAction(problem)
 
 
 class HGStructure:
@@ -541,23 +532,22 @@ def _semiregular_tuples(n: int, d: int):
     yield from rec(tuple(range(n)))
 
 
-def _conj_orbit(t0, gen_pairs, visited, budget):
+def _conj_orbit(t0, conjugators, visited, budget):
     """The translation-conjugation orbit of t0, or None at the first two of
     its elements that send point 0 to the same point (then the orbit lies
     in no regular N).  Every element met is added to the set `visited`:
     all of them lie in the orbit of t0, so a walk from any of them meets
     the same orbit, kept or dropped, and need not run.
 
-    Each conjugate g a g^-1 is g o (a o g^-1), with one getter of g^-1's
-    images per generator pair."""
-    pairs = [(g, itemgetter(*gi)) for g, gi in gen_pairs]
+    Each conjugate g a g^-1 is g o (a o g^-1), read with the action's
+    `conjugators`: one getter of g^-1's images per generator pair."""
     by0 = {t0[0]: t0}
     stack = [t0]
     ops = 0
     try:
         while stack:
             a = stack.pop()
-            for g, right in pairs:
+            for g, right in conjugators:
                 ops += 1
                 c = itemgetter(*right(a))(g)
                 s = by0.setdefault(c[0], c)
@@ -725,10 +715,10 @@ def _prime_order_translations(action: CosetAction):
     ..., t^(p-1) by conjugating with the generator pairs.  One seed per
     class of groups suffices: conjugate cyclic groups have conjugate
     centralizers, so the centralizer walks of their generators meet the
-    same orbits (see `_viable_atoms`).
+    same orbits (see `_viable_atoms`).  The conjugations read the action's
+    `conjugators`.
     """
     identity = tuple(range(action.degree))
-    pairs = [(g, itemgetter(*gi)) for g, gi in action.generator_pairs()]
     class_of: dict[tuple[int, ...], int] = {}
     seeds, kinds = [], []
     for t in action.image:
@@ -746,7 +736,7 @@ def _prime_order_translations(action: CosetAction):
         class_of.update(dict.fromkeys(stack, i))
         while stack:
             a = stack.pop()
-            for g, right in pairs:
+            for g, right in action.conjugators:
                 c = itemgetter(*right(a))(g)
                 if c not in class_of:
                     class_of[c] = i
@@ -809,8 +799,9 @@ def _seed_maps(action: CosetAction, seeds, class_of, kinds, budget):
         bar = tuple(coset_of[phi[r]] for r in reps)
         bar_inv = inverse(bar)
         maps.append((bar, bar_inv))
+        conj = _conjugation(bar, bar_inv)
         for i, sigma in enumerate(seeds):
-            a, b = sorted((label[i], label[class_of[conjugate(bar, sigma, bar_inv)]]))
+            a, b = sorted((label[i], label[class_of[conj(sigma)]]))
             label = [a if x == b else x for x in label]
     return label, maps
 
@@ -880,7 +871,6 @@ def _viable_atoms(action: CosetAction, budget: NodeBudget):
     problems walk every seed and find no map.
     """
     n, order = action.degree, len(action.problem.group)
-    gen_pairs = action.generator_pairs()
     trivial = frozenset([tuple(range(n))])
     seeds, class_of, kinds = _prime_order_translations(action)
     budget.seeds += len(seeds)
@@ -897,7 +887,7 @@ def _viable_atoms(action: CosetAction, budget: NodeBudget):
             for t in _semiregular_centralizer(sigma, d):
                 if t in visited:
                     continue
-                orbit = _conj_orbit(t, gen_pairs, visited, budget)
+                orbit = _conj_orbit(t, action.conjugators, visited, budget)
                 grown = orbit and _closure(trivial, (), orbit, n, budget)
                 if grown:
                     atoms.setdefault(*grown)

@@ -71,34 +71,29 @@ def minimal_lower_bound(problem: ExtensionProblem) -> int:
     return count
 
 
-def intermediate_subgroups(problem: ExtensionProblem,
-                           action: CosetAction | None = None) -> list[frozenset[int]]:
-    """All subgroups H with G' <= H <= G, both endpoints included.
+def intermediate_subgroups(action: CosetAction) -> list[frozenset[int]]:
+    """All subgroups H with G' <= H <= G, both endpoints included, for the
+    problem of `action`.
 
     They correspond one-to-one to the blocks of the action on G/G' that
     contain point 0 (the coset G'), via H = {x : xG' in B}; the blocks are
     `action.blocks`, walked once per action.  Sorted by (order, member
     set), a linear extension of inclusion.
     """
-    action = action or coset_action(problem)
     coset_of = action.coset_of
     subgroups = [frozenset(x for x, c in enumerate(coset_of) if c in block)
                  for block in action.blocks]
     return sorted(subgroups, key=lambda s: (len(s), sorted(s)))
 
 
-def correspondence_stats(problem: ExtensionProblem,
-                         structure: HGStructure) -> tuple[int, int]:
+def correspondence_stats(structure: HGStructure) -> tuple[int, int]:
     """(number of stable subgroups of N, number of intermediate subgroups),
     read from the bits of `lattice_bits` and from `blocks` of N's action,
     walked once per action.
 
     The first never exceeds the second: the fixed-field map embeds the
-    sub-Hopf lattice into the intermediate-field lattice.  Raises
-    ValueError unless the structure's action was built from `problem`.
+    sub-Hopf lattice into the intermediate-field lattice.
     """
-    if structure.action.problem is not problem:
-        raise ValueError("the structure belongs to another extension problem")
     return structure.lattice_bits.bit_count(), len(structure.action.blocks)
 
 

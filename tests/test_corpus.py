@@ -1,6 +1,7 @@
 """Every row of the benchmark corpus (bench/corpus.py), classified here so
 that its hand-written table of expected answers stays tied to the engine,
-and the corpus cross-check script (bench/crosscheck.py) run as it is.
+and the corpus cross-check script (bench/crosscheck.py) and the benchmark
+harness (bench/run.py) run as they are.
 
 The corpus module is loaded from its file and only read.
 """
@@ -8,6 +9,7 @@ The corpus module is loaded from its file and only read.
 from __future__ import annotations
 
 import importlib.util
+import json
 import subprocess
 import sys
 from collections import Counter
@@ -70,3 +72,18 @@ def test_crosscheck_script_passes():
     lines = run.stdout.splitlines()
     assert run.returncode == 0, run.stdout + run.stderr
     assert lines and not any(line.startswith("FAIL") for line in lines)
+
+
+@pytest.mark.parametrize("workload", ["search", "stats", "lattice"])
+def test_benchmark_harness_runs(workload, tmp_path):
+    # a short run of each workload, untraced: the harness writes no file,
+    # and its last line is the verdict, correct with no failed operation
+    run = subprocess.run([sys.executable, str(BENCH_DIR / "run.py"),
+                          "--workload", workload, "--seed", "1",
+                          "--seconds", "0.3", "--trace", "0"],
+                         cwd=tmp_path, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+    verdict = json.loads(run.stdout.splitlines()[-1])
+    assert verdict["correct"] is True and verdict["failed"] == 0, verdict
+    assert list(tmp_path.iterdir()) == []

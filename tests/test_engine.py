@@ -228,7 +228,9 @@ def test_oracles_keep_their_own_products(monkeypatch):
 
     for module in (hopfgalois.perms, hopfgalois.engine):
         monkeypatch.setattr(module, "compose", kernel)
-        monkeypatch.setattr(module, "conjugate", kernel)
+    # the engine conjugates with getters only, so only perms holds `conjugate`
+    assert not hasattr(hopfgalois.engine, "conjugate")
+    monkeypatch.setattr(hopfgalois.perms, "conjugate", kernel)
     monkeypatch.setattr(hopfgalois.engine, "itemgetter", kernel)
     assert all(_regular_normalized(frozenset(key), 6, gen_pairs) for key in expected)
     assert enumerate_via_transversal(act) == expected
@@ -252,19 +254,20 @@ def test_budget_exhaustion_is_loud():
         enumerate_regular_normalized(act, budget=NodeBudget(50))
 
 
-def test_generator_presentation_does_not_change_output():
+def test_generator_presentation_does_not_change_output(monkeypatch):
     g = cyclic(8)
     prob = ExtensionProblem.galois(g)
     keys = None
-    # several generating sets for C8, including redundant ones
+    # several generating sequences for C8, including redundant ones, each
+    # given to the action as G's own generators
     for gens in [(1,), (3,), (5,), (1, 2), (7, 4)]:
-        act = coset_action(prob, generators=gens)
+        monkeypatch.setattr(g, "generators", lambda gens=gens: gens)
+        act = coset_action(prob)
+        assert act.generators == gens
         got = [s.key() for s in enumerate_regular_normalized(act)]
         if keys is None:
             keys = got
         assert got == keys
-    with pytest.raises(ValueError):
-        coset_action(prob, generators=(2,))  # does not generate
 
 
 def test_order_56_and_36_cases():
@@ -524,7 +527,6 @@ def every_walk_atoms(act, budget):
     of prime-order elements of G, read from `G.conjugacy_classes()`."""
     n = act.degree
     g = act.problem.group
-    gen_pairs = act.generator_pairs()
     trivial = (tuple(range(n)),)
     atoms, visited = set(), set()
     for cls in g.conjugacy_classes():
@@ -535,7 +537,7 @@ def every_walk_atoms(act, budget):
             for t in _semiregular_centralizer(sigma, d):
                 if t in visited:
                     continue
-                orbit = _conj_orbit(t, gen_pairs, visited, budget)
+                orbit = _conj_orbit(t, act.conjugators, visited, budget)
                 if orbit is None:
                     continue
                 grown = _closure(trivial, (), orbit, n, budget)
@@ -551,15 +553,14 @@ def oracle_search_problem(name):
 
 @functools.cache
 def oracle_search(name):
-    """(n, gen_pairs, seeded (atom, generators) pairs, brute-force orbits,
-    brute-force atoms) for a catalog or a degree-9/10 problem; the orbit
-    walk runs once per problem."""
+    """(n, the action's conjugators, seeded (atom, generators) pairs,
+    brute-force orbits, brute-force atoms) for a catalog or a degree-9/10
+    problem; the orbit walk runs once per problem."""
     act = coset_action(oracle_search_problem(name))
     n = act.degree
-    gen_pairs = act.generator_pairs()
     seeded, _ = _viable_atoms(act, NodeBudget(200_000_000))
-    orbits = list(brute_force_orbits(n, gen_pairs))
-    return n, gen_pairs, seeded, orbits, brute_force_atoms(n, orbits)
+    orbits = list(brute_force_orbits(n, act.generator_pairs()))
+    return n, act.conjugators, seeded, orbits, brute_force_atoms(n, orbits)
 
 
 @pytest.mark.parametrize("name", sorted(catalog_problems()))
@@ -591,12 +592,12 @@ def assert_carried_generators(pairs, n):
 def test_point_0_rule_matches_unpruned_oracle(name):
     # the search drops a set at its first two elements that agree on point
     # 0; the oracle walks whole orbits and closes without that early stop
-    n, gen_pairs, seeded, orbits, _ = oracle_search(name)
+    n, conjugators, seeded, orbits, _ = oracle_search(name)
     budget = NodeBudget(10**9)
     trivial = (tuple(range(n)),)
     for t, orbit in orbits:
         met = set()
-        got = _conj_orbit(t, gen_pairs, met, budget)
+        got = _conj_orbit(t, conjugators, met, budget)
         # a dropped walk records what it met, all of it in the orbit
         assert t in met and met <= orbit
         if len({o[0] for o in orbit}) < len(orbit):

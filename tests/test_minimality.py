@@ -138,7 +138,7 @@ def test_classify_does_not_rebuild_lattices(monkeypatch):
     monkeypatch.setattr(FiniteGroup, "stable_subgroups", shut)
     monkeypatch.setattr(HGStructure, "conj_action", shut)
     combines = counted(hopfgalois.engine, "_combine_atoms")
-    tables = counted(CosetAction, "_mark_blocks")
+    tables = counted(CosetAction, "_walk_blocks")
     fibers = counted(hopfgalois.engine, "_stable_fibers")
     rep = classify(ExtensionProblem.galois(elementary_abelian(2, 3)))
     assert len(combines) == 1
@@ -170,7 +170,7 @@ def test_classify_and_the_cli_build_no_fiber_set(monkeypatch, capsys):
     rep = classify(ExtensionProblem.galois(elementary_abelian(2, 3)))
     assert (rep.structure_count, rep.minimal_count, rep.intermediate_count) == \
         (106, 0, 16)
-    assert Counter(correspondence_stats(rep.problem, s) for s in rep.structures) == {
+    assert Counter(correspondence_stats(s) for s in rep.structures) == {
         (6, 16): 42, (8, 16): 63, (16, 16): 1}
     assert len(calls) == 106
     calls.clear()
@@ -417,24 +417,18 @@ def test_smaller_acting_groups_still_minimal():
 
 
 def test_correspondence_stats(reports):
-    probs = catalog_problems()
     s4 = reports["S4/S3"]
-    assert correspondence_stats(s4.problem, s4.structures[0]) == (2, 2)
+    assert correspondence_stats(s4.structures[0]) == (2, 2)
 
     act, structures = galois_structures(cyclic(8))
     cyclic_type = next(s for s in structures if s.type_name == "C8")
-    assert correspondence_stats(act.problem, cyclic_type) == (4, 4)
-    # a structure is answered for only with its own problem, not with
-    # another problem, nor with an equal one built separately
-    for other in (ExtensionProblem.galois(dihedral(3)), probs["galois C8"]):
-        with pytest.raises(ValueError):
-            correspondence_stats(other, cyclic_type)
+    assert correspondence_stats(cyclic_type) == (4, 4)
 
     prob = ExtensionProblem.galois(symmetric(3))
     act = coset_action(prob)
     rho = [s for s in enumerate_regular_normalized(act)
            if s.type_name == "S3" and len(g_stable_subgroups(s)) == 6]
-    assert correspondence_stats(prob, rho[0]) == (6, 6)
+    assert correspondence_stats(rho[0]) == (6, 6)
 
 
 GALOIS_ANCHOR_ROWS = {
@@ -466,10 +460,10 @@ def test_galois_correspondence_anchors(label):
 
 def test_intermediate_subgroups():
     prob = stabilizer_problem(symmetric(4))
-    subs = intermediate_subgroups(prob)
+    subs = intermediate_subgroups(coset_action(prob))
     assert [len(s) for s in subs] == [6, 24]
     prob = ExtensionProblem.galois(cyclic(8))
-    assert [len(s) for s in intermediate_subgroups(prob)] == [1, 2, 4, 8]
+    assert [len(s) for s in intermediate_subgroups(coset_action(prob))] == [1, 2, 4, 8]
 
 
 def closure_walk_intermediate(problem: ExtensionProblem) -> list[frozenset[int]]:
@@ -503,7 +497,7 @@ _ORACLE_PROBLEMS = {
 @pytest.mark.parametrize("name", sorted(_ORACLE_PROBLEMS) + sorted(DEGREE_12_ROWS))
 def test_intermediate_subgroups_match_closure_walk(name):
     prob = _ORACLE_PROBLEMS.get(name) or DEGREE_12_ROWS[name]()
-    assert intermediate_subgroups(prob) == closure_walk_intermediate(prob)
+    assert intermediate_subgroups(coset_action(prob)) == closure_walk_intermediate(prob)
 
 
 def test_blocks_are_walked_once_per_action(monkeypatch, capsys):
@@ -519,7 +513,7 @@ def test_blocks_are_walked_once_per_action(monkeypatch, capsys):
     prob = ExtensionProblem.galois(elementary_abelian(2, 3))
     rep = classify(prob)
     assert rep.structure_count == 106 and rep.intermediate_count == 16
-    assert {correspondence_stats(prob, s)[1] for s in rep.structures} == {16}
+    assert {correspondence_stats(s)[1] for s in rep.structures} == {16}
     assert len(calls) == 1
     calls.clear()
     assert hopfgalois.cli.main(["enumerate", "E(2,3)", "--galois"]) == 0
@@ -551,9 +545,9 @@ def test_random_transitive_groups(gens):
     assume(len(group) <= _TRANSITIVE_ORDER_CAP)
     assume({p[0] for p in group.raw_elements()} == set(range(n)))
     prob = stabilizer_problem(group)
-    assert intermediate_subgroups(prob) == closure_walk_intermediate(prob)
-    assert group.normal_subgroups() == [h for h in group.subgroups() if h.is_normal()]
     act = coset_action(prob)
+    assert intermediate_subgroups(act) == closure_walk_intermediate(prob)
+    assert group.normal_subgroups() == [h for h in group.subgroups() if h.is_normal()]
     structures = enumerate_regular_normalized(act)
     assert sorted(s.key() for s in structures) == enumerate_via_transversal(act)
     for s in structures:
@@ -619,7 +613,7 @@ def test_intermediate_subgroups_degree_12():
     # and A5 < A6 < S6, from the maximal subgroups of A6 and S6 in the
     # ATLAS of Finite Groups.  The search (about 3 s) is not run here.
     prob = subgroup_problem("S(6)", "gens[(0 1 2 3 4), (0 5)(1 4)]")
-    assert [len(h) for h in intermediate_subgroups(prob)] == [60, 120, 360, 720]
+    assert [len(h) for h in intermediate_subgroups(coset_action(prob))] == [60, 120, 360, 720]
 
 
 def test_classify_s3_c2():
