@@ -2,9 +2,9 @@
 group-theoretically via regular permutation subgroups."""
 
 from .catalog import iso_type
-from .engine import (CosetAction, ExtensionProblem, HGStructure, NodeBudget,
-                     coset_action, enumerate_regular_normalized,
-                     enumerate_via_transversal, translation_structure)
+from .engine import (ExtensionProblem, HGStructure, NodeBudget, coset_action,
+                     enumerate_regular_normalized, enumerate_via_transversal,
+                     translation_structure)
 from .errors import BudgetExceeded, CapExceeded, NotNormalClosure
 from .groups import (FiniteGroup, SubgroupRef, abelian_invariants,
                      alternating, are_isomorphic, automorphism_group,

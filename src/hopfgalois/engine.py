@@ -1,10 +1,10 @@
-"""Coset translation actions and the regular-normalized subgroup search.
+"""Extension problems and the regular-normalized subgroup search.
 
-Given a pair (G, G') with G' core-free, the points are the left cosets of
-G' and G acts by left translation.  The search enumerates every regular
-subgroup of the full symmetric group on the points that is normalized by
-the translation image of G; each one is a Hopf-Galois structure on the
-extension the pair models.
+An `ExtensionProblem` is a pair (G, G') with G' core-free and the action
+of G by left translation on the left cosets of G', its points.  The
+search enumerates every regular subgroup of the full symmetric group on
+the points that is normalized by the translation image of G; each one is
+a Hopf-Galois structure on the extension the pair models.
 """
 
 from __future__ import annotations
@@ -94,10 +94,16 @@ def _core(group: FiniteGroup, members, reps, coset_of) -> list[int]:
 
 class ExtensionProblem:
     """A pair (G, G') with G' core-free, modeling a separable extension
-    together with its normal closure.
+    together with its normal closure, and G's action on the left cosets of
+    G' by left translation: point 0 is G' itself, the others are numbered
+    as in `_cosets`, which gives `reps` and `coset_of`.
 
-    `reps` and `coset_of` describe the left cosets of G' (see `_cosets`);
-    the core-free check and every `CosetAction` read them.
+    The constructor computes only the cosets and the core-free check.  The
+    rest is built on first read, from G's own `generators()`: the pairs
+    (lambda(g), lambda(g^-1)) of `generator_pairs`; the `conjugators`, one
+    per pair: lambda(g) with a getter of lambda(g^-1)'s images, so that g
+    a g^-1 is `itemgetter(*right(a))(g)`; and, from the generator
+    translations alone, the image lambda(G) and its blocks at point 0.
     """
 
     def __init__(self, group: FiniteGroup, subgroup: SubgroupRef):
@@ -116,51 +122,33 @@ class ExtensionProblem:
             raise NotNormalClosure(
                 "the subgroup contains a nontrivial normal subgroup of order "
                 f"{len(core)}; the pair does not model a normal closure")
+        self._pairs = self._conjugators = self._image = None
+        self._blocks = self._block_bits = None
 
     @staticmethod
     def galois(group: FiniteGroup) -> ExtensionProblem:
         """The Galois case: G' trivial, the action is the regular one."""
         return ExtensionProblem(group, group.trivial_subgroup())
 
-
-class CosetAction:
-    """Left-translation action of G on the cosets of G'.
-
-    The points are the problem's cosets: point 0 is G' itself, the others
-    are numbered as in `_cosets`.  G's own `generators()` give the
-    generator data, built once here: their translations lambda(g), the
-    pairs (lambda(g), lambda(g^-1)) of `generator_pairs`, and the
-    `conjugators`, one per pair: lambda(g) with a getter of lambda(g^-1)'s
-    images, so that g a g^-1 is `itemgetter(*right(a))(g)`.  The image
-    lambda(G) and its blocks at point 0 are built on first use, from the
-    generator translations alone.
-    """
-
-    def __init__(self, problem: ExtensionProblem):
-        self.problem = problem
-        self.reps = problem.reps
-        self.coset_of = problem.coset_of
-        self.generators = problem.group.generators()
-        self._lams = tuple(map(self.translation, self.generators))
-        self._pairs = tuple((lam, inverse(lam)) for lam in self._lams)
-        self.conjugators = tuple((lam, itemgetter(*lam_inv))
-                                 for lam, lam_inv in self._pairs)
-        self._image: dict[tuple[int, ...], None] | None = None
-        self._blocks: tuple[frozenset[int], ...] | None = None
-        self._block_bits: tuple[int, ...] | None = None
-
-    @property
-    def degree(self) -> int:
-        return self.problem.degree
-
     def translation(self, x: int) -> tuple[int, ...]:
         """The image tuple of the cosets under left translation by x."""
-        g = self.problem.group
-        return tuple(self.coset_of[g.mul(x, r)] for r in self.reps)
+        mul, coset_of = self.group.mul, self.coset_of
+        return tuple(coset_of[mul(x, r)] for r in self.reps)
 
     def generator_pairs(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         """(lambda(g), lambda(g^-1)) for each generator g of G, built once."""
+        if self._pairs is None:
+            lams = map(self.translation, self.group.generators())
+            self._pairs = tuple((lam, inverse(lam)) for lam in lams)
         return self._pairs
+
+    @property
+    def conjugators(self) -> tuple:
+        """(lambda(g), getter of lambda(g^-1)'s images) per pair, built once."""
+        if self._conjugators is None:
+            self._conjugators = tuple((lam, itemgetter(*lam_inv))
+                                      for lam, lam_inv in self.generator_pairs())
+        return self._conjugators
 
     @property
     def image(self) -> KeysView[tuple[int, ...]]:
@@ -173,14 +161,15 @@ class CosetAction:
         generators generate G, so the image has |G| elements; that is checked.
         """
         if self._image is None:
+            lams = [lam for lam, _ in self.generator_pairs()]
             queue = [tuple(range(self.degree))]
             image = dict.fromkeys(queue)
             for a in queue:
-                for c in map(itemgetter(*a), self._lams):
+                for c in map(itemgetter(*a), lams):
                     if c not in image:
                         image[c] = None
                         queue.append(c)
-            if len(image) != len(self.problem.group):
+            if len(image) != len(self.group):
                 raise RuntimeError("the translation image does not have the "
                                    "order of the group")
             self._image = image
@@ -216,7 +205,7 @@ class CosetAction:
         block is reached by such steps from {0}.  (2) That partition joins a
         to a's whole class, so the points of a class give the same block.
         """
-        n, gens = self.degree, self._lams
+        n, gens = self.degree, [lam for lam, _ in self.generator_pairs()]
         def find(parent, a):
             while parent[a] != a:
                 parent[a] = a = parent[parent[a]]
@@ -245,8 +234,9 @@ class CosetAction:
         return tuple(found), tuple(bits)
 
 
-def coset_action(problem: ExtensionProblem) -> CosetAction:
-    return CosetAction(problem)
+def coset_action(problem: ExtensionProblem) -> ExtensionProblem:
+    """`problem` itself, its own coset action: an alias `bench/crosscheck.py` calls."""
+    return problem
 
 
 class HGStructure:
@@ -263,14 +253,17 @@ class HGStructure:
     `group`.
     """
 
-    def __init__(self, action: CosetAction, elements: Iterable[tuple[int, ...]],
-                 type_name: str | None = None):
-        self.action = action
-        self._key = key = tuple(sorted(elements))
-        orders = list(map(_cycle_length_at_0, key))
+    def __init__(self, problem: ExtensionProblem,
+                 elements: Iterable[tuple[int, ...]], type_name: str | None = None):
+        self.problem = problem
+        try:
+            self._key = key = tuple(sorted(elements))
+            orders = list(map(_cycle_length_at_0, key))
+        except (IndexError, KeyError, TypeError) as error:
+            raise ValueError("N is not a set of image tuples") from error
         greedy = sorted(range(len(key)), key=lambda i: -orders[i])
-        self._picks = _regular_normalized([key[i] for i in greedy], action.degree,
-                                          action.generator_pairs())
+        self._picks = _regular_normalized([key[i] for i in greedy], problem.degree,
+                                          problem.generator_pairs())
         if self._picks is None:
             raise ValueError("N is not a regular group normalized by lambda(G)")
         self._type_name = type_name or _tuple_type(orders, self._picks)
@@ -283,7 +276,7 @@ class HGStructure:
         """N as a `FiniteGroup`, its indices in `key` order."""
         if self._group is None:
             self._group = FiniteGroup.from_permutations(
-                self._key, name=f"N(deg {self.action.degree})")
+                self._key, name=f"N(deg {self.problem.degree})")
         return self._group
 
     @property
@@ -296,11 +289,11 @@ class HGStructure:
     def lattice_bits(self) -> int:
         """N's sub-Hopf lattice as the image of the Galois correspondence:
         the int whose bit i is set when the fiber N_B over B = `blocks[i]`
-        of the action is in the lattice (`stable_subgroups`), read on first
+        of the problem is in the lattice (`stable_subgroups`), read on first
         use by `_stable_fibers`.  So the lattice has `bit_count()` members,
         and N_B has |B| elements, since N is regular."""
         if self._bits is None:
-            self._bits = _stable_fibers(self.action, self._key)
+            self._bits = _stable_fibers(self.problem, self._key)
         return self._bits
 
     @property
@@ -309,7 +302,7 @@ class HGStructure:
         the translations of G, as sets of image tuples, the trivial group
         first.  They are read through the Galois correspondence, as the
         fibers N_B = {t in N : t[0] in B} over the blocks B of lambda(G) at
-        0 (`action.blocks`) that `lattice_bits` marks, and built on first
+        0 (`problem.blocks`) that `lattice_bits` marks, and built on first
         read only (`_fiber_sets`).  Exact: lambda(G) permutes the orbits of
         a stable M <= N, so B = M.0 is a block, and M = N_B since N is
         regular.  Conversely, a stable N_B is a group: for s, t in N_B, some
@@ -318,7 +311,7 @@ class HGStructure:
         B: the one test is g[t[g^-1[0]]] in B for each generator pair (g,
         g^-1) and each t in N_B."""
         if self._lattice is None:
-            self._lattice = _fiber_sets(self.action.blocks, self._key,
+            self._lattice = _fiber_sets(self.problem.blocks, self._key,
                                         self.lattice_bits)
         return self._lattice
 
@@ -331,7 +324,7 @@ class HGStructure:
         """Conjugation by the translation of x, as a map on N's indices, for
         the oracle `minimality.g_stable_subgroups`; it normalizes N, as
         checked at construction."""
-        lam = self.action.translation(x)
+        lam = self.problem.translation(x)
         conj = _conjugation(lam, inverse(lam))
         return tuple(map(self.group.index_of, map(conj, self._key)))
 
@@ -341,7 +334,7 @@ class HGStructure:
         return [cycle_string(t) for t in self._picks]
 
     def __repr__(self) -> str:
-        return f"<HGStructure type {self.type_name} degree {self.action.degree}>"
+        return f"<HGStructure type {self.type_name} degree {self.problem.degree}>"
 
 
 def _cycle_length_at_0(t: tuple[int, ...]) -> int:
@@ -363,15 +356,15 @@ def _tuple_type(orders: list[int], picks) -> str | None:
     return type_from_orders(orders, abelian)
 
 
-def _stable_fibers(action: CosetAction, key) -> int:
+def _stable_fibers(problem: ExtensionProblem, key) -> int:
     """The int with bit i set when the fiber of N (its sorted tuples
-    `key`) over `action.blocks[i]` passes the test of
+    `key`) over `problem.blocks[i]` passes the test of
     `HGStructure.stable_subgroups`.  `good` has one bit per block, cleared
     for the blocks that hold t[0] but not g[t[g^-1[0]]]: n - 1 mask steps
-    per generator pair, read off the per-action table `block_bits`."""
-    bits = action.block_bits
-    pairs = [(g, gi[0]) for g, gi in action.generator_pairs()]
-    good = (1 << len(action.blocks)) - 1
+    per generator pair, read off the per-problem table `block_bits`."""
+    bits = problem.block_bits
+    pairs = [(g, gi[0]) for g, gi in problem.generator_pairs()]
+    good = (1 << len(problem.blocks)) - 1
     for t in key[1:]:
         miss = ~bits[t[0]]
         for g, a in pairs:
@@ -406,28 +399,37 @@ def _regular_normalized(elements, n: int, gen_pairs) -> list[tuple[int, ...]] | 
     `gen_pairs`.  Conjugation by g is an automorphism, so it then maps the
     group the picks generate into itself.
 
+    Exact for any tuples: only the picks, at most log2 n, must be
+    permutations of 0..n-1.  Every element met is then a product of them,
+    met where it equals the element of `by0` at its point 0 (`met` holds
+    those points), and an element of the set is either that element (no
+    two share a point 0) or is picked.  So an accepted set is made of
+    permutations, and it is the group its picks generate.
+
     Every product is written out here, with no permutation kernel.
     """
+    points = list(range(n))
     by0 = {t[0]: t for t in elements}
-    if len(elements) != n or len(by0) != n or by0[0] != tuple(range(n)):
+    if len(elements) != n or len(by0) != n or by0.get(0) != tuple(points):
         return None
-    met = [False] * n
-    met[0] = True
+    met = {0}
     found: list[tuple[int, ...]] = []  # the non-identity elements met
     sub: tuple[tuple[int, ...], ...] = ()
 
     def add_coset(r) -> bool:
         for c in [r] + [tuple([h[j] for j in r]) for h in sub]:
-            if c != by0[c[0]]:
+            if c != by0.get(c[0]):
                 return False
-            met[c[0]] = True
+            met.add(c[0])
             found.append(c)
         return True
 
     gens = []
     for x in elements:
-        if met[x[0]]:
+        if x[0] in met:
             continue
+        if sorted(x) != points:
+            return None
         sub = tuple(found)
         gens.append(x)
         if not add_coset(x):
@@ -436,7 +438,7 @@ def _regular_normalized(elements, n: int, gen_pairs) -> list[tuple[int, ...]] | 
         for r in reps:
             for g in gens:
                 y = tuple([r[j] for j in g])
-                if not met[y[0]]:
+                if y[0] not in met:
                     if not add_coset(y):
                         return None
                     reps.append(y)
@@ -539,7 +541,7 @@ def _conj_orbit(t0, conjugators, visited, budget):
     all of them lie in the orbit of t0, so a walk from any of them meets
     the same orbit, kept or dropped, and need not run.
 
-    Each conjugate g a g^-1 is g o (a o g^-1), read with the action's
+    Each conjugate g a g^-1 is g o (a o g^-1), read with the problem's
     `conjugators`: one getter of g^-1's images per generator pair."""
     by0 = {t0[0]: t0}
     stack = [t0]
@@ -704,24 +706,25 @@ def _prime_order(t: tuple[int, ...]) -> int:
     return p if u == tuple(range(len(t))) else 0
 
 
-def _prime_order_translations(action: CosetAction):
+def _prime_order_translations(problem: ExtensionProblem):
     """(seeds, class_of, kinds) for stage 1, read from lambda(G) alone and
     spending no nodes: one seed per conjugacy class of cyclic subgroups of
     prime order of lambda(G); the index of its seed for every generator of
     every group of that class; and each class's (p, size of that set).
 
-    The first element of prime order p in `action.image` that no earlier
+    The first element of prime order p in `problem.image` that no earlier
     class holds is a seed t, and its class is walked from all of t, t^2,
     ..., t^(p-1) by conjugating with the generator pairs.  One seed per
     class of groups suffices: conjugate cyclic groups have conjugate
     centralizers, so the centralizer walks of their generators meet the
-    same orbits (see `_viable_atoms`).  The conjugations read the action's
+    same orbits (see `_viable_atoms`).  The conjugations read the problem's
     `conjugators`.
     """
-    identity = tuple(range(action.degree))
+    identity = tuple(range(problem.degree))
+    conjugators = problem.conjugators
     class_of: dict[tuple[int, ...], int] = {}
     seeds, kinds = [], []
-    for t in action.image:
+    for t in problem.image:
         if t in class_of or t == identity:
             continue
         p = _prime_order(t)
@@ -736,7 +739,7 @@ def _prime_order_translations(action: CosetAction):
         class_of.update(dict.fromkeys(stack, i))
         while stack:
             a = stack.pop()
-            for g, right in action.conjugators:
+            for g, right in conjugators:
                 c = itemgetter(*right(a))(g)
                 if c not in class_of:
                     class_of[c] = i
@@ -745,7 +748,7 @@ def _prime_order_translations(action: CosetAction):
     return seeds, class_of, kinds
 
 
-def _seed_maps(action: CosetAction, seeds, class_of, kinds, budget):
+def _seed_maps(problem: ExtensionProblem, seeds, class_of, kinds, budget):
     """(label, maps) for stage 1: label[i] is the least seed whose class an
     automorphism of G maps onto seed i's, and maps are the pairs (phibar,
     phibar^-1) kept; the seeds with label[i] == i are walked.
@@ -774,10 +777,10 @@ def _seed_maps(action: CosetAction, seeds, class_of, kinds, budget):
     """
     label = list(range(len(seeds)))
     maps = []
-    if action.problem.subgroup.order > 1:
+    if problem.subgroup.order > 1:
         return label, maps
-    g = action.problem.group
-    reps, coset_of = action.reps, action.coset_of
+    g = problem.group
+    reps, coset_of = problem.reps, problem.coset_of
     members: dict[int, list[int]] = {}
     for t, i in class_of.items():
         members.setdefault(i, []).append(reps[t[0]])
@@ -832,7 +835,7 @@ def _close_under(found: dict, keys, maps, budget, carry) -> None:
                 stack.append(b)
 
 
-def _viable_atoms(action: CosetAction, budget: NodeBudget):
+def _viable_atoms(problem: ExtensionProblem, budget: NodeBudget):
     """Stage 1: orbit inventory, seeded from centralizers.
 
     Every translation-conjugation orbit of semiregular permutations whose
@@ -870,11 +873,12 @@ def _viable_atoms(action: CosetAction, budget: NodeBudget):
     so the closure also holds the atoms of every seed left unwalked.  Other
     problems walk every seed and find no map.
     """
-    n, order = action.degree, len(action.problem.group)
+    n, order = problem.degree, len(problem.group)
     trivial = frozenset([tuple(range(n))])
-    seeds, class_of, kinds = _prime_order_translations(action)
+    seeds, class_of, kinds = _prime_order_translations(problem)
     budget.seeds += len(seeds)
-    label, maps = _seed_maps(action, seeds, class_of, kinds, budget)
+    label, maps = _seed_maps(problem, seeds, class_of, kinds, budget)
+    conjugators = problem.conjugators
     walked = [(sigma, kinds[i][0]) for i, sigma in enumerate(seeds) if label[i] == i]
     budget.seeds_walked += len(walked)
     atoms: dict[frozenset, tuple] = {}
@@ -887,7 +891,7 @@ def _viable_atoms(action: CosetAction, budget: NodeBudget):
             for t in _semiregular_centralizer(sigma, d):
                 if t in visited:
                     continue
-                orbit = _conj_orbit(t, action.conjugators, visited, budget)
+                orbit = _conj_orbit(t, conjugators, visited, budget)
                 grown = orbit and _closure(trivial, (), orbit, n, budget)
                 if grown:
                     atoms.setdefault(*grown)
@@ -973,7 +977,7 @@ def _combine_atoms(atoms, n, budget):
     return results
 
 
-def enumerate_regular_normalized(action: CosetAction, *,
+def enumerate_regular_normalized(problem: ExtensionProblem, *,
                                  degree_cap: int = DEGREE_CAP,
                                  budget: NodeBudget | None = None) -> list[HGStructure]:
     """All regular subgroups of Sym(points) normalized by the translation
@@ -992,17 +996,17 @@ def enumerate_regular_normalized(action: CosetAction, *,
     `iso_type` once per orbit of those maps: conjugation by phibar is an
     isomorphism from N to phibar N phibar^-1.
     """
-    n = action.degree
+    n = problem.degree
     if n > degree_cap:
         raise CapExceeded(f"enumeration capped at degree {degree_cap}, got {n}")
     if budget is None:
         budget = NodeBudget()
-    atoms, maps = _viable_atoms(action, budget)
+    atoms, maps = _viable_atoms(problem, budget)
     type_of: dict[frozenset, str] = {}
     structures = []
     for fs in _combine_atoms(atoms, n, budget):
         try:
-            structure = HGStructure(action, fs, type_of.get(fs))
+            structure = HGStructure(problem, fs, type_of.get(fs))
         except ValueError as error:
             raise RuntimeError("search produced an invalid subgroup; "
                                "this is a bug in the pruning") from error
@@ -1014,14 +1018,14 @@ def enumerate_regular_normalized(action: CosetAction, *,
     return structures
 
 
-def translation_structure(action: CosetAction, members) -> HGStructure:
+def translation_structure(problem: ExtensionProblem, members) -> HGStructure:
     """The structure whose N is the translation image of a subgroup of G.
     Valid whenever the image is regular and normalized (e.g. the image of
     a normal complement of G'); `HGStructure` raises ValueError otherwise."""
-    return HGStructure(action, {action.translation(x) for x in members})
+    return HGStructure(problem, {problem.translation(x) for x in members})
 
 
-def enumerate_via_transversal(action: CosetAction, *,
+def enumerate_via_transversal(problem: ExtensionProblem, *,
                               budget: NodeBudget | None = None
                               ) -> list[tuple[tuple[int, ...], ...]]:
     """Independent second engine for small degrees.
@@ -1031,13 +1035,13 @@ def enumerate_via_transversal(action: CosetAction, *,
     Used to cross-check the orbit engine; returns each N as its sorted image
     tuples (what `HGStructure.key` gives), in sorted order.
     """
-    n = action.degree
+    n = problem.degree
     if n > CROSS_CHECK_CAP:
         raise CapExceeded(f"transversal engine capped at degree "
                           f"{CROSS_CHECK_CAP}, got {n}")
     if budget is None:
         budget = NodeBudget()
-    gen_pairs = action.generator_pairs()
+    gen_pairs = problem.generator_pairs()
     rng = range(n)
     id_t = tuple(rng)
 

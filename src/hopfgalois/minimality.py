@@ -7,20 +7,19 @@ from that stable-subgroup lattice by its size; the characteristic-subgroup
 shortcut is computed separately so the implication can be cross-checked.
 
 The lattice is read for every structure through the Galois correspondence,
-as the fibers of N over the blocks of lambda(G) at point 0, and held as its
-image, one bit per block (`HGStructure.lattice_bits`); its size is the
-number of bits set, and the fibers themselves, as sets of image tuples, are
-built only where `HGStructure.stable_subgroups` is read.
-`g_stable_subgroups` is its oracle, by another route: N's Cayley table.
+as the fibers of N over the blocks of lambda(G) at point 0, walked once per
+problem (`ExtensionProblem.blocks`), and held as its image, one bit per
+block (`HGStructure.lattice_bits`); the fibers themselves are built only
+where `HGStructure.stable_subgroups` is read.  `g_stable_subgroups` is its
+oracle, by another route: N's Cayley table.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .engine import (CosetAction, ExtensionProblem, HGStructure, NodeBudget,
-                     coset_action, enumerate_regular_normalized,
-                     translation_structure, DEGREE_CAP)
+from .engine import (DEGREE_CAP, ExtensionProblem, HGStructure, NodeBudget,
+                     enumerate_regular_normalized, translation_structure)
 from .groups import (FiniteGroup, SubgroupRef, characteristic_subgroups,
                      is_characteristically_simple, holomorph)
 
@@ -34,7 +33,7 @@ def g_stable_subgroups(structure: HGStructure) -> list[SubgroupRef]:
     call through N's Cayley table: the subgroups of N stable under
     conjugation by the translations of G, sorted by (order, member set)."""
     return structure.group.stable_subgroups(
-        structure.conj_action(x) for x in structure.action.generators)
+        structure.conj_action(x) for x in structure.problem.group.generators())
 
 
 def characteristic_obstruction(structure: HGStructure) -> SubgroupRef | None:
@@ -71,30 +70,29 @@ def minimal_lower_bound(problem: ExtensionProblem) -> int:
     return count
 
 
-def intermediate_subgroups(action: CosetAction) -> list[frozenset[int]]:
-    """All subgroups H with G' <= H <= G, both endpoints included, for the
-    problem of `action`.
+def intermediate_subgroups(problem: ExtensionProblem) -> list[frozenset[int]]:
+    """All subgroups H with G' <= H <= G, both endpoints included.
 
     They correspond one-to-one to the blocks of the action on G/G' that
     contain point 0 (the coset G'), via H = {x : xG' in B}; the blocks are
-    `action.blocks`, walked once per action.  Sorted by (order, member
+    `problem.blocks`, walked once per problem.  Sorted by (order, member
     set), a linear extension of inclusion.
     """
-    coset_of = action.coset_of
+    coset_of = problem.coset_of
     subgroups = [frozenset(x for x, c in enumerate(coset_of) if c in block)
-                 for block in action.blocks]
+                 for block in problem.blocks]
     return sorted(subgroups, key=lambda s: (len(s), sorted(s)))
 
 
 def correspondence_stats(structure: HGStructure) -> tuple[int, int]:
     """(number of stable subgroups of N, number of intermediate subgroups),
-    read from the bits of `lattice_bits` and from `blocks` of N's action,
-    walked once per action.
+    read from the bits of `lattice_bits` and from `blocks` of N's problem,
+    walked once per problem.
 
     The first never exceeds the second: the fixed-field map embeds the
     sub-Hopf lattice into the intermediate-field lattice.
     """
-    return structure.lattice_bits.bit_count(), len(structure.action.blocks)
+    return structure.lattice_bits.bit_count(), len(structure.problem.blocks)
 
 
 def holomorph_minimality_certificate(n: FiniteGroup) -> bool:
@@ -109,9 +107,8 @@ def holomorph_minimality_certificate(n: FiniteGroup) -> bool:
         raise ValueError("requires a characteristically simple group")
     hol = holomorph(n)
     problem = ExtensionProblem(hol, hol.subgroup(hol.distinguished))
-    action = coset_action(problem)
     translations = [hol.index_of((x, 0)) for x in range(len(n))]
-    structure = translation_structure(action, translations)
+    structure = translation_structure(problem, translations)
     return is_minimal(structure)
 
 
@@ -145,7 +142,7 @@ class ClassificationReport(NamedTuple):
         return [s.type_name for s in self.structures]
 
 
-def _complement_bound(action: CosetAction, structures: list[HGStructure]) -> int:
+def _complement_bound(problem: ExtensionProblem, structures: list[HGStructure]) -> int:
     """minimal_lower_bound, read from the structures.
 
     An enumerated N inside the translation image of G is the image of a
@@ -153,7 +150,7 @@ def _complement_bound(action: CosetAction, structures: list[HGStructure]) -> int
     subgroups of M normal in G; so the minimal such N are counted.  The
     search has built the image already.
     """
-    image = action.image
+    image = problem.image
     return sum(1 for s in structures
                if is_minimal(s) and all(t in image for t in s.key()))
 
@@ -172,13 +169,12 @@ def classify(problem: ExtensionProblem, *, degree_cap: int = DEGREE_CAP,
     """
     if budget is None:
         budget = NodeBudget()
-    action = coset_action(problem)
     structures = enumerate_regular_normalized(
-        action, degree_cap=degree_cap, budget=budget)
+        problem, degree_cap=degree_cap, budget=budget)
     return ClassificationReport(
         problem=problem,
         structures=structures,
-        intermediate_count=len(action.blocks),
-        normal_complement_bound=_complement_bound(action, structures),
+        intermediate_count=len(problem.blocks),
+        normal_complement_bound=_complement_bound(problem, structures),
         engine=budget.counters(),
     )

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from hopfgalois import (CapExceeded, ExtensionProblem, alternating,
-                        are_isomorphic, automorphism_group, coset_action,
+                        are_isomorphic, automorphism_group,
                         correspondence_stats, cyclic, dihedral,
                         elementary_abelian, enumerate_regular_normalized,
                         enumerate_via_transversal, g_stable_subgroups,
@@ -77,9 +77,9 @@ def test_criterion_05_galois_dihedral(reports, d5_report):
                     "count agreed by both engines")
     d3 = reports["galois D3"]
     ok = d3.minimal_count == 0 and d5_report.minimal_count == 0
-    act = coset_action(ExtensionProblem.galois(dihedral(3)))
-    primary = enumerate_regular_normalized(act, budget=NodeBudget(50_000_000))
-    reference = enumerate_via_transversal(act, budget=NodeBudget(50_000_000))
+    prob = ExtensionProblem.galois(dihedral(3))
+    primary = enumerate_regular_normalized(prob, budget=NodeBudget(50_000_000))
+    reference = enumerate_via_transversal(prob, budget=NodeBudget(50_000_000))
     ok &= sorted(s.key() for s in primary) == reference
     ok &= d3.structure_count == len(primary) == 5
     assert v.record(ok)
@@ -102,9 +102,8 @@ def test_criterion_07_order_56(reports):
     v = _Verdict(7, "order-56 problem, degree 8: the rank-3 elementary "
                     "abelian structure is minimal")
     prob = catalog_problems()["order 56"]
-    act = coset_action(prob)
     m = normal_complements(prob)[0]
-    s = translation_structure(act, m.members)
+    s = translation_structure(prob, m.members)
     ok = s.type_name == "E(2,3)" and is_minimal(s)
     ok &= any(is_minimal(n) and n.type_name == "E(2,3)"
               for n in reports["order 56"].structures)
@@ -115,9 +114,8 @@ def test_criterion_08_order_36(reports):
     v = _Verdict(8, "order-36 problem, degree 9: the rank-2 elementary "
                     "abelian structure is minimal")
     prob = catalog_problems()["order 36"]
-    act = coset_action(prob)
     m = normal_complements(prob)[0]
-    s = translation_structure(act, m.members)
+    s = translation_structure(prob, m.members)
     ok = s.type_name == "E(3,2)" and is_minimal(s)
     ok &= any(is_minimal(n) and n.type_name == "E(3,2)"
               for n in reports["order 36"].structures)
@@ -192,9 +190,8 @@ def test_criterion_11_property_suite(reports):
             ok &= tuple_sets(s.stable_subgroups) == lattice
         ok &= rep.minimal_count >= rep.normal_complement_bound
         # (e) N inside the translation image pulls back to a normal complement
-        act = coset_action(prob)
         g = prob.group
-        lam = {act.translation(x): x for x in range(len(g))}
+        lam = {prob.translation(x): x for x in range(len(g))}
         complement_sets = {frozenset(c.members) for c in normal_complements(prob)}
         for s in rep.structures:
             if all(p in lam for p in s.key()):
@@ -203,9 +200,9 @@ def test_criterion_11_property_suite(reports):
         # (f) cross-engine agreement at degree <= 8
         if prob.degree <= 8:
             primary = enumerate_regular_normalized(
-                act, budget=NodeBudget(200_000_000))
+                prob, budget=NodeBudget(200_000_000))
             reference = enumerate_via_transversal(
-                act, budget=NodeBudget(200_000_000))
+                prob, budget=NodeBudget(200_000_000))
             ok &= sorted(s.key() for s in primary) == reference
     assert v.record(ok)
 
@@ -215,9 +212,9 @@ def test_criterion_12_exclusions_and_quartic_brute_force(reports):
                      "complement quartic checked by brute force")
     # the nonabelian-simple Galois case needs degree-60 enumeration: the
     # engine must refuse it rather than truncate
-    act = coset_action(ExtensionProblem.galois(alternating(5)))
+    prob = ExtensionProblem.galois(alternating(5))
     try:
-        enumerate_regular_normalized(act)
+        enumerate_regular_normalized(prob)
         ok = False
     except CapExceeded:
         ok = True

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hopfgalois import (ExtensionProblem, NodeBudget, classify, coset_action,
+from hopfgalois import (ExtensionProblem, NodeBudget, classify,
                         dihedral, enumerate_via_transversal)
 from hopfgalois.cli import main
 from hopfgalois.groups import FiniteGroup
@@ -90,7 +90,7 @@ def test_subgroup_problem_of_the_tests_is_the_flags(capsys):
     assert [s.generator_strings() for s in report.structures] == \
         [d["generators"] for d in doc["structures"]]
     assert sorted(s.key() for s in report.structures) == \
-        enumerate_via_transversal(coset_action(prob))
+        enumerate_via_transversal(prob)
 
 
 @pytest.mark.parametrize("group,subgroup,message", [

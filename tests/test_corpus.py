@@ -54,6 +54,22 @@ def test_corpus_row(workload, row):
         assert s.type_name == iso_type(s.group)
 
 
+def test_building_a_problem_reads_no_generator_data(monkeypatch):
+    # a problem's set-up is its cosets and the core check: G's generators,
+    # the image and the blocks are built on first read, inside classify
+    generators, asked = hopfgalois.FiniteGroup.generators, []
+
+    def counted(self):
+        asked.append(self)
+        return generators(self)
+
+    monkeypatch.setattr(hopfgalois.FiniteGroup, "generators", counted)
+    for _, row in ROWS:
+        problem = row.build(hopfgalois, dsl)
+        assert all(group is not problem.group for group in asked), row.label
+        assert problem._pairs is problem._image is problem._blocks is None
+
+
 @pytest.mark.parametrize("workload,nodes", [
     ("search", 2_804), ("stats", 530), ("lattice", 7_783)])
 def test_nodes_per_pass(workload, nodes):

@@ -14,7 +14,7 @@ import hopfgalois
 import hopfgalois.cli
 from hopfgalois import (BudgetExceeded, CapExceeded, ExtensionProblem,
                         FiniteGroup, HGStructure, NodeBudget, NotNormalClosure,
-                        alternating, classify, coset_action, cyclic, dihedral,
+                        alternating, classify, cyclic, dihedral,
                         direct_product, dsl, elementary_abelian,
                         enumerate_regular_normalized,
                         enumerate_via_transversal, g_stable_subgroups,
@@ -22,7 +22,7 @@ from hopfgalois import (BudgetExceeded, CapExceeded, ExtensionProblem,
 from hopfgalois.dsl import build_text
 from hopfgalois.catalog import _nonabelian_candidates, iso_type
 from hopfgalois.cli import _problem
-from hopfgalois.engine import (DEGREE_CAP, CosetAction, _closure, _combine_atoms,
+from hopfgalois.engine import (DEGREE_CAP, _closure, _combine_atoms,
                                _conj_orbit, _core, _cosets, _cycle_length_at_0,
                                _divisors, _orbit_bound, _prime_factors,
                                _prime_order, _prime_order_translations,
@@ -55,31 +55,29 @@ def test_extension_problem_validation():
 
 def test_coset_action_s4_natural():
     prob = stabilizer_problem(symmetric(4))
-    act = coset_action(prob)
-    assert act.degree == 4
-    image = {act.translation(x) for x in range(24)}
+    assert prob.degree == 4
+    image = {prob.translation(x) for x in range(24)}
     assert len(image) == 24  # faithful: the whole of Sym(4)
 
 
 def test_coset_action_regular_representation():
     g = dihedral(3)
-    act = coset_action(ExtensionProblem.galois(g))
-    assert act.degree == 6
-    image = {act.translation(x) for x in range(6)}
+    prob = ExtensionProblem.galois(g)
+    assert prob.degree == 6
+    image = {prob.translation(x) for x in range(6)}
     assert len(image) == 6
     assert all(uniform_cycle_length(p) is not None for p in image)
 
 
 def test_point_zero_is_the_subgroup_coset():
     prob = stabilizer_problem(symmetric(4))
-    act = coset_action(prob)
     for s in prob.subgroup.members:
-        assert act.translation(s)[0] == 0
+        assert prob.translation(s)[0] == 0
 
 
 def test_enumerate_s4_s3():
-    act = coset_action(stabilizer_problem(symmetric(4)))
-    structures = enumerate_regular_normalized(act)
+    prob = stabilizer_problem(symmetric(4))
+    structures = enumerate_regular_normalized(prob)
     assert len(structures) == 1
     assert structures[0].type_name == "E(2,2)"
     klein = {(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)}
@@ -87,13 +85,13 @@ def test_enumerate_s4_s3():
 
 
 def test_enumerate_s5_s4_empty():
-    act = coset_action(stabilizer_problem(symmetric(5)))
-    assert enumerate_regular_normalized(act) == []
+    prob = stabilizer_problem(symmetric(5))
+    assert enumerate_regular_normalized(prob) == []
 
 
 def test_enumerate_galois_c8():
-    act = coset_action(ExtensionProblem.galois(cyclic(8)))
-    structures = enumerate_regular_normalized(act)
+    prob = ExtensionProblem.galois(cyclic(8))
+    structures = enumerate_regular_normalized(prob)
     assert len(structures) == 6
     assert sorted(s.type_name for s in structures) == \
         ["C8", "C8", "D4", "D4", "Q8", "Q8"]
@@ -101,19 +99,18 @@ def test_enumerate_galois_c8():
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_enumerate_galois_prime(p):
-    act = coset_action(ExtensionProblem.galois(cyclic(p)))
-    structures = enumerate_regular_normalized(act)
+    prob = ExtensionProblem.galois(cyclic(p))
+    structures = enumerate_regular_normalized(prob)
     assert len(structures) == 1
     assert structures[0].type_name == f"C{p}"
 
 
 def test_results_verified_post_hoc():
     for name, prob in catalog_problems().items():
-        act = coset_action(prob)
-        n = act.degree
+        n = prob.degree
         rng = range(n)
-        gen_pairs = act.generator_pairs()
-        for s in enumerate_regular_normalized(act, budget=NodeBudget(50_000_000)):
+        gen_pairs = prob.generator_pairs()
+        for s in enumerate_regular_normalized(prob, budget=NodeBudget(50_000_000)):
             members = set(s.key())
             assert _regular_normalized(members, n, gen_pairs), name
             # a group: the identity, and closed under products
@@ -125,9 +122,9 @@ def test_results_verified_post_hoc():
                 assert d is not None and n % d == 0, name
             # each N is a union of translation-conjugation orbits
             for p in members:
-                for x in act.generators:
-                    g = act.translation(x)
-                    gi = act.translation(prob.group.inv(x))
+                for x in prob.group.generators():
+                    g = prob.translation(x)
+                    gi = prob.translation(prob.group.inv(x))
                     assert tuple(g[p[gi[i]]] for i in rng) in members, name
 
 
@@ -135,10 +132,9 @@ def test_enumerated_subgroups_of_translation_image_are_normal_complements():
     # if N lies inside the translation image, its preimage is a normal
     # complement of G' in G
     for name, prob in catalog_problems().items():
-        act = coset_action(prob)
         g = prob.group
-        lam = {act.translation(x): x for x in range(len(g))}
-        for s in enumerate_regular_normalized(act, budget=NodeBudget(50_000_000)):
+        lam = {prob.translation(x): x for x in range(len(g))}
+        for s in enumerate_regular_normalized(prob, budget=NodeBudget(50_000_000)):
             if not all(p in lam for p in s.key()):
                 continue
             members = sorted(lam[p] for p in s.key())
@@ -151,7 +147,7 @@ def test_enumerated_subgroups_of_translation_image_are_normal_complements():
 def induced_action(s: HGStructure) -> list[tuple[int, ...]]:
     # the action G -> Aut(N) by translation conjugation: one table on N's
     # indices per element of G, checked multiplicative against G.mul
-    g = s.action.problem.group
+    g = s.problem.group
     tables = [s.conj_action(x) for x in range(len(g))]
     assert all(tables[g.mul(a, b)] == compose(tables[a], tables[b])
                for a in range(len(g)) for b in range(len(g)))
@@ -161,23 +157,23 @@ def induced_action(s: HGStructure) -> list[tuple[int, ...]]:
 def test_induced_action_galois_translation_copy():
     # N = the translation image itself: the action is conjugation in G
     g = symmetric(3)
-    act = coset_action(ExtensionProblem.galois(g))
-    n = [act.translation(x) for x in range(6)]
-    tables = induced_action(HGStructure(act, n))
+    prob = ExtensionProblem.galois(g)
+    n = [prob.translation(x) for x in range(6)]
+    tables = induced_action(HGStructure(prob, n))
     assert tables[0] == tuple(range(6))
     assert len(set(tables)) == 6  # S3 has trivial center: image is Inn(S3)
 
 
 def test_induced_action_abelian_galois_trivial():
     g = cyclic(6)
-    act = coset_action(ExtensionProblem.galois(g))
-    n = [act.translation(x) for x in range(6)]
-    assert set(induced_action(HGStructure(act, n))) == {tuple(range(6))}
+    prob = ExtensionProblem.galois(g)
+    n = [prob.translation(x) for x in range(6)]
+    assert set(induced_action(HGStructure(prob, n))) == {tuple(range(6))}
 
 
 def test_induced_action_klein_image_order_6():
-    act = coset_action(stabilizer_problem(symmetric(4)))
-    s = enumerate_regular_normalized(act)[0]
+    prob = stabilizer_problem(symmetric(4))
+    s = enumerate_regular_normalized(prob)[0]
     assert len(set(induced_action(s))) == 6
     # the three involutions are permuted in every way possible
     involutions = [i for i in range(4) if s.group.element_order(i) == 2]
@@ -187,21 +183,21 @@ def test_induced_action_klein_image_order_6():
 
 def test_induced_action_requires_normalized():
     # refused when the structure is built, before any action is read
-    act = coset_action(ExtensionProblem.galois(symmetric(3)))
+    prob = ExtensionProblem.galois(symmetric(3))
     not_normalized = build_text("gens[(0 1)(5)]").group.raw_elements()
     with pytest.raises(ValueError):
-        HGStructure(act, not_normalized)
+        HGStructure(prob, not_normalized)
 
 
 def test_translation_structure():
     g = alternating(4)
     c3 = next(s for s in g.subgroups() if s.order == 3)
-    act = coset_action(ExtensionProblem(g, c3))
+    prob = ExtensionProblem(g, c3)
     v = next(s for s in g.normal_subgroups() if s.order == 4)
-    structure = translation_structure(act, v.members)
+    structure = translation_structure(prob, v.members)
     assert structure.type_name == "E(2,2)"
     with pytest.raises(ValueError):
-        translation_structure(act, c3.members)  # not regular
+        translation_structure(prob, c3.members)  # not regular
 
 
 def test_cross_engine_equality_up_to_degree_8():
@@ -209,9 +205,8 @@ def test_cross_engine_equality_up_to_degree_8():
     for name, prob in catalog_problems().items():
         if prob.degree > 8:
             continue
-        act = coset_action(prob)
-        primary = enumerate_regular_normalized(act, budget=budget)
-        reference = enumerate_via_transversal(act, budget=budget)
+        primary = enumerate_regular_normalized(prob, budget=budget)
+        reference = enumerate_via_transversal(prob, budget=budget)
         assert sorted(s.key() for s in primary) == reference, name
 
 
@@ -219,9 +214,9 @@ def test_oracles_keep_their_own_products(monkeypatch):
     # the post-hoc check and the transversal engine's `close` write their
     # products out, so a fault in the kernels of `perms` cannot hide from
     # them; here every kernel raises
-    act = coset_action(ExtensionProblem.galois(dihedral(3)))
-    expected = sorted(s.key() for s in enumerate_regular_normalized(act))
-    gen_pairs = act.generator_pairs()
+    prob = ExtensionProblem.galois(dihedral(3))
+    expected = sorted(s.key() for s in enumerate_regular_normalized(prob))
+    gen_pairs = prob.generator_pairs()
 
     def kernel(*args):
         raise AssertionError("an oracle called a permutation kernel")
@@ -233,38 +228,38 @@ def test_oracles_keep_their_own_products(monkeypatch):
     monkeypatch.setattr(hopfgalois.perms, "conjugate", kernel)
     monkeypatch.setattr(hopfgalois.engine, "itemgetter", kernel)
     assert all(_regular_normalized(frozenset(key), 6, gen_pairs) for key in expected)
-    assert enumerate_via_transversal(act) == expected
+    assert enumerate_via_transversal(prob) == expected
 
 
 def test_transversal_cap():
-    act = coset_action(ExtensionProblem.galois(dihedral(5)))
+    prob = ExtensionProblem.galois(dihedral(5))
     with pytest.raises(CapExceeded):
-        enumerate_via_transversal(act)
+        enumerate_via_transversal(prob)
 
 
 def test_degree_cap():
-    act = coset_action(ExtensionProblem.galois(cyclic(8)))
+    prob = ExtensionProblem.galois(cyclic(8))
     with pytest.raises(CapExceeded):
-        enumerate_regular_normalized(act, degree_cap=6)
+        enumerate_regular_normalized(prob, degree_cap=6)
 
 
 def test_budget_exhaustion_is_loud():
-    act = coset_action(ExtensionProblem.galois(cyclic(8)))
+    prob = ExtensionProblem.galois(cyclic(8))
     with pytest.raises(BudgetExceeded):
-        enumerate_regular_normalized(act, budget=NodeBudget(50))
+        enumerate_regular_normalized(prob, budget=NodeBudget(50))
 
 
 def test_generator_presentation_does_not_change_output(monkeypatch):
     g = cyclic(8)
-    prob = ExtensionProblem.galois(g)
     keys = None
     # several generating sequences for C8, including redundant ones, each
-    # given to the action as G's own generators
+    # given to a fresh problem as G's own generators
     for gens in [(1,), (3,), (5,), (1, 2), (7, 4)]:
         monkeypatch.setattr(g, "generators", lambda gens=gens: gens)
-        act = coset_action(prob)
-        assert act.generators == gens
-        got = [s.key() for s in enumerate_regular_normalized(act)]
+        prob = ExtensionProblem.galois(g)
+        assert prob.generator_pairs() == tuple(
+            (prob.translation(x), prob.translation(g.inv(x))) for x in gens)
+        got = [s.key() for s in enumerate_regular_normalized(prob)]
         if keys is None:
             keys = got
         assert got == keys
@@ -272,13 +267,13 @@ def test_generator_presentation_does_not_change_output(monkeypatch):
 
 def test_order_56_and_36_cases():
     b = build_text("SD(E(2,3), matgrp(2,3,[[[1,1,1],[1,1,0],[1,0,0]]]))")
-    act = coset_action(ExtensionProblem(b.group, b.complement))
-    structures = enumerate_regular_normalized(act)
+    prob = ExtensionProblem(b.group, b.complement)
+    structures = enumerate_regular_normalized(prob)
     assert [s.type_name for s in structures] == ["E(2,3)"]
 
     b = build_text("SD(E(3,2), matgrp(3,2,[[[0,1],[-1,0]]]))")
-    act = coset_action(ExtensionProblem(b.group, b.complement))
-    structures = enumerate_regular_normalized(act)
+    prob = ExtensionProblem(b.group, b.complement)
+    structures = enumerate_regular_normalized(prob)
     assert [s.type_name for s in structures] == ["E(3,2)"]
 
 
@@ -337,10 +332,9 @@ def test_action_read_from_the_image_matches_the_routes_on_g(name):
     prob = oracle_problem(name)
     g = prob.group
     assert naive_core(g, prob.subgroup.members) == {0}
-    act = coset_action(prob)
-    lam = {act.translation(x): x for x in range(len(g))}
-    assert act.image == {act.translation(x) for x in range(len(g))}
-    assert list(act.image)[0] == tuple(range(act.degree))
+    lam = {prob.translation(x): x for x in range(len(g))}
+    assert prob.image == {prob.translation(x) for x in range(len(g))}
+    assert list(prob.image)[0] == tuple(range(prob.degree))
     # the seeds meet each class of cyclic subgroups of prime order p of G
     # once; its generators are the classes of x^k for k prime to p
     classes = g.conjugacy_classes()
@@ -355,14 +349,14 @@ def test_action_read_from_the_image_matches_the_routes_on_g(name):
             union.update(classes[class_of[power]])
             power = g.mul(cls[0], power)
         generators[frozenset(union)] = p
-    seeds, seed_of, kinds = _prime_order_translations(act)
+    seeds, seed_of, kinds = _prime_order_translations(prob)
     met = [next(u for u in generators if lam[t] in u) for t in seeds]
     assert sorted(met, key=sorted) == sorted(generators, key=sorted)
     # each seed comes first in the image among its class's generators;
     # every generator is reported with its seed, and each class with its
     # prime and its number of generators
     for t, u in zip(seeds, met):
-        assert t == next(s for s in act.image if lam[s] in u)
+        assert t == next(s for s in prob.image if lam[s] in u)
     assert len(seed_of) == sum(map(len, generators))
     for t, i in seed_of.items():
         assert lam[t] in met[i]
@@ -413,7 +407,7 @@ def test_group_side_takes_few_raw_products(expr, mode, monkeypatch):
     classes_of_g = 0
     translated = set()
     conjugacy_classes = FiniteGroup.conjugacy_classes
-    translation = CosetAction.translation
+    translation = ExtensionProblem.translation
 
     def counted_classes(self):
         nonlocal classes_of_g
@@ -425,7 +419,7 @@ def test_group_side_takes_few_raw_products(expr, mode, monkeypatch):
         return translation(self, x)
 
     monkeypatch.setattr(FiniteGroup, "conjugacy_classes", counted_classes)
-    monkeypatch.setattr(CosetAction, "translation", counted_translation)
+    monkeypatch.setattr(ExtensionProblem, "translation", counted_translation)
     calls = 0
     report = classify(prob)
     # most of it is G.generators(): the order of every element
@@ -521,23 +515,23 @@ DEGREE_9_AND_10 = {
 }
 
 
-def every_walk_atoms(act, budget):
+def every_walk_atoms(prob, budget):
     """Stage 1 with nothing cut: the atoms met walking, over every cycle
     length and with no map, the translation of one element of each class
     of prime-order elements of G, read from `G.conjugacy_classes()`."""
-    n = act.degree
-    g = act.problem.group
+    n = prob.degree
+    g = prob.group
     trivial = (tuple(range(n)),)
     atoms, visited = set(), set()
     for cls in g.conjugacy_classes():
         if not _is_prime(g.element_order(cls[0])):
             continue
-        sigma = act.translation(cls[0])
+        sigma = prob.translation(cls[0])
         for d in _divisors(n):
             for t in _semiregular_centralizer(sigma, d):
                 if t in visited:
                     continue
-                orbit = _conj_orbit(t, act.conjugators, visited, budget)
+                orbit = _conj_orbit(t, prob.conjugators, visited, budget)
                 if orbit is None:
                     continue
                 grown = _closure(trivial, (), orbit, n, budget)
@@ -556,11 +550,11 @@ def oracle_search(name):
     """(n, the action's conjugators, seeded (atom, generators) pairs,
     brute-force orbits, brute-force atoms) for a catalog or a degree-9/10
     problem; the orbit walk runs once per problem."""
-    act = coset_action(oracle_search_problem(name))
-    n = act.degree
-    seeded, _ = _viable_atoms(act, NodeBudget(200_000_000))
-    orbits = list(brute_force_orbits(n, act.generator_pairs()))
-    return n, act.conjugators, seeded, orbits, brute_force_atoms(n, orbits)
+    prob = oracle_search_problem(name)
+    n = prob.degree
+    seeded, _ = _viable_atoms(prob, NodeBudget(200_000_000))
+    orbits = list(brute_force_orbits(n, prob.generator_pairs()))
+    return n, prob.conjugators, seeded, orbits, brute_force_atoms(n, orbits)
 
 
 @pytest.mark.parametrize("name", sorted(catalog_problems()))
@@ -676,10 +670,10 @@ def transitive_groups(draw):
 @settings(max_examples=100, deadline=None)
 @given(transitive_groups())
 def test_atoms_match_the_every_walk_on_random_transitive_groups(group):
-    act = coset_action(stabilizer_problem(group))
+    prob = stabilizer_problem(group)
     budget = NodeBudget(10**9)
-    atoms, _ = _viable_atoms(act, budget)
-    assert [a for a, _ in atoms] == every_walk_atoms(act, budget)
+    atoms, _ = _viable_atoms(prob, budget)
+    assert [a for a, _ in atoms] == every_walk_atoms(prob, budget)
 
 
 @pytest.mark.parametrize("p,n,order,lengths", [
@@ -779,47 +773,47 @@ def symmetry_problem(name):
 
 @pytest.mark.parametrize("name", SYMMETRY_NAMES + sorted(SKIPPED_WALK_ROWS))
 def test_atoms_carried_by_the_maps_match_the_all_seeds_walk(name):
-    act = coset_action(symmetry_problem(name))
-    n = act.degree
+    prob = symmetry_problem(name)
+    n = prob.degree
     budget = NodeBudget(10**9)
-    atoms, maps = _viable_atoms(act, budget)
-    assert [a for a, _ in atoms] == every_walk_atoms(act, budget)
+    atoms, maps = _viable_atoms(prob, budget)
+    assert [a for a, _ in atoms] == every_walk_atoms(prob, budget)
     assert_carried_generators(atoms, n)
-    if act.problem.subgroup.order > 1:
+    if prob.subgroup.order > 1:
         assert maps == []
-    assert_automorphism_maps(act, maps)
+    assert_automorphism_maps(prob, maps)
     found = {a for a, _ in atoms}
     for bar, bar_inv in maps:
         assert {frozenset(conjugate(bar, t, bar_inv) for t in a) for a in found} == found
 
 
-def assert_automorphism_maps(act, maps) -> None:
+def assert_automorphism_maps(prob, maps) -> None:
     """Each (phibar, phibar^-1) of `maps` comes from an automorphism phi of
     G, and phibar lambda(x) phibar^-1 = lambda(phi(x)) on the generators."""
-    g = act.problem.group
+    g = prob.group
     for bar, bar_inv in maps:
         assert bar_inv == inverse(bar)
-        phi = tuple(act.reps[bar[act.coset_of[x]]] for x in range(len(g)))
+        phi = tuple(prob.reps[bar[prob.coset_of[x]]] for x in range(len(g)))
         assert sorted(phi) == list(range(len(g)))
         assert _is_automorphism_map(g, phi)
-        for x in act.generators:
-            assert conjugate(bar, act.translation(x), bar_inv) == \
-                act.translation(phi[x])
+        for x in prob.group.generators():
+            assert conjugate(bar, prob.translation(x), bar_inv) == \
+                prob.translation(phi[x])
 
 
-def scanned_seed_labels(act, seeds, class_of, kinds) -> list[int]:
+def scanned_seed_labels(prob, seeds, class_of, kinds) -> list[int]:
     """The seed labels as a scan of Aut(G) in backtrack order gives them:
     each automorphism merges every two seed classes it maps onto each
     other, until as many classes are left as there are kinds; label[i] is
     the least seed merged with seed i.  Only Galois problems merge."""
     label = list(range(len(seeds)))
-    if act.problem.subgroup.order > 1:
+    if prob.subgroup.order > 1:
         return label
-    g, target = act.problem.group, len(set(kinds))
+    g, target = prob.group, len(set(kinds))
     for phi in _iso_image_maps(g, g):
         if len(set(label)) == target:
             break
-        bar = tuple(act.coset_of[phi[r]] for r in act.reps)
+        bar = tuple(prob.coset_of[phi[r]] for r in prob.reps)
         for i, sigma in enumerate(seeds):
             a, b = sorted((label[i], label[class_of[conjugate(bar, sigma, inverse(bar))]]))
             label = [a if x == b else x for x in label]
@@ -830,11 +824,11 @@ def scanned_seed_labels(act, seeds, class_of, kinds) -> list[int]:
 def test_targeted_seed_maps_match_the_full_scan(name):
     # one backtrack per unmerged class and walked root of its kind gives
     # the labels, so the walked seeds, of a scan through Aut(G)
-    act = coset_action(symmetry_problem(name))
-    seeds, class_of, kinds = _prime_order_translations(act)
-    label, maps = _seed_maps(act, seeds, class_of, kinds, NodeBudget(10**9))
-    assert label == scanned_seed_labels(act, seeds, class_of, kinds), name
-    assert_automorphism_maps(act, maps)
+    prob = symmetry_problem(name)
+    seeds, class_of, kinds = _prime_order_translations(prob)
+    label, maps = _seed_maps(prob, seeds, class_of, kinds, NodeBudget(10**9))
+    assert label == scanned_seed_labels(prob, seeds, class_of, kinds), name
+    assert_automorphism_maps(prob, maps)
 
 
 @pytest.mark.parametrize("group,seeds,walked,kept", [
@@ -844,19 +838,19 @@ def test_targeted_seed_maps_match_the_full_scan(name):
 ])
 def test_targeted_seed_maps_at_order_16(group, seeds, walked, kept):
     # the seeds alone, with no stage 1; the scan keeps 9 maps on E(2,4)
-    act = coset_action(ExtensionProblem.galois(group()))
-    found, class_of, kinds = _prime_order_translations(act)
-    label, maps = _seed_maps(act, found, class_of, kinds, NodeBudget(10**9))
-    assert label == scanned_seed_labels(act, found, class_of, kinds)
+    prob = ExtensionProblem.galois(group())
+    found, class_of, kinds = _prime_order_translations(prob)
+    label, maps = _seed_maps(prob, found, class_of, kinds, NodeBudget(10**9))
+    assert label == scanned_seed_labels(prob, found, class_of, kinds)
     roots = [i for i, x in enumerate(label) if i == x]
     assert (len(label), len(roots), len(maps)) == (seeds, walked, kept)
-    assert_automorphism_maps(act, maps)
+    assert_automorphism_maps(prob, maps)
 
 
 @pytest.mark.parametrize("name", SYMMETRY_NAMES)
 def test_types_carried_by_the_maps_are_iso_types(name):
-    act = coset_action(symmetry_problem(name))
-    for s in enumerate_regular_normalized(act, budget=NodeBudget(10**9)):
+    prob = symmetry_problem(name)
+    for s in enumerate_regular_normalized(prob, budget=NodeBudget(10**9)):
         assert s.type_name == iso_type(s.group)
 
 
@@ -865,14 +859,14 @@ def test_image_and_generator_pairs_match_the_generic_routes(name):
     # the image takes one getter per element met, and lambda(g^-1) is the
     # inverse tuple of lambda(g); the seeds are read in the image's order,
     # so the breadth-first order of `generated` is compared, not the set
-    act = coset_action(symmetry_problem(name))
-    g = act.problem.group
-    pairs = act.generator_pairs()
-    assert [lam for lam, _ in pairs] == list(map(act.translation, act.generators))
+    prob = symmetry_problem(name)
+    g = prob.group
+    pairs = prob.generator_pairs()
+    assert [lam for lam, _ in pairs] == list(map(prob.translation, prob.group.generators()))
     assert [lam_inv for _, lam_inv in pairs] == \
-        [act.translation(g.inv(x)) for x in act.generators]
-    identity = tuple(range(act.degree))
-    assert list(act.image) == list(generated((lam for lam, _ in pairs), identity, compose))
+        [prob.translation(g.inv(x)) for x in prob.group.generators()]
+    identity = tuple(range(prob.degree))
+    assert list(prob.image) == list(generated((lam for lam, _ in pairs), identity, compose))
 
 
 def unfiltered_combine(atoms, n, budget):
@@ -931,11 +925,11 @@ def recorded_combine(m, atoms, n, budget):
 
 @pytest.mark.parametrize("name", ORACLE_NAMES + sorted(DEGREE_12_ROWS))
 def test_skipped_joins_match_the_unfiltered_loop(monkeypatch, name):
-    act = coset_action(symmetry_problem(name))
+    prob = symmetry_problem(name)
     budget = NodeBudget(10**9)
-    atoms, _ = _viable_atoms(act, budget)
-    assert recorded_combine(monkeypatch, atoms, act.degree, budget) == \
-        unfiltered_combine(atoms, act.degree, budget)
+    atoms, _ = _viable_atoms(prob, budget)
+    assert recorded_combine(monkeypatch, atoms, prob.degree, budget) == \
+        unfiltered_combine(atoms, prob.degree, budget)
 
 
 @pytest.mark.parametrize("name", ["corpus: D(4) --galois", "corpus: E(2,3) --galois",
@@ -944,14 +938,14 @@ def test_first_arrival_walks_match_the_unfiltered_loop_in_any_atom_order(
         monkeypatch, name):
     # stage 2 walks a group at its first arrival only, whose start is the
     # least whatever order the atoms come in
-    act = coset_action(symmetry_problem(name))
+    prob = symmetry_problem(name)
     budget, rng = NodeBudget(10**9), random.Random(2)
-    atoms, _ = _viable_atoms(act, budget)
+    atoms, _ = _viable_atoms(prob, budget)
     for _ in range(3):
         rng.shuffle(atoms)
         with monkeypatch.context() as m:
-            assert recorded_combine(m, atoms, act.degree, budget) == \
-                unfiltered_combine(atoms, act.degree, budget), name
+            assert recorded_combine(m, atoms, prob.degree, budget) == \
+                unfiltered_combine(atoms, prob.degree, budget), name
 
 
 def element_scan_clash(p, a) -> bool:
@@ -966,9 +960,9 @@ def test_point_mask_clash_matches_the_element_scan(monkeypatch, name):
     # every state that stage 2 extends is a formed group below order n,
     # and it meets only the atoms below order n, so these pairs hold every
     # (state, atom) pair that stage 2 tests
-    act = coset_action(symmetry_problem(name))
-    n, budget = act.degree, NodeBudget(10**9)
-    atoms, _ = _viable_atoms(act, budget)
+    prob = symmetry_problem(name)
+    n, budget = prob.degree, NodeBudget(10**9)
+    atoms, _ = _viable_atoms(prob, budget)
     with monkeypatch.context() as m:
         _, formed = recorded_combine(m, atoms, n, budget)
 
@@ -985,9 +979,9 @@ def test_point_mask_clash_matches_the_element_scan(monkeypatch, name):
 def test_index_2_joins_are_closed_once(monkeypatch):
     # 632 stage-2 closures when every index-2 join is closed again from
     # each atom it holds
-    act = coset_action(ExtensionProblem.galois(elementary_abelian(2, 3)))
+    prob = ExtensionProblem.galois(elementary_abelian(2, 3))
     budget = NodeBudget(10**9)
-    atoms, _ = _viable_atoms(act, budget)
+    atoms, _ = _viable_atoms(prob, budget)
     calls = 0
 
     def counted(*args):
@@ -996,7 +990,7 @@ def test_index_2_joins_are_closed_once(monkeypatch):
         return _closure(*args)
 
     monkeypatch.setattr(hopfgalois.engine, "_closure", counted)
-    results, formed = recorded_combine(monkeypatch, atoms, act.degree, budget)
+    results, formed = recorded_combine(monkeypatch, atoms, prob.degree, budget)
     assert (len(results), len(formed)) == (106, 183)
     assert calls <= 350
 
@@ -1076,9 +1070,8 @@ def test_structures_build_a_table_only_to_type(monkeypatch, capsys):
     assert "FAIL" not in capsys.readouterr().out
     assert (tables, iso_calls) == (0, 0)
     problem = complement_problem(ORDER_56_EXPR)
-    action = coset_action(problem)
     for m in hopfgalois.normal_complements(problem):
-        assert hopfgalois.is_minimal(translation_structure(action, m.members))
+        assert hopfgalois.is_minimal(translation_structure(problem, m.members))
     assert (tables, iso_calls) == (0, 0)
 
 
@@ -1143,9 +1136,9 @@ def tuple_route_structures():
             ("E(2,3) --galois", ExtensionProblem.galois(elementary_abelian(2, 3))),
             ("S(4) --stabilizer-of-point", stabilizer_problem(symmetric(4)))]
     out = [(label, classify(prob).structures) for label, prob in rows]
-    act = coset_action(ExtensionProblem.galois(dihedral(3)))
+    d3 = ExtensionProblem.galois(dihedral(3))
     out.append(("D(3) transversal",
-                [HGStructure(act, key) for key in enumerate_via_transversal(act)]))
+                [HGStructure(d3, key) for key in enumerate_via_transversal(d3)]))
     return out
 
 
@@ -1201,12 +1194,36 @@ def test_generators_are_the_greedy_coset_walk(name):
             list(map(cycle_string, coset_walk_generators(s.key()))), name
 
 
+def post_hoc_key(prob, elements):
+    """The key of `HGStructure(prob, elements)`, or None if it refuses them."""
+    try:
+        return HGStructure(prob, elements).key()
+    except ValueError:
+        return None
+
+
 def test_a_set_of_tuples_that_are_no_permutations_is_refused():
     # (1, 1) sends 0 into a cycle that avoids 0: its order walk stops, and
-    # the post-hoc check refuses the set
-    act = coset_action(ExtensionProblem.galois(cyclic(2)))
-    with pytest.raises(ValueError):
-        HGStructure(act, [(0, 1), (1, 1)])
+    # the post-hoc check refuses the set; -2 and -1 index like points, and
+    # 2 indexes past them
+    c2 = ExtensionProblem.galois(cyclic(2))
+    for elements in [[(0, 1), (1, 1)], [(0, 1), (-2, -2)], [(1, 0), (2, 0)],
+                     [(0, 1), (1, -1)]]:
+        with pytest.raises(ValueError):
+            HGStructure(c2, elements)
+    # the identity with every tuple of length 1 to 3 over -2..2 for C2, and
+    # with every two tuples of length 3 over -3..3 for C3: only the true
+    # structures are accepted, and every refusal is a ValueError
+    c3 = ExtensionProblem.galois(cyclic(3))
+    sweeps = [
+        (c2, ([(0, 1), t] for k in (1, 2, 3)
+              for t in itertools.product(range(-2, 3), repeat=k))),
+        (c3, ([(0, 1, 2), s, t] for s, t in itertools.product(
+            itertools.product(range(-3, 4), repeat=3), repeat=2))),
+    ]
+    for prob, sets in sweeps:
+        accepted = {post_hoc_key(prob, elements) for elements in sets} - {None}
+        assert accepted == {s.key() for s in enumerate_regular_normalized(prob)}
 
 
 def naive_regular_normalized(elements, n, gen_pairs) -> bool:
@@ -1234,10 +1251,10 @@ def post_hoc_inputs(draw):
     permutations."""
     group = draw(st.sampled_from(REGULAR_GROUPS))
     n = len(group)
-    act = coset_action(ExtensionProblem.galois(group))
+    prob = ExtensionProblem.galois(group)
     sigma = draw(st.permutations(range(n)))
     sigma_inv = inverse(sigma)
-    elements = {conjugate(sigma, t, sigma_inv) for t in act.image}
+    elements = {conjugate(sigma, t, sigma_inv) for t in prob.image}
     if draw(st.booleans()):
         old = draw(st.sampled_from(sorted(elements)))
         new = draw(st.permutations(range(n)).filter(lambda p: p[0] == old[0]))
@@ -1312,9 +1329,9 @@ def test_degree_12_transposition_within_default_budget():
     # a seed in Sym(12) has 2 * 10! elements; only its semiregular part is
     # ever built
     g = build_text("gens[(0 1), (0 2 4 6 8 10)(1 3 5 7 9 11)]").group
-    act = coset_action(stabilizer_problem(g))
-    assert act.degree == DEGREE_CAP
-    assert enumerate_regular_normalized(act) == []
+    prob = stabilizer_problem(g)
+    assert prob.degree == DEGREE_CAP
+    assert enumerate_regular_normalized(prob) == []
 
 
 @pytest.mark.parametrize("group,types", [
@@ -1336,7 +1353,7 @@ def test_degree_12_presentation_invariance():
     # D6 and D3 x C2 are one group in two presentations
     counts = []
     for g in (dihedral(6), direct_product(dihedral(3), cyclic(2))):
-        act = coset_action(ExtensionProblem.galois(g))
-        counts.append(Counter(s.type_name for s in enumerate_regular_normalized(act)))
+        prob = ExtensionProblem.galois(g)
+        counts.append(Counter(s.type_name for s in enumerate_regular_normalized(prob)))
     assert counts[0] == counts[1]
     assert sum(counts[0].values()) == 40

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import hopfgalois
 import hopfgalois.cli
-from hopfgalois import (CosetAction, ExtensionProblem, FiniteGroup, HGStructure,
+from hopfgalois import (ExtensionProblem, FiniteGroup, HGStructure,
                         alternating, characteristic_obstruction,
-                        classify, correspondence_stats, coset_action, cyclic,
+                        classify, correspondence_stats, cyclic,
                         dihedral, elementary_abelian, enumerate_regular_normalized,
                         enumerate_via_transversal, g_stable_subgroups,
                         holomorph_minimality_certificate, intermediate_subgroups,
@@ -37,7 +37,7 @@ def stable_subgroups_via_orbits(structure: HGStructure) -> list:
     """Independent route: grow cyclic subgroups to their smallest stable
     closure, then close the set of closures under joins."""
     group = structure.group
-    actions = [structure.conj_action(x) for x in structure.action.generators]
+    actions = [structure.conj_action(x) for x in structure.problem.group.generators()]
 
     def stable_closure(seed) -> frozenset:
         current = frozenset(seed)
@@ -63,8 +63,8 @@ def stable_subgroups_via_orbits(structure: HGStructure) -> list:
 
 
 def galois_structures(group) -> tuple:
-    act = coset_action(ExtensionProblem.galois(group))
-    return act, enumerate_regular_normalized(act)
+    prob = ExtensionProblem.galois(group)
+    return prob, enumerate_regular_normalized(prob)
 
 
 def test_lattice_prime_order():
@@ -76,14 +76,14 @@ def test_lattice_prime_order():
 
 
 def test_lattice_galois_s3_both_symmetric_structures():
-    act, structures = galois_structures(symmetric(3))
+    prob, structures = galois_structures(symmetric(3))
     sym = [s for s in structures if s.type_name == "S3"]
     assert len(sym) == 2
     sizes = sorted(len(g_stable_subgroups(s)) for s in sym)
     # the translation copy gets the conjugation action (3 normal subgroups);
     # the centralizing copy gets the trivial action (all 6 subgroups)
     assert sizes == [3, 6]
-    lam = {act.translation(x) for x in range(6)}
+    lam = {prob.translation(x) for x in range(6)}
     lam_structure = next(s for s in sym if set(s.key()) == lam)
     orders = [u.order for u in g_stable_subgroups(lam_structure)]
     assert orders == [1, 3, 6]
@@ -99,7 +99,7 @@ def test_lattice_galois_c8_cyclic_type():
 def test_lattice_two_routes_agree(reports):
     for name, report in reports.items():
         for s in report.structures:
-            maps = [s.conj_action(x) for x in s.action.generators]
+            maps = [s.conj_action(x) for x in s.problem.group.generators()]
             lattice = tuple_sets(s.stable_subgroups)
             assert lattice == tuple_sets(stable_subgroups_via_filter(s.group, maps)), name
             assert lattice == tuple_sets(stable_subgroups_via_orbits(s)), name
@@ -138,16 +138,21 @@ def test_classify_does_not_rebuild_lattices(monkeypatch):
     monkeypatch.setattr(FiniteGroup, "stable_subgroups", shut)
     monkeypatch.setattr(HGStructure, "conj_action", shut)
     combines = counted(hopfgalois.engine, "_combine_atoms")
-    tables = counted(CosetAction, "_walk_blocks")
+    tables = counted(ExtensionProblem, "_walk_blocks")
     fibers = counted(hopfgalois.engine, "_stable_fibers")
-    rep = classify(ExtensionProblem.galois(elementary_abelian(2, 3)))
+    prob = ExtensionProblem.galois(elementary_abelian(2, 3))
+    rep = classify(prob)
     assert len(combines) == 1
     assert rep.structure_count == 106
     # as g_stable_subgroups gives them
     assert Counter(len(s.stable_subgroups) for s in rep.structures) == {
         6: 42, 8: 63, 16: 1}
     assert rep.minimal_count == 0
-    assert len(tables) == 1 and len(fibers) == 106  # each lattice read once
+    assert len(fibers) == 106  # each lattice read once
+    # the problem's blocks are walked once, for all of its readers
+    assert len(intermediate_subgroups(prob)) == 16
+    assert {correspondence_stats(s)[1] for s in rep.structures} == {16}
+    assert tables == [(prob,)]
 
 
 def test_classify_and_the_cli_build_no_fiber_set(monkeypatch, capsys):
@@ -202,11 +207,11 @@ def test_structures_outside_the_search_compute_their_lattice_on_read(monkeypatch
     def shut(*args, **kwargs):
         raise AssertionError("a lattice was built with its structure")
 
-    act = coset_action(ExtensionProblem.galois(dihedral(3)))
+    prob = ExtensionProblem.galois(dihedral(3))
     with monkeypatch.context() as m:
         m.setattr(FiniteGroup, "stable_subgroups", shut)
         m.setattr(hopfgalois.engine, "_stable_fibers", shut)
-        structures = [HGStructure(act, key) for key in enumerate_via_transversal(act)]
+        structures = [HGStructure(prob, key) for key in enumerate_via_transversal(prob)]
     with monkeypatch.context() as m:
         shut_lattice_routes_through_n(m)
         lattices = [s.stable_subgroups for s in structures]
@@ -222,24 +227,24 @@ def test_structures_outside_the_search_compute_their_lattice_on_read(monkeypatch
     while len(powers) < 6:
         powers.append(compose(t, powers[-1]))
     with pytest.raises(ValueError):
-        HGStructure(act, powers)
+        HGStructure(prob, powers)
     # six elements with distinct images of 0, a set that lambda(C6)
     # normalizes, but not a group: refused too
-    act = coset_action(ExtensionProblem.galois(cyclic(6)))
+    prob = ExtensionProblem.galois(cyclic(6))
     involutions = ["(0 1)(2 3)(4 5)", "(0 2)(1 4)(3 5)", "(0 3)(1 5)(2 4)",
                    "(0 4)(1 3)(2 5)", "(0 5)(1 2)(3 4)"]
     elements = [tuple(range(6))] + [read_cycles(c, 6) for c in involutions]
     assert sorted(t[0] for t in elements) == list(range(6))
-    image = list(act.image)
+    image = list(prob.image)
     assert all(conjugate(g, t, inverse(g)) in elements for g in image for t in elements)
     with pytest.raises(ValueError):
-        HGStructure(act, elements)
+        HGStructure(prob, elements)
 
 
 def _bare_copies(problems) -> list[HGStructure]:
-    """Bare copies `HGStructure(s.action, s.key())` of the problems'
+    """Bare copies `HGStructure(s.problem, s.key())` of the problems'
     searched structures, their lattices read."""
-    bare = [HGStructure(s.action, s.key())
+    bare = [HGStructure(s.problem, s.key())
             for prob in problems for s in classify(prob).structures]
     for s in bare:
         s.stable_subgroups
@@ -345,8 +350,8 @@ def test_characteristic_obstruction():
             assert witness.order == 2  # the center, its unique minimal one
 
     # Klein-type N has no obstruction
-    act = coset_action(stabilizer_problem(symmetric(4)))
-    (klein,) = enumerate_regular_normalized(act)
+    prob = stabilizer_problem(symmetric(4))
+    (klein,) = enumerate_regular_normalized(prob)
     assert characteristic_obstruction(klein) is None
 
 
@@ -409,9 +414,8 @@ def test_smaller_acting_groups_still_minimal():
     from conftest import ORDER_36_EXPR, ORDER_56_EXPR, complement_problem
     for expr, typ in [(ORDER_56_EXPR, "E(2,3)"), (ORDER_36_EXPR, "E(3,2)")]:
         prob = complement_problem(expr)
-        act = coset_action(prob)
         m = next(c for c in normal_complements(prob))
-        s = translation_structure(act, m.members)
+        s = translation_structure(prob, m.members)
         assert s.type_name == typ
         assert is_minimal(s)
 
@@ -420,13 +424,12 @@ def test_correspondence_stats(reports):
     s4 = reports["S4/S3"]
     assert correspondence_stats(s4.structures[0]) == (2, 2)
 
-    act, structures = galois_structures(cyclic(8))
+    prob, structures = galois_structures(cyclic(8))
     cyclic_type = next(s for s in structures if s.type_name == "C8")
     assert correspondence_stats(cyclic_type) == (4, 4)
 
     prob = ExtensionProblem.galois(symmetric(3))
-    act = coset_action(prob)
-    rho = [s for s in enumerate_regular_normalized(act)
+    rho = [s for s in enumerate_regular_normalized(prob)
            if s.type_name == "S3" and len(g_stable_subgroups(s)) == 6]
     assert correspondence_stats(rho[0]) == (6, 6)
 
@@ -446,24 +449,25 @@ def test_galois_correspondence_anchors(label):
     # every intermediate group, and lambda(G) itself onto the normal ones
     prob = GALOIS_ANCHOR_ROWS[label]()
     rep = classify(prob)
-    act, n = rep.structures[0].action, prob.degree
+    n = prob.degree
+    assert all(s.problem is prob for s in rep.structures)
     # with n_i the element of lambda(G) sending 0 to i, r_x(i) = n_i(x)
-    lam = {t[0]: t for t in act.image}
+    lam = {t[0]: t for t in prob.image}
     rho = tuple(sorted(tuple(lam[i][x] for i in range(n)) for x in range(n)))
-    assert all(compose(g, r) == compose(r, g) for g, _ in act.generator_pairs()
+    assert all(compose(g, r) == compose(r, g) for g, _ in prob.generator_pairs()
                for r in rho), label
     by_key = {s.key(): s for s in rep.structures}
-    assert len(by_key[rho].stable_subgroups) == len(act.blocks), label
-    assert len(by_key[tuple(sorted(act.image))].stable_subgroups) == \
+    assert len(by_key[rho].stable_subgroups) == len(prob.blocks), label
+    assert len(by_key[tuple(sorted(prob.image))].stable_subgroups) == \
         len(prob.group.normal_subgroups()), label
 
 
 def test_intermediate_subgroups():
     prob = stabilizer_problem(symmetric(4))
-    subs = intermediate_subgroups(coset_action(prob))
+    subs = intermediate_subgroups(prob)
     assert [len(s) for s in subs] == [6, 24]
     prob = ExtensionProblem.galois(cyclic(8))
-    assert [len(s) for s in intermediate_subgroups(coset_action(prob))] == [1, 2, 4, 8]
+    assert [len(s) for s in intermediate_subgroups(prob)] == [1, 2, 4, 8]
 
 
 def closure_walk_intermediate(problem: ExtensionProblem) -> list[frozenset[int]]:
@@ -497,24 +501,26 @@ _ORACLE_PROBLEMS = {
 @pytest.mark.parametrize("name", sorted(_ORACLE_PROBLEMS) + sorted(DEGREE_12_ROWS))
 def test_intermediate_subgroups_match_closure_walk(name):
     prob = _ORACLE_PROBLEMS.get(name) or DEGREE_12_ROWS[name]()
-    assert intermediate_subgroups(coset_action(prob)) == closure_walk_intermediate(prob)
+    assert intermediate_subgroups(prob) == closure_walk_intermediate(prob)
 
 
 def test_blocks_are_walked_once_per_action(monkeypatch, capsys):
-    # classify walks the blocks of its action; correspondence_stats and the
-    # command line read them from the same action
-    walk, calls = CosetAction._walk_blocks, []
+    # classify walks the blocks of its problem; correspondence_stats,
+    # intermediate_subgroups and the command line read them from the same
+    # problem
+    walk, calls = ExtensionProblem._walk_blocks, []
 
     def counted(self):
         calls.append(self)
         return walk(self)
 
-    monkeypatch.setattr(CosetAction, "_walk_blocks", counted)
+    monkeypatch.setattr(ExtensionProblem, "_walk_blocks", counted)
     prob = ExtensionProblem.galois(elementary_abelian(2, 3))
     rep = classify(prob)
     assert rep.structure_count == 106 and rep.intermediate_count == 16
     assert {correspondence_stats(s)[1] for s in rep.structures} == {16}
-    assert len(calls) == 1
+    assert len(intermediate_subgroups(prob)) == 16
+    assert calls == [prob]
     calls.clear()
     assert hopfgalois.cli.main(["enumerate", "E(2,3)", "--galois"]) == 0
     assert "intermediate subgroups 16" in capsys.readouterr().out
@@ -545,13 +551,12 @@ def test_random_transitive_groups(gens):
     assume(len(group) <= _TRANSITIVE_ORDER_CAP)
     assume({p[0] for p in group.raw_elements()} == set(range(n)))
     prob = stabilizer_problem(group)
-    act = coset_action(prob)
-    assert intermediate_subgroups(act) == closure_walk_intermediate(prob)
+    assert intermediate_subgroups(prob) == closure_walk_intermediate(prob)
     assert group.normal_subgroups() == [h for h in group.subgroups() if h.is_normal()]
-    structures = enumerate_regular_normalized(act)
-    assert sorted(s.key() for s in structures) == enumerate_via_transversal(act)
+    structures = enumerate_regular_normalized(prob)
+    assert sorted(s.key() for s in structures) == enumerate_via_transversal(prob)
     for s in structures:
-        maps = [s.conj_action(x) for x in act.generators]
+        maps = [s.conj_action(x) for x in prob.group.generators()]
         lattice = tuple_sets(g_stable_subgroups(s))
         assert lattice == tuple_sets(stable_subgroups_via_filter(s.group, maps))
         assert tuple_sets(s.stable_subgroups) == lattice  # as the search supplies it
@@ -613,7 +618,7 @@ def test_intermediate_subgroups_degree_12():
     # and A5 < A6 < S6, from the maximal subgroups of A6 and S6 in the
     # ATLAS of Finite Groups.  The search (about 3 s) is not run here.
     prob = subgroup_problem("S(6)", "gens[(0 1 2 3 4), (0 5)(1 4)]")
-    assert [len(h) for h in intermediate_subgroups(coset_action(prob))] == [60, 120, 360, 720]
+    assert [len(h) for h in intermediate_subgroups(prob)] == [60, 120, 360, 720]
 
 
 def test_classify_s3_c2():
