@@ -38,8 +38,9 @@ class NodeBudget:
     `seeds_walked`, one per class of those under the automorphisms the
     search found (see `_seed_maps`); and the centralizer walks, one per
     walked seed and cycle length: `walks` run and `walks_skipped` (see
-    `_walked_lengths`).  `counters()` is the record of them that reports
-    and the command line carry.
+    `_walked_lengths`, and `_primitive_groups` for a primitive problem).
+    `counters()` is the record of them that reports and the command line
+    carry.
     """
 
     def __init__(self, limit: int = DEFAULT_NODE_BUDGET):
@@ -835,13 +836,16 @@ def _close_under(found: dict, keys, maps, budget, carry) -> None:
                 stack.append(b)
 
 
-def _viable_atoms(problem: ExtensionProblem, budget: NodeBudget):
-    """Stage 1: orbit inventory, seeded from centralizers.
+def _viable_atoms(problem: ExtensionProblem, budget: NodeBudget, lengths):
+    """Stage 1: orbit inventory, seeded from centralizers, over the cycle
+    lengths `lengths`: the search passes every divisor of n, the primitive
+    route only p (see `_primitive_groups`).
 
     Every translation-conjugation orbit of semiregular permutations whose
-    elements send point 0 to distinct points is grown to the group it
-    generates, kept when that group does too (see `_closure`).  Every
-    regular normalized N is a union of such atoms.  Returns (atoms, maps):
+    cycles have a length in `lengths` and whose elements send point 0 to
+    distinct points is grown to the group it generates, kept when that
+    group does too (see `_closure`).  Every regular normalized N is a union
+    of such atoms over all lengths.  Returns (atoms, maps):
     the (atom, its generators) pairs, sorted by atom, where an atom reached
     from several orbits keeps the generators of the first; and the maps
     (phibar, phibar^-1) that `_seed_maps` kept.  It adds to the budget's four
@@ -856,10 +860,14 @@ def _viable_atoms(problem: ExtensionProblem, budget: NodeBudget):
     and commutes with lambda(x).  So walking the semiregular elements of
     the centralizers of the seeds in Sym(n) meets every such orbit, and the
     atoms are exactly those of a walk over all semiregular permutations.
-    A seed of prime p walks only the cycle lengths `_walked_lengths` gives
-    for p, n and |G|: the kept orbits of every other length are
-    met from the seeds of a larger prime.  The budget counts each walk run
-    and each one skipped.  No orbit is walked twice: a walk adds every
+    A seed of prime p walks only the cycle lengths of `lengths` that
+    `_walked_lengths` gives for p, n and |G|: the kept orbits of every other
+    length are met from the seeds of a larger prime.  That rule holds
+    length by length, so it holds for any `lengths`.  The budget counts each
+    walk run and each length skipped, by that rule or by `lengths`.
+    Conjugation keeps cycle type, so every orbit lies in one length, and
+    `visited` holds elements of the walked lengths only.  No orbit is
+    walked twice: a walk adds every
     element it met to `visited`, whether its orbit is kept or dropped (see
     `_conj_orbit`), and an element in `visited` starts no walk.
 
@@ -884,10 +892,10 @@ def _viable_atoms(problem: ExtensionProblem, budget: NodeBudget):
     atoms: dict[frozenset, tuple] = {}
     visited: set[tuple[int, ...]] = set()
     for sigma, p in walked:
-        lengths = _walked_lengths(p, n, order)
-        budget.walks += len(lengths)
-        budget.walks_skipped += len(_divisors(n)) - len(lengths)
-        for d in lengths:
+        walks = [d for d in _walked_lengths(p, n, order) if d in lengths]
+        budget.walks += len(walks)
+        budget.walks_skipped += len(_divisors(n)) - len(walks)
+        for d in walks:
             for t in _semiregular_centralizer(sigma, d):
                 if t in visited:
                     continue
@@ -977,6 +985,47 @@ def _combine_atoms(atoms, n, budget):
     return results
 
 
+def _primitive_groups(problem: ExtensionProblem, budget: NodeBudget):
+    """(groups, maps) for a problem whose lambda(G) is primitive, with
+    n = p^k or n < 60: every regular normalized N, from stage 1 alone, and
+    the maps of `_viable_atoms`.  Three facts make it exact.
+
+    (1) A minimal N is characteristically simple.  lambda(G) normalizes N,
+    so conjugation by each lambda(g) is an automorphism of N, and every
+    characteristic subgroup of N is lambda(G)-stable; a minimal N has no
+    stable subgroup but 1 and N, so it is T^k for a simple T.  If n = p^k,
+    |T| is a power of p, so T = C_p and N = E(p,k), for any n.  Otherwise T
+    is nonabelian, so |T| >= 60: if n < 60 is not a prime power, there is
+    no minimal N, and the route returns nothing, with no image, no seed and
+    no node.
+
+    (2) A minimal N is one stage-1 atom.  The lambda(G)-orbit O of any
+    t != 1 in N lies in N, so its elements send 0 to distinct points, and
+    the group it generates is a nontrivial stable subgroup of N: it is N.
+    By (1), t has order p and, N being semiregular, every cycle of t has
+    length p.  So O is a kept orbit of cycle length p, which stage 1 over
+    that length alone meets (`_viable_atoms`, whose skip rule holds length
+    by length), and N is its atom, of order n.  Conversely an atom of order
+    n is regular and, generated by a stable set, normalized.  So no other
+    length is walked, and no atoms are joined (`_combine_atoms` is not
+    run).
+
+    (3) On a primitive problem every N is minimal.  The Galois
+    correspondence maps the stable subgroups of N injectively into the
+    blocks of lambda(G) at 0 (M -> M.0, see `HGStructure.stable_subgroups`).
+    Primitive means those blocks are {0} and all the points only
+    (`len(problem.blocks) == 2`), so N has at most two stable subgroups, 1
+    and N.  So the atoms of order n of (2) are every regular normalized N,
+    the whole answer of the search.
+    """
+    n = problem.degree
+    primes = _prime_factors(n)
+    if len(primes) > 1:
+        return [], []
+    atoms, maps = _viable_atoms(problem, budget, primes)
+    return [a for a, _ in atoms if len(a) == n], maps
+
+
 def enumerate_regular_normalized(problem: ExtensionProblem, *,
                                  degree_cap: int = DEGREE_CAP,
                                  budget: NodeBudget | None = None) -> list[HGStructure]:
@@ -987,6 +1036,12 @@ def enumerate_regular_normalized(problem: ExtensionProblem, *,
     independently of the pruning (a failure raises RuntimeError), and
     reads its lattice like any other; N's `FiniteGroup` is built only
     where its type is computed.
+
+    When lambda(G) is primitive (two blocks at point 0) and n is a prime
+    power p^k or below 60, the structures are stage 1's atoms of order n
+    at cycle length p, and stage 2 is not run: every N is then a minimal
+    E(p,k), or there is none (see `_primitive_groups`).  Otherwise the
+    search runs both stages.
 
     Stage 1 walks one seed per class of cyclic subgroups of prime order
     (see `_prime_order_translations`), each over the cycle lengths `_walked_lengths`
@@ -1001,10 +1056,14 @@ def enumerate_regular_normalized(problem: ExtensionProblem, *,
         raise CapExceeded(f"enumeration capped at degree {degree_cap}, got {n}")
     if budget is None:
         budget = NodeBudget()
-    atoms, maps = _viable_atoms(problem, budget)
+    if len(problem.blocks) == 2 and (n < 60 or len(_prime_factors(n)) == 1):
+        groups, maps = _primitive_groups(problem, budget)
+    else:
+        atoms, maps = _viable_atoms(problem, budget, _divisors(n))
+        groups = _combine_atoms(atoms, n, budget)
     type_of: dict[frozenset, str] = {}
     structures = []
-    for fs in _combine_atoms(atoms, n, budget):
+    for fs in groups:
         try:
             structure = HGStructure(problem, fs, type_of.get(fs))
         except ValueError as error:

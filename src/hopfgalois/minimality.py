@@ -148,18 +148,24 @@ def _complement_bound(problem: ExtensionProblem, structures: list[HGStructure]) 
     An enumerated N inside the translation image of G is the image of a
     normal complement M of G', and its stable subgroups are exactly the
     subgroups of M normal in G; so the minimal such N are counted.  The
-    search has built the image already.
+    image is read only when there is a minimal N to test: a primitive
+    problem with no structure never builds it.
     """
-    image = problem.image
-    return sum(1 for s in structures
-               if is_minimal(s) and all(t in image for t in s.key()))
+    minimal = [s for s in structures if is_minimal(s)]
+    image = problem.image if minimal else ()
+    return sum(all(t in image for t in s.key()) for s in minimal)
 
 
 def classify(problem: ExtensionProblem, *, degree_cap: int = DEGREE_CAP,
              budget: NodeBudget | None = None) -> ClassificationReport:
     """Enumerate the structures of the problem and classify each one.
 
-    The search (`enumerate_regular_normalized`) walks one stage-1 seed per
+    When lambda(G) is primitive (`intermediate_count` is 2), every
+    structure is minimal and of type E(p,k) with n = p^k: the search then
+    walks stage 1 at cycle length p alone and runs no stage 2, and when
+    n < 60 is not a prime power it answers with no search at all (see
+    `engine._primitive_groups`).  Otherwise the search
+    (`enumerate_regular_normalized`) walks one stage-1 seed per
     conjugacy class of cyclic subgroups of prime order.  It uses the
     automorphisms of G as a symmetry for Galois problems only: there it
     walks one seed per class under the maps it finds.  Each seed skips the

@@ -216,6 +216,22 @@ def test_walk_counts_are_reported_outside_canonical_output(capsys):
     assert (engine["walks"], engine["walks_skipped"]) == (3, 0)
 
 
+def test_engine_block_of_a_primitive_prime_power_row(capsys):
+    # E(3,2) under an irreducible C4 is primitive at degree 9: stage 1
+    # walks cycle length 3 alone (both stages took 373 nodes), and each
+    # length the route leaves out counts as skipped
+    code, out, _ = run(capsys, "enumerate", "SD(E(3,2), matgrp(3,2,[[[0,1],[-1,0]]]))",
+                       "--complement", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["stats"]["structure_count"] == doc["stats"]["minimal_count"] == 1
+    engine = doc["engine"]
+    del engine["elapsed_s"]
+    assert engine == {"degree_cap": DEGREE_CAP, "node_budget": 10_000_000,
+                      "nodes": 151, "seeds": 3, "seeds_walked": 3,
+                      "walks": 2, "walks_skipped": 4}
+
+
 def test_engine_block_holds_the_budget_counters(capsys):
     report = classify(ExtensionProblem.galois(dihedral(5)))
     counters = NodeBudget().counters()

@@ -19,15 +19,16 @@ from hopfgalois import (BudgetExceeded, CapExceeded, ExtensionProblem,
                         enumerate_regular_normalized,
                         enumerate_via_transversal, g_stable_subgroups,
                         quaternion, symmetric, translation_structure)
-from hopfgalois.dsl import build_text
+from hopfgalois.dsl import _is_invertible, build_text
 from hopfgalois.catalog import _nonabelian_candidates, iso_type
 from hopfgalois.cli import _problem
 from hopfgalois.engine import (DEGREE_CAP, _closure, _combine_atoms,
                                _conj_orbit, _core, _cosets, _cycle_length_at_0,
                                _divisors, _orbit_bound, _prime_factors,
                                _prime_order, _prime_order_translations,
-                               _regular_normalized, _seed_maps,
-                               _semiregular_centralizer,
+                               _primitive_groups, _regular_normalized,
+                               _seed_maps, _semiregular_centralizer,
+                               _stable_fibers,
                                _semiregular_tuples, _tuple_type,
                                _viable_atoms, _walked_lengths)
 from hopfgalois.groups import (_is_automorphism_map, _is_prime, _iso_image_maps,
@@ -37,7 +38,7 @@ from hopfgalois.perms import (compose, conjugate, cycle_string, inverse,
 
 from conftest import (DEGREE_12_ROWS, ORDER_56_EXPR, catalog_problems,
                       complement_problem, read_cycles, stabilizer_problem,
-                      tuple_sets)
+                      subgroup_problem, tuple_sets)
 from test_canonical_digest import DEGREE_12_SHA256
 from test_corpus import ROWS
 from test_groups import greedy_generators
@@ -552,7 +553,7 @@ def oracle_search(name):
     problem; the orbit walk runs once per problem."""
     prob = oracle_search_problem(name)
     n = prob.degree
-    seeded, _ = _viable_atoms(prob, NodeBudget(200_000_000))
+    seeded, _ = _viable_atoms(prob, NodeBudget(200_000_000), _divisors(prob.degree))
     orbits = list(brute_force_orbits(n, prob.generator_pairs()))
     return n, prob.conjugators, seeded, orbits, brute_force_atoms(n, orbits)
 
@@ -672,8 +673,105 @@ def transitive_groups(draw):
 def test_atoms_match_the_every_walk_on_random_transitive_groups(group):
     prob = stabilizer_problem(group)
     budget = NodeBudget(10**9)
-    atoms, _ = _viable_atoms(prob, budget)
+    atoms, _ = _viable_atoms(prob, budget, _divisors(prob.degree))
     assert [a for a, _ in atoms] == every_walk_atoms(prob, budget)
+
+
+def assert_route_matches_the_search(prob):
+    """The primitive route's groups against the full search (stage 1 over
+    every length, then stage 2) and, at degree <= 8, the transversal
+    engine: on any problem its minimal groups are the search's minimal
+    ones, and on a primitive problem it is the search's whole answer."""
+    n, budget = prob.degree, NodeBudget(10**9)
+    route, _ = _primitive_groups(prob, budget)
+    atoms, _ = _viable_atoms(prob, budget, _divisors(n))
+    engines = [{tuple(sorted(fs)) for fs in _combine_atoms(atoms, n, budget)}]
+    if n <= 8:
+        engines.append(set(enumerate_via_transversal(prob, budget=budget)))
+    route = {tuple(sorted(fs)) for fs in route}
+
+    def minimal(keys):
+        return {key for key in keys if _stable_fibers(prob, key).bit_count() == 2}
+
+    for found in engines:
+        assert route <= found
+        assert minimal(route) == minimal(found)
+        if len(prob.blocks) == 2:
+            assert route == found == minimal(found)
+
+
+PRIMITIVE_ROUTE_ROWS = {
+    **{f"catalog {name}": lambda name=name: catalog_problems()[name]
+       for name in catalog_problems()},
+    **{f"corpus {row.label}": functools.partial(row.build, hopfgalois, dsl)
+       for _, row in ROWS},
+    **{f"degree 12 {label}": build for label, build in DEGREE_12_ROWS.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVE_ROUTE_ROWS))
+def test_primitive_route_matches_the_search(name):
+    assert_route_matches_the_search(PRIMITIVE_ROUTE_ROWS[name]())
+
+
+def test_primitive_route_rows_cover_both_kinds():
+    # the rows above hold 19 primitive problems, (prime power degree, has
+    # a structure): with structures at degrees 2 to 9, none for S(5) (a
+    # catalog and a corpus row) and A(5) on points, and no search for A(6)
+    # on a point and S(5) at degree 10
+    kinds = Counter()
+    for build in PRIMITIVE_ROUTE_ROWS.values():
+        prob = build()
+        if len(prob.blocks) == 2:
+            kinds[len(_prime_factors(prob.degree)) == 1,
+                  bool(_primitive_groups(prob, NodeBudget(10**9))[0])] += 1
+    assert kinds == {(True, True): 14, (True, False): 3, (False, False): 2}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: stabilizer_problem(alternating(6)),
+    lambda: subgroup_problem("S(5)", "gens[(0 1), (2 3 4), (2 3)]"),
+], ids=["A(6) --stabilizer-of-point", "S(5) --subgroup"])
+def test_primitive_problems_of_degree_6_and_10_take_no_search(monkeypatch, build):
+    # lambda(G) is primitive and n < 60 is no prime power: no N is
+    # characteristically simple, so classify answers with no image, no
+    # stage-1 seed and no node
+    def shut(*args):
+        raise AssertionError("the search read its seeds")
+
+    monkeypatch.setattr(hopfgalois.engine, "_prime_order_translations", shut)
+    prob = build()
+    rep = classify(prob)
+    assert (rep.structure_count, rep.intermediate_count) == (0, 2)
+    assert rep.normal_complement_bound == 0
+    assert rep.engine == {"nodes": 0, "seeds": 0, "seeds_walked": 0,
+                          "walks": 0, "walks_skipped": 0}
+    assert prob._image is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(transitive_groups())
+def test_primitive_route_matches_the_search_on_random_transitive_groups(group):
+    assert_route_matches_the_search(stabilizer_problem(group))
+
+
+@st.composite
+def affine_problems(draw):
+    """E(p,k) : H --complement at degree 4, 8 or 9, H generated by one or
+    two random invertible matrices: primitive iff H is irreducible, so
+    both kinds, at the prime-power degrees where the route searches."""
+    p, k = draw(st.sampled_from([(2, 2), (2, 3), (3, 2)]))
+    row = st.lists(st.integers(0, p - 1), min_size=k, max_size=k)
+    matrix = st.lists(row, min_size=k, max_size=k).filter(
+        lambda m: _is_invertible(m, p))
+    mats = draw(st.lists(matrix, min_size=1, max_size=2))
+    return complement_problem(f"SD(E({p},{k}), matgrp({p},{k},{mats}))")
+
+
+@settings(max_examples=100, deadline=None)
+@given(affine_problems())
+def test_primitive_route_matches_the_search_on_random_affine_groups(prob):
+    assert_route_matches_the_search(prob)
 
 
 @pytest.mark.parametrize("p,n,order,lengths", [
@@ -776,7 +874,7 @@ def test_atoms_carried_by_the_maps_match_the_all_seeds_walk(name):
     prob = symmetry_problem(name)
     n = prob.degree
     budget = NodeBudget(10**9)
-    atoms, maps = _viable_atoms(prob, budget)
+    atoms, maps = _viable_atoms(prob, budget, _divisors(prob.degree))
     assert [a for a, _ in atoms] == every_walk_atoms(prob, budget)
     assert_carried_generators(atoms, n)
     if prob.subgroup.order > 1:
@@ -927,7 +1025,7 @@ def recorded_combine(m, atoms, n, budget):
 def test_skipped_joins_match_the_unfiltered_loop(monkeypatch, name):
     prob = symmetry_problem(name)
     budget = NodeBudget(10**9)
-    atoms, _ = _viable_atoms(prob, budget)
+    atoms, _ = _viable_atoms(prob, budget, _divisors(prob.degree))
     assert recorded_combine(monkeypatch, atoms, prob.degree, budget) == \
         unfiltered_combine(atoms, prob.degree, budget)
 
@@ -940,7 +1038,7 @@ def test_first_arrival_walks_match_the_unfiltered_loop_in_any_atom_order(
     # least whatever order the atoms come in
     prob = symmetry_problem(name)
     budget, rng = NodeBudget(10**9), random.Random(2)
-    atoms, _ = _viable_atoms(prob, budget)
+    atoms, _ = _viable_atoms(prob, budget, _divisors(prob.degree))
     for _ in range(3):
         rng.shuffle(atoms)
         with monkeypatch.context() as m:
@@ -962,7 +1060,7 @@ def test_point_mask_clash_matches_the_element_scan(monkeypatch, name):
     # (state, atom) pair that stage 2 tests
     prob = symmetry_problem(name)
     n, budget = prob.degree, NodeBudget(10**9)
-    atoms, _ = _viable_atoms(prob, budget)
+    atoms, _ = _viable_atoms(prob, budget, _divisors(prob.degree))
     with monkeypatch.context() as m:
         _, formed = recorded_combine(m, atoms, n, budget)
 
@@ -981,7 +1079,7 @@ def test_index_2_joins_are_closed_once(monkeypatch):
     # each atom it holds
     prob = ExtensionProblem.galois(elementary_abelian(2, 3))
     budget = NodeBudget(10**9)
-    atoms, _ = _viable_atoms(prob, budget)
+    atoms, _ = _viable_atoms(prob, budget, _divisors(prob.degree))
     calls = 0
 
     def counted(*args):
@@ -996,8 +1094,10 @@ def test_index_2_joins_are_closed_once(monkeypatch):
 
 
 def test_dropped_orbits_are_walked_once(monkeypatch):
-    # 110 orbit walks when a dropped walk records nothing, so later walks
-    # start again inside the same dropped orbit
+    # 110 orbit walks over every cycle length when a dropped walk records
+    # nothing, so later walks start again inside the same dropped orbit.
+    # The problem is primitive, so classify walks length 3 alone (22
+    # walks, 38 with that fault); stage 1 runs here over every length
     calls = 0
 
     def counted(*args):
@@ -1006,8 +1106,9 @@ def test_dropped_orbits_are_walked_once(monkeypatch):
         return _conj_orbit(*args)
 
     monkeypatch.setattr(hopfgalois.engine, "_conj_orbit", counted)
-    report = classify(complement_problem("SD(E(3,2), matgrp(3,2,[[[0,1],[-1,0]]]))"))
-    assert report.structure_count == 1
+    prob = complement_problem("SD(E(3,2), matgrp(3,2,[[[0,1],[-1,0]]]))")
+    atoms, _ = _viable_atoms(prob, NodeBudget(10**9), _divisors(prob.degree))
+    assert [len(a) for a, _ in atoms].count(9) == 1
     assert calls <= 80
 
 

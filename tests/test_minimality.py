@@ -1,3 +1,4 @@
+import functools
 import json
 from collections import Counter
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import hopfgalois
 import hopfgalois.cli
 from hopfgalois import (ExtensionProblem, FiniteGroup, HGStructure,
-                        alternating, characteristic_obstruction,
+                        NodeBudget, alternating, characteristic_obstruction,
                         classify, correspondence_stats, cyclic,
                         dihedral, elementary_abelian, enumerate_regular_normalized,
                         enumerate_via_transversal, g_stable_subgroups,
@@ -17,10 +18,11 @@ from hopfgalois import (ExtensionProblem, FiniteGroup, HGStructure,
                         symmetric, translation_structure)
 from hopfgalois.cli import _problem
 from hopfgalois.dsl import build_text
+from hopfgalois.groups import _is_prime
 from hopfgalois.perms import compose, conjugate, cycle_string, from_cycles, inverse
-from conftest import (DEGREE_12_ROWS, catalog_problems, complement_problem,
-                      read_cycles, stabilizer_problem, subgroup_problem,
-                      tuple_sets)
+from conftest import (DEGREE_12_ROWS, E24_EXPRS, catalog_problems,
+                      complement_problem, read_cycles, stabilizer_problem,
+                      subgroup_problem, tuple_sets)
 from test_canonical_digest import DEGREE_12_SHA256
 from test_corpus import ROWS as CORPUS_ROWS
 
@@ -666,3 +668,61 @@ def test_structure_properties_across_catalog(reports):
         g = probs[name].group
         if probs[name].subgroup.order == 1 and len(g) in (2, 3, 5, 7):
             assert report.minimal_count == 1, name
+
+
+def _point_problem(expr):
+    return lambda: stabilizer_problem(build_text(expr).group)
+
+
+PRIME_DEGREE_ROWS = {
+    **{f"catalog {name}": lambda name=name: catalog_problems()[name]
+       for name, prob in catalog_problems().items() if _is_prime(prob.degree)},
+    **{f"corpus {row.label}": functools.partial(row.build, hopfgalois, hopfgalois.dsl)
+       for _, row in CORPUS_ROWS
+       if _is_prime(row.build(hopfgalois, hopfgalois.dsl).degree)},
+    "S(7) --stabilizer-of-point": lambda: stabilizer_problem(symmetric(7)),
+    "A(7) --stabilizer-of-point": lambda: stabilizer_problem(alternating(7)),
+    # C7 : C3, AGL(1,7) = C7 : C6, and PSL(3,2) on the Fano plane
+    "order 21 at degree 7": _point_problem("gens[(0 1 2 3 4 5 6), (1 2 4)(3 6 5)]"),
+    "order 42 at degree 7": _point_problem("gens[(0 1 2 3 4 5 6), (1 3 2 6 4 5)]"),
+    "order 168 at degree 7": _point_problem("gens[(0 1 2 3 4 5 6), (2 4)(5 6)]"),
+    "AGL(1,11) at degree 11": _point_problem(
+        "gens[(0 1 2 3 4 5 6 7 8 9 10), (1 2 4 8 5 10 9 7 3 6)]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRIME_DEGREE_ROWS))
+def test_prime_degree_has_one_structure_iff_the_order_divides_p_times_p_minus_1(name):
+    # Childs 1989: at prime degree p a transitive G has a structure iff it
+    # is solvable, i.e. lies in AGL(1,p), i.e. |G| divides p(p - 1); the
+    # structure, the translations of F_p, is then unique, and minimal
+    prob = PRIME_DEGREE_ROWS[name]()
+    p = prob.degree
+    assert _is_prime(p)
+    count = int(p * (p - 1) % len(prob.group) == 0)
+    rep = classify(prob)
+    assert (rep.structure_count, rep.minimal_count) == (count, count)
+    assert rep.types() == [f"C{p}"] * count
+
+
+def test_prime_degree_rows_hold_both_answers():
+    # none for S(5) (a catalog and a corpus row), A(5), S(7), A(7) and the
+    # order-168 group; one for the Galois C(p), orders 21 and 42, AGL(1,11)
+    counts = Counter(classify(build()).structure_count
+                     for build in PRIME_DEGREE_ROWS.values())
+    assert counts == {0: 6, 1: 7}
+
+
+@pytest.mark.parametrize("order,nodes", [(80, 74_943), (240, 29_387), (960, 21_277)])
+def test_degree_16_affine_rows_take_the_primitive_route(order, nodes):
+    # E(2,4) under an irreducible H is primitive: its one structure, the
+    # translations, is minimal and found from stage 1 at cycle length 2
+    # alone, where both stages took 23,935,589 nodes on the C5 row.  The
+    # budget keeps a row that fell back to the full search to a fraction
+    # of a second.
+    rep = classify(complement_problem(E24_EXPRS[order]), degree_cap=16,
+                   budget=NodeBudget(100_000))
+    assert (rep.structure_count, rep.minimal_count) == (1, 1)
+    assert rep.normal_complement_bound == 1 and rep.intermediate_count == 2
+    assert rep.types() == ["E(2,4)"]
+    assert rep.nodes_used == nodes
