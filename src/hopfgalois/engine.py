@@ -104,7 +104,8 @@ class ExtensionProblem:
     (lambda(g), lambda(g^-1)) of `generator_pairs`; the `conjugators`, one
     per pair: lambda(g) with a getter of lambda(g^-1)'s images, so that g
     a g^-1 is `itemgetter(*right(a))(g)`; and, from the generator
-    translations alone, the image lambda(G) and its blocks at point 0.
+    translations alone, the image lambda(G) and its blocks at point 0
+    (which at prime degree need none, see `_read_blocks`).
     """
 
     def __init__(self, group: FiniteGroup, subgroup: SubgroupRef):
@@ -178,18 +179,28 @@ class ExtensionProblem:
 
     @property
     def blocks(self) -> tuple[frozenset[int], ...]:
-        """The blocks of lambda(G) at point 0, {0} first (`_walk_blocks`)."""
+        """The blocks of lambda(G) at point 0, {0} first (`_read_blocks`)."""
         if self._blocks is None:
-            self._blocks, self._block_bits = self._walk_blocks()
+            self._blocks, self._block_bits = self._read_blocks()
         return self._blocks
 
     @property
     def block_bits(self) -> tuple[int, ...]:
         """For each point x, the int whose bit i is set when `blocks[i]`
-        holds x: the table `_stable_fibers` tests with (`_walk_blocks`)."""
+        holds x: the table `_stable_fibers` tests with (`_read_blocks`)."""
         if self._block_bits is None:
-            self._blocks, self._block_bits = self._walk_blocks()
+            self._blocks, self._block_bits = self._read_blocks()
         return self._block_bits
+
+    def _read_blocks(self) -> tuple[tuple[frozenset[int], ...], tuple[int, ...]]:
+        """(blocks, block_bits) from `_walk_blocks`, or with no walk when n
+        is prime: lambda(G) is transitive, so the translates of a block
+        partition the points and its size divides n; the blocks at 0 are
+        then {0} and all the points, and no generator of G is read."""
+        n = self.degree
+        if _is_prime(n):
+            return (frozenset([0]), frozenset(range(n))), (0b11,) + (0b10,) * (n - 1)
+        return self._walk_blocks()
 
     def _walk_blocks(self) -> tuple[tuple[frozenset[int], ...], tuple[int, ...]]:
         """(blocks, block_bits), each block's bits set as it is found.
@@ -1017,10 +1028,25 @@ def _primitive_groups(problem: ExtensionProblem, budget: NodeBudget):
     (`len(problem.blocks) == 2`), so N has at most two stable subgroups, 1
     and N.  So the atoms of order n of (2) are every regular normalized N,
     the whole answer of the search.
+
+    (4) A minimal N bounds |G|.  By (1) it is E(p,k), and it is regular,
+    so its normalizer in Sym(n) is Hol(N) = AGL(k,p), of order
+    n (n - 1)(n - p) ... (n - p^(k-1)).  lambda(G) normalizes N and lambda
+    is faithful (G' is core-free), so |G| divides that order.  When it
+    does not, there is no minimal N, and the route returns nothing with no
+    image, no seed and no node; at prime degree, where `problem.blocks`
+    needs no walk, no generator of G is read either.  At k = 1 this is
+    Childs' (1989) test: |G| divides p(p - 1).
     """
     n = problem.degree
     primes = _prime_factors(n)
     if len(primes) > 1:
+        return [], []
+    agl, q = n, 1
+    while q < n:
+        agl *= n - q
+        q *= primes[0]
+    if agl % len(problem.group):
         return [], []
     atoms, maps = _viable_atoms(problem, budget, primes)
     return [a for a, _ in atoms if len(a) == n], maps
@@ -1040,8 +1066,8 @@ def enumerate_regular_normalized(problem: ExtensionProblem, *,
     When lambda(G) is primitive (two blocks at point 0) and n is a prime
     power p^k or below 60, the structures are stage 1's atoms of order n
     at cycle length p, and stage 2 is not run: every N is then a minimal
-    E(p,k), or there is none (see `_primitive_groups`).  Otherwise the
-    search runs both stages.
+    E(p,k), or there is none, as when |G| does not divide |AGL(k,p)| (see
+    `_primitive_groups`).  Otherwise the search runs both stages.
 
     Stage 1 walks one seed per class of cyclic subgroups of prime order
     (see `_prime_order_translations`), each over the cycle lengths `_walked_lengths`

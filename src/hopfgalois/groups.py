@@ -16,7 +16,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .errors import CapExceeded
-from .perms import compose, cycles
+from .perms import compose
 
 TABLE_MAX = 256          # orders up to this get an eager Cayley table, built
                          # from k generator rows: k*order raw products
@@ -204,12 +204,27 @@ class FiniteGroup:
 
     def element_order(self, i: int) -> int:
         """The order m of i; the walk over its powers also records the
-        order m / gcd(k, m) and the inverse i^(m-k) of each power i^k."""
+        order m / gcd(k, m) and the inverse i^(m-k) of each power i^k.
+
+        With a table the walk follows i's own row, as i i^k = i^k i.
+        Without one it multiplies raw values, one index lookup each."""
         out = self._orders[i]
         if out is None:
             powers = [i]
-            while powers[-1] != 0:
-                powers.append(self.mul(powers[-1], i))
+            if self._table is not None:
+                row = self._table[i]
+                while powers[-1] != 0:
+                    powers.append(row[powers[-1]])
+            else:
+                mul, a, index = self._mul_raw, self._raw[i], self._index
+                x = a
+                try:
+                    while powers[-1] != 0:
+                        x = mul(x, a)
+                        powers.append(index[x])
+                except KeyError:
+                    raise ValueError("the elements are not closed under the "
+                                     "product") from None
             out = len(powers)
             orders, invs = self._orders, self._inv_list
             for k, x in enumerate(powers, start=1):
@@ -233,8 +248,10 @@ class FiniteGroup:
         each element, in that order, that the ones picked before it do not
         generate."""
         if self._gens is None:
-            greedy = sorted(range(1, len(self)),
-                            key=lambda i: (-self.element_order(i), i))
+            orders = list(map(self.element_order, range(len(self))))
+            # stable, so equal orders keep ascending index
+            greedy = sorted(range(1, len(self)), key=orders.__getitem__,
+                            reverse=True)
             self._gens = self._grow((0,), (), greedy)[1]
         return self._gens
 
@@ -441,14 +458,16 @@ def symmetric(m: int) -> FiniteGroup:
                                          name=f"S{m}")
 
 
-def _parity(p: tuple[int, ...]) -> int:
-    return sum(len(c) - 1 for c in cycles(p)) & 1
-
-
 def alternating(m: int) -> FiniteGroup:
+    """The even permutations of {0..m-1}.  `itertools.product` yields the
+    Lehmer codes in step with `itertools.permutations`, both in
+    lexicographic order, and a permutation's parity is that of its code's
+    digit sum, its number of inversions."""
     if m < 1:
         raise ValueError("alternating group needs m >= 1")
-    evens = (p for p in itertools.permutations(range(m)) if _parity(p) == 0)
+    codes = itertools.product(*map(range, range(m, 0, -1)))
+    evens = itertools.compress(itertools.permutations(range(m)),
+                               (not sum(c) & 1 for c in codes))
     return FiniteGroup.from_permutations(evens, name=f"A{m}")
 
 
@@ -628,19 +647,19 @@ def _iso_image_maps(a: FiniteGroup, b: FiniteGroup,
         return mapping
 
     def place(level: int, assigned: list[int]) -> Iterator[tuple[int, ...]]:
-        if level == len(gens):
-            mapping = extend(assigned)
-            if mapping is not None and len(mapping) == m:
-                yield tuple(mapping[i] for i in range(m))
-            return
         if level == 0 and first is not None:
             cands = first
         else:
             cands = by_order.get(a.element_order(gens[level]), ())
+        last = level + 1 == len(gens)
         for cand in cands:
             assigned.append(cand)
-            if extend(assigned) is not None:
-                yield from place(level + 1, assigned)
+            mapping = extend(assigned)
+            if mapping is not None:
+                if not last:
+                    yield from place(level + 1, assigned)
+                elif len(mapping) == m:
+                    yield tuple(mapping[i] for i in range(m))
             assigned.pop()
 
     if not gens:  # trivial group

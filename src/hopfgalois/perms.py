@@ -5,10 +5,11 @@ product ``compose(a, b)`` applies b first.  Cycle notation enters only
 through the DSL's ``gens[...]`` (`from_cycles`) and is printed by
 `cycle_string`.
 
-`compose` and `conjugate` index with ``operator.itemgetter``, which gathers
-a tuple's entries in C, about twice as fast as a comprehension at degree 8
-to 12.  A getter of one index returns a bare entry, not a tuple, so
-degree 0 and 1 take the comprehension.
+`compose` indexes with ``operator.itemgetter``, which gathers a tuple's
+entries in C, about twice as fast as a comprehension at degree 8 to 12.
+A getter of one index returns a bare entry, not a tuple, so degree 0 and
+1 take the comprehension.  The search conjugates with getters of its own
+(`engine.ExtensionProblem.conjugators`).
 """
 
 from __future__ import annotations
@@ -31,13 +32,6 @@ def inverse(t: Images) -> Images:
     for i, v in enumerate(t):
         out[v] = i
     return tuple(out)
-
-
-def conjugate(g: Images, t: Images, gi: Images) -> Images:
-    """g t g^-1, given g and gi = g^-1: ``g[t[gi[i]]]`` at each point i."""
-    if len(gi) < 2:
-        return tuple([g[t[x]] for x in gi])
-    return itemgetter(*itemgetter(*gi)(t))(g)
 
 
 def from_cycles(degree: int, cycles: Iterable[Iterable[int]]) -> Images:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 import pytest
 
 from hopfgalois import (ExtensionProblem, NodeBudget, SubgroupRef, alternating,
@@ -29,6 +31,16 @@ def read_cycles(text: str, degree: int) -> tuple[int, ...]:
     """Cycle text such as ``(0 1 2)(3 4)`` as an image tuple of `degree`."""
     return from_cycles(degree, [tuple(map(int, c.split()))
                                 for c in text.strip("()").split(")(") if c])
+
+
+def conjugate(g: tuple[int, ...], t: tuple[int, ...],
+              gi: tuple[int, ...]) -> tuple[int, ...]:
+    """g t g^-1, given g and gi = g^-1: ``g[t[gi[i]]]`` at each point i,
+    gathered by getters; a getter of one index returns a bare entry, so
+    degree 0 and 1 take the comprehension."""
+    if len(gi) < 2:
+        return tuple([g[t[x]] for x in gi])
+    return itemgetter(*itemgetter(*gi)(t))(g)
 
 
 def tuple_sets(lattice) -> list[frozenset]:

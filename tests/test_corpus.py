@@ -71,7 +71,7 @@ def test_building_a_problem_reads_no_generator_data(monkeypatch):
 
 
 @pytest.mark.parametrize("workload,nodes", [
-    ("search", 2_442), ("stats", 259), ("lattice", 7_557)])
+    ("search", 2_442), ("stats", 238), ("lattice", 7_557)])
 def test_nodes_per_pass(workload, nodes):
     # the search's work per benchmark pass, deterministic; a change that
     # moves it updates these numbers

@@ -33,15 +33,16 @@ from hopfgalois.engine import (DEGREE_CAP, _closure, _combine_atoms,
                                _viable_atoms, _walked_lengths)
 from hopfgalois.groups import (_is_automorphism_map, _is_prime, _iso_image_maps,
                                are_isomorphic, generated)
-from hopfgalois.perms import (compose, conjugate, cycle_string, inverse,
+from hopfgalois.perms import (compose, cycle_string, inverse,
                               uniform_cycle_length)
 
 from conftest import (DEGREE_12_ROWS, ORDER_56_EXPR, catalog_problems,
-                      complement_problem, read_cycles, stabilizer_problem,
-                      subgroup_problem, tuple_sets)
+                      complement_problem, conjugate, read_cycles,
+                      stabilizer_problem, subgroup_problem, tuple_sets)
 from test_canonical_digest import DEGREE_12_SHA256
 from test_corpus import ROWS
 from test_groups import greedy_generators
+from test_minimality import PRIME_DEGREE_ROWS
 
 
 def test_extension_problem_validation():
@@ -224,9 +225,9 @@ def test_oracles_keep_their_own_products(monkeypatch):
 
     for module in (hopfgalois.perms, hopfgalois.engine):
         monkeypatch.setattr(module, "compose", kernel)
-    # the engine conjugates with getters only, so only perms holds `conjugate`
+    # the engine conjugates with getters only, and perms has no conjugation
     assert not hasattr(hopfgalois.engine, "conjugate")
-    monkeypatch.setattr(hopfgalois.perms, "conjugate", kernel)
+    assert not hasattr(hopfgalois.perms, "conjugate")
     monkeypatch.setattr(hopfgalois.engine, "itemgetter", kernel)
     assert all(_regular_normalized(frozenset(key), 6, gen_pairs) for key in expected)
     assert enumerate_via_transversal(prob) == expected
@@ -706,6 +707,10 @@ PRIMITIVE_ROUTE_ROWS = {
     **{f"corpus {row.label}": functools.partial(row.build, hopfgalois, dsl)
        for _, row in ROWS},
     **{f"degree 12 {label}": build for label, build in DEGREE_12_ROWS.items()},
+    # refused by the order of AGL(1,7) = 42 alone
+    **{name: PRIME_DEGREE_ROWS[name] for name in (
+        "S(7) --stabilizer-of-point", "A(7) --stabilizer-of-point",
+        "order 168 at degree 7")},
 }
 
 
@@ -715,17 +720,17 @@ def test_primitive_route_matches_the_search(name):
 
 
 def test_primitive_route_rows_cover_both_kinds():
-    # the rows above hold 19 primitive problems, (prime power degree, has
+    # the rows above hold 22 primitive problems, (prime power degree, has
     # a structure): with structures at degrees 2 to 9, none for S(5) (a
-    # catalog and a corpus row) and A(5) on points, and no search for A(6)
-    # on a point and S(5) at degree 10
+    # catalog and a corpus row), A(5), S(7), A(7) and the order-168 group
+    # on points, and no search for A(6) on a point and S(5) at degree 10
     kinds = Counter()
     for build in PRIMITIVE_ROUTE_ROWS.values():
         prob = build()
         if len(prob.blocks) == 2:
             kinds[len(_prime_factors(prob.degree)) == 1,
                   bool(_primitive_groups(prob, NodeBudget(10**9))[0])] += 1
-    assert kinds == {(True, True): 14, (True, False): 3, (False, False): 2}
+    assert kinds == {(True, True): 14, (True, False): 6, (False, False): 2}
 
 
 @pytest.mark.parametrize("build", [
@@ -747,6 +752,29 @@ def test_primitive_problems_of_degree_6_and_10_take_no_search(monkeypatch, build
     assert rep.engine == {"nodes": 0, "seeds": 0, "seeds_walked": 0,
                           "walks": 0, "walks_skipped": 0}
     assert prob._image is None
+
+
+@pytest.mark.parametrize("build", [symmetric, alternating], ids=["S(5)", "A(5)"])
+def test_primitive_problems_refused_by_order_build_nothing(monkeypatch, build):
+    # degree 5 is prime and |G| does not divide |AGL(1,5)| = 20: classify
+    # answers from the order alone, with no G.generators(), no generator
+    # pair, no image, no block walk, no seed and no node
+    def shut(*args):
+        raise AssertionError("the route read generator data")
+
+    group = build(5)
+    prob = stabilizer_problem(group)
+    for name in ("generators", "element_order"):
+        monkeypatch.setattr(group, name, shut)
+    for name in ("_walk_blocks", "generator_pairs"):
+        monkeypatch.setattr(ExtensionProblem, name, shut)
+    monkeypatch.setattr(hopfgalois.engine, "_prime_order_translations", shut)
+    rep = classify(prob)
+    assert (rep.structure_count, rep.intermediate_count) == (0, 2)
+    assert rep.normal_complement_bound == 0
+    assert rep.engine == {"nodes": 0, "seeds": 0, "seeds_walked": 0,
+                          "walks": 0, "walks_skipped": 0}
+    assert prob._pairs is prob._conjugators is prob._image is None
 
 
 @settings(max_examples=100, deadline=None)

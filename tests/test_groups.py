@@ -16,7 +16,7 @@ from hopfgalois import (CapExceeded, ExtensionProblem, FiniteGroup,
                         is_characteristically_simple, iso_type, quaternion,
                         semidirect_product, symmetric)
 from hopfgalois.dsl import build_text
-from hopfgalois.perms import compose, cycle_string
+from hopfgalois.perms import compose, cycle_string, cycles
 from conftest import ORDER_12_EXPR, ORDER_36_EXPR, ORDER_56_EXPR
 from test_minimality import stable_subgroups_via_filter
 
@@ -127,6 +127,15 @@ def test_constructor_validation():
         quaternion(12)
     with pytest.raises(ValueError):
         quaternion(4)
+
+
+def test_alternating_is_the_cycle_parity_filter():
+    # parity from the Lehmer code against parity from the cycles: a cycle
+    # of length l is l - 1 transpositions
+    for m in range(1, 8):
+        evens = [p for p in itertools.permutations(range(m))
+                 if sum(len(c) - 1 for c in cycles(p)) % 2 == 0]
+        assert alternating(m).raw_elements() == tuple(evens)
 
 
 def naive_order(g: FiniteGroup, i: int) -> int:

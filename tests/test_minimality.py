@@ -19,10 +19,10 @@ from hopfgalois import (ExtensionProblem, FiniteGroup, HGStructure,
 from hopfgalois.cli import _problem
 from hopfgalois.dsl import build_text
 from hopfgalois.groups import _is_prime
-from hopfgalois.perms import compose, conjugate, cycle_string, from_cycles, inverse
+from hopfgalois.perms import compose, cycle_string, from_cycles, inverse
 from conftest import (DEGREE_12_ROWS, E24_EXPRS, catalog_problems,
-                      complement_problem, read_cycles, stabilizer_problem,
-                      subgroup_problem, tuple_sets)
+                      complement_problem, conjugate, read_cycles,
+                      stabilizer_problem, subgroup_problem, tuple_sets)
 from test_canonical_digest import DEGREE_12_SHA256
 from test_corpus import ROWS as CORPUS_ROWS
 
@@ -703,6 +703,14 @@ def test_prime_degree_has_one_structure_iff_the_order_divides_p_times_p_minus_1(
     rep = classify(prob)
     assert (rep.structure_count, rep.minimal_count) == (count, count)
     assert rep.types() == [f"C{p}"] * count
+
+
+@pytest.mark.parametrize("name", sorted(PRIME_DEGREE_ROWS))
+def test_prime_degree_blocks_are_the_walked_ones(name):
+    # at prime degree the blocks are read with no walk; the walk is their
+    # oracle
+    prob = PRIME_DEGREE_ROWS[name]()
+    assert (prob.blocks, prob.block_bits) == prob._walk_blocks()
 
 
 def test_prime_degree_rows_hold_both_answers():

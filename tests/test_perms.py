@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from hopfgalois import CapExceeded, FiniteGroup
 from hopfgalois.dsl import DslError, build_text
 from hopfgalois.engine import _regular_normalized
-from hopfgalois.perms import (compose, conjugate, cycle_string, cycles,
-                              from_cycles, inverse, uniform_cycle_length)
+from hopfgalois.perms import (compose, cycle_string, cycles, from_cycles,
+                              inverse, uniform_cycle_length)
 
-from conftest import read_cycles
+from conftest import conjugate, read_cycles
 
 perms = st.integers(min_value=1, max_value=7).flatmap(
     lambda n: st.permutations(range(n))).map(tuple)
