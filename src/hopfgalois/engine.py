@@ -104,8 +104,9 @@ class ExtensionProblem:
     (lambda(g), lambda(g^-1)) of `generator_pairs`; the `conjugators`, one
     per pair: lambda(g) with a getter of lambda(g^-1)'s images, so that g
     a g^-1 is `itemgetter(*right(a))(g)`; and, from the generator
-    translations alone, the image lambda(G) and its blocks at point 0
-    (which at prime degree need none, see `_read_blocks`).
+    translations alone, the image lambda(G) and its blocks at point 0.
+    The blocks need no generator where the suborbits of G' show lambda(G)
+    primitive, as at prime degree (see `_read_blocks`).
     """
 
     def __init__(self, group: FiniteGroup, subgroup: SubgroupRef):
@@ -193,14 +194,29 @@ class ExtensionProblem:
         return self._block_bits
 
     def _read_blocks(self) -> tuple[tuple[frozenset[int], ...], tuple[int, ...]]:
-        """(blocks, block_bits) from `_walk_blocks`, or with no walk when n
-        is prime: lambda(G) is transitive, so the translates of a block
-        partition the points and its size divides n; the blocks at 0 are
-        then {0} and all the points, and no generator of G is read."""
-        n = self.degree
-        if _is_prime(n):
-            return (frozenset([0]), frozenset(range(n))), (0b11,) + (0b10,) * (n - 1)
-        return self._walk_blocks()
+        """(blocks, block_bits) from `_walk_blocks`, or with no walk when
+        the suborbits of G' (its orbits on the points other than 0) show
+        that lambda(G) is primitive (Dixon and Mortimer, Permutation Groups,
+        1.5).  A block B at 0 is fixed by G', the stabilizer of 0, so it
+        holds the G'-orbit of each of its points: B is {0} plus a union of
+        suborbits.  lambda(G) is transitive, so B's translates all have |B|
+        points and partition the points, and |B| divides n.  So a block
+        other than {0} and all the points needs suborbits whose sizes sum
+        to d - 1 for some divisor 1 < d < n.  `sums` holds, as bits, the
+        sums reachable from the suborbits walked so far; the orbit of point
+        a is G' r_a read through `coset_of`, |G'| products in G and no
+        generator of G.  At prime n no d exists and nothing is read."""
+        n, members, mul = self.degree, self.subgroup.members, self.group.mul
+        wanted = sum(1 << d - 1 for d in range(2, n) if n % d == 0)
+        sums, seen = 1, {0}
+        for a in range(1, n) if wanted else ():
+            if a not in seen:
+                orbit = {self.coset_of[mul(h, self.reps[a])] for h in members}
+                seen |= orbit
+                sums |= sums << len(orbit)
+                if sums & wanted:
+                    return self._walk_blocks()
+        return (frozenset([0]), frozenset(range(n))), (0b11,) + (0b10,) * (n - 1)
 
     def _walk_blocks(self) -> tuple[tuple[frozenset[int], ...], tuple[int, ...]]:
         """(blocks, block_bits), each block's bits set as it is found.
@@ -1034,9 +1050,10 @@ def _primitive_groups(problem: ExtensionProblem, budget: NodeBudget):
     n (n - 1)(n - p) ... (n - p^(k-1)).  lambda(G) normalizes N and lambda
     is faithful (G' is core-free), so |G| divides that order.  When it
     does not, there is no minimal N, and the route returns nothing with no
-    image, no seed and no node; at prime degree, where `problem.blocks`
-    needs no walk, no generator of G is read either.  At k = 1 this is
-    Childs' (1989) test: |G| divides p(p - 1).
+    image, no seed and no node.  At k = 1 this is Childs' (1989) test: |G|
+    divides p(p - 1).  Here and in (1), where the suborbits of G' show
+    lambda(G) primitive (`ExtensionProblem._read_blocks`, always at prime
+    degree), no generator of G is read either.
     """
     n = problem.degree
     primes = _prime_factors(n)

@@ -7,7 +7,7 @@ from that stable-subgroup lattice by its size; the characteristic-subgroup
 shortcut is computed separately so the implication can be cross-checked.
 
 The lattice is read for every structure through the Galois correspondence,
-as the fibers of N over the blocks of lambda(G) at point 0, walked once per
+as the fibers of N over the blocks of lambda(G) at point 0, read once per
 problem (`ExtensionProblem.blocks`), and held as its image, one bit per
 block (`HGStructure.lattice_bits`); the fibers themselves are built only
 where `HGStructure.stable_subgroups` is read.  `g_stable_subgroups` is its
@@ -75,7 +75,7 @@ def intermediate_subgroups(problem: ExtensionProblem) -> list[frozenset[int]]:
 
     They correspond one-to-one to the blocks of the action on G/G' that
     contain point 0 (the coset G'), via H = {x : xG' in B}; the blocks are
-    `problem.blocks`, walked once per problem.  Sorted by (order, member
+    `problem.blocks`, read once per problem.  Sorted by (order, member
     set), a linear extension of inclusion.
     """
     coset_of = problem.coset_of
@@ -87,7 +87,7 @@ def intermediate_subgroups(problem: ExtensionProblem) -> list[frozenset[int]]:
 def correspondence_stats(structure: HGStructure) -> tuple[int, int]:
     """(number of stable subgroups of N, number of intermediate subgroups),
     read from the bits of `lattice_bits` and from `blocks` of N's problem,
-    walked once per problem.
+    read once per problem.
 
     The first never exceeds the second: the fixed-field map embeds the
     sub-Hopf lattice into the intermediate-field lattice.

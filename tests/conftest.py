@@ -53,6 +53,24 @@ def tuple_sets(lattice) -> list[frozenset]:
     return sorted(sets, key=lambda q: (len(q), sorted(q)))
 
 
+def assert_blocks_are_the_walked_ones(prob: ExtensionProblem) -> None:
+    """The blocks of a problem not read yet against `_walk_blocks`, their
+    oracle; and, at degree <= 12, the walk runs iff lambda(G) is
+    imprimitive: the suborbits of G' decide every primitive problem there."""
+    assert prob._blocks is None
+    walks = []
+
+    def counted_walk():
+        walks.append(prob)
+        return ExtensionProblem._walk_blocks(prob)
+
+    prob._walk_blocks = counted_walk
+    assert (prob.blocks, prob.block_bits) == ExtensionProblem._walk_blocks(prob)
+    del prob._walk_blocks
+    if prob.degree <= 12:
+        assert bool(walks) == (len(prob.blocks) > 2)
+
+
 # The builders below go through the command line's own, so a problem here
 # is the one the matching flag gives.
 

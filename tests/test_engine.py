@@ -36,13 +36,14 @@ from hopfgalois.groups import (_is_automorphism_map, _is_prime, _iso_image_maps,
 from hopfgalois.perms import (compose, cycle_string, inverse,
                               uniform_cycle_length)
 
-from conftest import (DEGREE_12_ROWS, ORDER_56_EXPR, catalog_problems,
+from conftest import (DEGREE_12_ROWS, ORDER_56_EXPR,
+                      assert_blocks_are_the_walked_ones, catalog_problems,
                       complement_problem, conjugate, read_cycles,
                       stabilizer_problem, subgroup_problem, tuple_sets)
 from test_canonical_digest import DEGREE_12_SHA256
 from test_corpus import ROWS
 from test_groups import greedy_generators
-from test_minimality import PRIME_DEGREE_ROWS
+from test_minimality import PRIME_DEGREE_ROWS, PROBLEM_ROWS
 
 
 def test_extension_problem_validation():
@@ -702,11 +703,7 @@ def assert_route_matches_the_search(prob):
 
 
 PRIMITIVE_ROUTE_ROWS = {
-    **{f"catalog {name}": lambda name=name: catalog_problems()[name]
-       for name in catalog_problems()},
-    **{f"corpus {row.label}": functools.partial(row.build, hopfgalois, dsl)
-       for _, row in ROWS},
-    **{f"degree 12 {label}": build for label, build in DEGREE_12_ROWS.items()},
+    **PROBLEM_ROWS,
     # refused by the order of AGL(1,7) = 42 alone
     **{name: PRIME_DEGREE_ROWS[name] for name in (
         "S(7) --stabilizer-of-point", "A(7) --stabilizer-of-point",
@@ -733,39 +730,33 @@ def test_primitive_route_rows_cover_both_kinds():
     assert kinds == {(True, True): 14, (True, False): 6, (False, False): 2}
 
 
-@pytest.mark.parametrize("build", [
-    lambda: stabilizer_problem(alternating(6)),
-    lambda: subgroup_problem("S(5)", "gens[(0 1), (2 3 4), (2 3)]"),
-], ids=["A(6) --stabilizer-of-point", "S(5) --subgroup"])
-def test_primitive_problems_of_degree_6_and_10_take_no_search(monkeypatch, build):
-    # lambda(G) is primitive and n < 60 is no prime power: no N is
-    # characteristically simple, so classify answers with no image, no
-    # stage-1 seed and no node
-    def shut(*args):
-        raise AssertionError("the search read its seeds")
-
-    monkeypatch.setattr(hopfgalois.engine, "_prime_order_translations", shut)
-    prob = build()
-    rep = classify(prob)
-    assert (rep.structure_count, rep.intermediate_count) == (0, 2)
-    assert rep.normal_complement_bound == 0
-    assert rep.engine == {"nodes": 0, "seeds": 0, "seeds_walked": 0,
-                          "walks": 0, "walks_skipped": 0}
-    assert prob._image is None
-
-
-@pytest.mark.parametrize("build", [symmetric, alternating], ids=["S(5)", "A(5)"])
-def test_primitive_problems_refused_by_order_build_nothing(monkeypatch, build):
-    # degree 5 is prime and |G| does not divide |AGL(1,5)| = 20: classify
-    # answers from the order alone, with no G.generators(), no generator
-    # pair, no image, no block walk, no seed and no node
+@pytest.mark.parametrize("build,suborbits", [
+    (lambda: stabilizer_problem(symmetric(5)), 0),
+    (lambda: stabilizer_problem(alternating(5)), 0),
+    (lambda: stabilizer_problem(alternating(6)), 1),
+    (lambda: stabilizer_problem(symmetric(6)), 1),
+    (lambda: subgroup_problem("S(5)", "gens[(0 1), (2 3 4), (2 3)]"), 2),
+], ids=["S(5)", "A(5)", "A(6) --stabilizer-of-point",
+        "S(6) --stabilizer-of-point", "S(5) --subgroup"])
+def test_primitive_problems_refused_by_order_build_nothing(monkeypatch, build,
+                                                           suborbits):
+    # lambda(G) is primitive and no N is minimal: |G| does not divide
+    # |AGL(1,5)| = 20, or n = 6, 10 is no prime power.  So classify answers
+    # with no G.generators(), no generator pair, no image, no block walk,
+    # no seed and no node; its only products in G are |G'| per suborbit
+    # read to show lambda(G) primitive, none at prime degree
     def shut(*args):
         raise AssertionError("the route read generator data")
 
-    group = build(5)
-    prob = stabilizer_problem(group)
+    def counted_mul(i, j):
+        products.append((i, j))
+        return FiniteGroup.mul(group, i, j)
+
+    prob = build()
+    group, products = prob.group, []
     for name in ("generators", "element_order"):
         monkeypatch.setattr(group, name, shut)
+    monkeypatch.setattr(group, "mul", counted_mul)
     for name in ("_walk_blocks", "generator_pairs"):
         monkeypatch.setattr(ExtensionProblem, name, shut)
     monkeypatch.setattr(hopfgalois.engine, "_prime_order_translations", shut)
@@ -775,12 +766,15 @@ def test_primitive_problems_refused_by_order_build_nothing(monkeypatch, build):
     assert rep.engine == {"nodes": 0, "seeds": 0, "seeds_walked": 0,
                           "walks": 0, "walks_skipped": 0}
     assert prob._pairs is prob._conjugators is prob._image is None
+    assert len(products) == suborbits * prob.subgroup.order
 
 
 @settings(max_examples=100, deadline=None)
 @given(transitive_groups())
 def test_primitive_route_matches_the_search_on_random_transitive_groups(group):
-    assert_route_matches_the_search(stabilizer_problem(group))
+    prob = stabilizer_problem(group)
+    assert_blocks_are_the_walked_ones(prob)
+    assert_route_matches_the_search(prob)
 
 
 @st.composite
@@ -799,6 +793,7 @@ def affine_problems(draw):
 @settings(max_examples=100, deadline=None)
 @given(affine_problems())
 def test_primitive_route_matches_the_search_on_random_affine_groups(prob):
+    assert_blocks_are_the_walked_ones(prob)
     assert_route_matches_the_search(prob)
 
 

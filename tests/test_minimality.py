@@ -20,7 +20,8 @@ from hopfgalois.cli import _problem
 from hopfgalois.dsl import build_text
 from hopfgalois.groups import _is_prime
 from hopfgalois.perms import compose, cycle_string, from_cycles, inverse
-from conftest import (DEGREE_12_ROWS, E24_EXPRS, catalog_problems,
+from conftest import (DEGREE_12_ROWS, E24_EXPRS,
+                      assert_blocks_are_the_walked_ones, catalog_problems,
                       complement_problem, conjugate, read_cycles,
                       stabilizer_problem, subgroup_problem, tuple_sets)
 from test_canonical_digest import DEGREE_12_SHA256
@@ -553,6 +554,7 @@ def test_random_transitive_groups(gens):
     assume(len(group) <= _TRANSITIVE_ORDER_CAP)
     assume({p[0] for p in group.raw_elements()} == set(range(n)))
     prob = stabilizer_problem(group)
+    assert_blocks_are_the_walked_ones(prob)
     assert intermediate_subgroups(prob) == closure_walk_intermediate(prob)
     assert group.normal_subgroups() == [h for h in group.subgroups() if h.is_normal()]
     structures = enumerate_regular_normalized(prob)
@@ -674,12 +676,18 @@ def _point_problem(expr):
     return lambda: stabilizer_problem(build_text(expr).group)
 
 
-PRIME_DEGREE_ROWS = {
+# every catalog, corpus and degree-12 problem, built on call
+PROBLEM_ROWS = {
     **{f"catalog {name}": lambda name=name: catalog_problems()[name]
-       for name, prob in catalog_problems().items() if _is_prime(prob.degree)},
+       for name in catalog_problems()},
     **{f"corpus {row.label}": functools.partial(row.build, hopfgalois, hopfgalois.dsl)
-       for _, row in CORPUS_ROWS
-       if _is_prime(row.build(hopfgalois, hopfgalois.dsl).degree)},
+       for _, row in CORPUS_ROWS},
+    **{f"degree 12 {label}": build for label, build in DEGREE_12_ROWS.items()},
+}
+
+PRIME_DEGREE_ROWS = {
+    **{name: build for name, build in PROBLEM_ROWS.items()
+       if _is_prime(build().degree)},
     "S(7) --stabilizer-of-point": lambda: stabilizer_problem(symmetric(7)),
     "A(7) --stabilizer-of-point": lambda: stabilizer_problem(alternating(7)),
     # C7 : C3, AGL(1,7) = C7 : C6, and PSL(3,2) on the Fano plane
@@ -707,10 +715,13 @@ def test_prime_degree_has_one_structure_iff_the_order_divides_p_times_p_minus_1(
 
 @pytest.mark.parametrize("name", sorted(PRIME_DEGREE_ROWS))
 def test_prime_degree_blocks_are_the_walked_ones(name):
-    # at prime degree the blocks are read with no walk; the walk is their
-    # oracle
-    prob = PRIME_DEGREE_ROWS[name]()
-    assert (prob.blocks, prob.block_bits) == prob._walk_blocks()
+    # at prime degree the blocks are read with no walk
+    assert_blocks_are_the_walked_ones(PRIME_DEGREE_ROWS[name]())
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEM_ROWS.keys() - PRIME_DEGREE_ROWS.keys()))
+def test_composite_degree_blocks_are_the_walked_ones(name):
+    assert_blocks_are_the_walked_ones(PROBLEM_ROWS[name]())
 
 
 def test_prime_degree_rows_hold_both_answers():
