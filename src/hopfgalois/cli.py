@@ -11,6 +11,7 @@ error, as is a --degree-cap below 2, the least degree of an extension.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -358,7 +359,8 @@ def cmd_catalog(args) -> int:
     return 0 if all_ok else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hopfgalois",
         description="Enumerate and classify Hopf-Galois structures on "
@@ -389,9 +391,12 @@ def main(argv=None) -> int:
     cat.add_argument("--n", help="group expression for example5 (default S(3))")
     cat.add_argument("--json", action="store_true")
     cat.set_defaults(func=cmd_catalog)
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse has printed its message; exit 2 is reserved for a pair
         # that does not model a normal closure, so a usage error returns 1.

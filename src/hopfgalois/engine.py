@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import KeysView
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Iterable
 
 from .catalog import _totient, iso_type, type_from_orders
@@ -669,51 +669,69 @@ def _closure(group, gens, extra, n, budget):
         budget.spend(ops)
 
 
-def _semiregular_centralizer(sigma: tuple[int, ...], d: int):
-    """Yield each permutation commuting with the image tuple sigma whose
-    cycles all have length d, exactly once.
+def _semiregular_centralizer(sigma: tuple[int, ...]):
+    """The centralizer walk of the image tuple sigma: for a cycle length d,
+    walk(d) yields each permutation commuting with sigma whose cycles all
+    have length d, exactly once.
 
     Such a permutation c maps every cycle of sigma onto a cycle of the same
     length l, shifted by some rotation s: c(z_j) = z'_{j+s}.  So c permutes
     the cycles of length l, and a k-cycle of those cycles whose shifts add
     up to r splits into cycles of length k * l / gcd(r, l).  Fixed points
-    are the case l = 1.  The cycles-of-cycles are chosen, length by length,
-    so that this comes out as d; nothing else is ever built.
+    are the case l = 1.  The chains of cycles are chosen, length by length
+    and each from the first cycle still free, so that this comes out as d.
+
+    A chain sets the images of its own points only, and the choices after
+    it read only the cycles still free.  So a walk keeps the elements of
+    each such suffix, as images on its points cycle by cycle, and joins a
+    chain's rotation blocks to each, placed by one getter per chain (at the
+    top, in point order).  Cycles of one length are alike, so a chain size
+    whose suffixes are empty is passed over at once.  The order is the
+    plain depth-first walk's: chain size, chain, shifts, total, suffix.
+    Cycles and rotations serve every d; kept suffixes live for one walk(d).
     """
-    by_length: dict[int, list[tuple[int, ...]]] = {}
-    for cycle in cycles(sigma, include_fixed=True):
-        by_length.setdefault(len(cycle), []).append(cycle)
-    classes = sorted(by_length.items())
-    images = [0] * len(sigma)
+    found = sorted(cycles(sigma, include_fixed=True), key=len)
+    rotations = [[c[s:] + c[:s] for s in range(len(c))] for c in found]
 
-    def rec(ci: int, free: tuple[int, ...]):
-        if not free:
-            if ci + 1 == len(classes):
-                yield tuple(images)
-            else:
-                yield from rec(ci + 1, tuple(range(len(classes[ci + 1][1]))))
-            return
-        l, same_length = classes[ci]
-        a, rest = free[0], free[1:]
-        for k in range(1, min(d, len(free)) + 1):
-            if d % k or l % (d // k):
-                continue
-            step = l * k // d
-            totals = [r for r in range(l) if math.gcd(r, l) == step]
-            for combo in itertools.permutations(rest, k - 1):
-                chain = (a,) + combo
-                left = tuple(x for x in rest if x not in combo)
-                for shifts in itertools.product(range(l), repeat=k - 1):
-                    partial = sum(shifts)
-                    for r in totals:
-                        for i, shift in enumerate(shifts + ((r - partial) % l,)):
-                            src = same_length[chain[i]]
-                            dst = same_length[chain[(i + 1) % k]]
-                            for j in range(l):
-                                images[src[j]] = dst[(j + shift) % l]
-                        yield from rec(ci, left)
+    def walk(d: int):
+        memo: dict[tuple[int, ...], list[tuple[int, ...]]] = {(): [()]}
 
-    yield from rec(0, tuple(range(len(classes[0][1]))))
+        def choices(free, points, in_order):
+            """The elements of each chain from free[0] in turn, at `points`."""
+            a, l = free[0], len(found[free[0]])
+            m = sum(len(found[c]) == l for c in free)
+            rest, other = free[1:m], free[m:]
+            for k in range(1, min(d, m) + 1):
+                if d % k or l % (d // k) or not tail(rest[k - 1:] + other):
+                    continue
+                totals = [r for r in range(l) if math.gcd(r, l) == l * k // d]
+                for combo in itertools.permutations(rest, k - 1):
+                    left = tuple(x for x in rest if x not in combo) + other
+                    heads = [(0, ())]  # (sum of the shifts, blocks) so far
+                    for c in combo:
+                        heads = [(p + s, h + rot) for p, h in heads
+                                 for s, rot in enumerate(rotations[c])]
+                    blocks = [h + rotations[a][(r - p) % l]
+                              for p, h in heads for r in totals]
+                    joined = itertools.starmap(add, itertools.product(blocks, tail(left)))
+                    if in_order and combo == rest[:k - 1]:
+                        yield joined  # already in place
+                    else:
+                        raw = [x for c in (a,) + combo + left for x in found[c]]
+                        at = dict(zip(raw, itertools.count()))
+                        yield map(itemgetter(*map(at.__getitem__, points)), joined)
+
+        def tail(free):
+            if free not in memo:
+                points = [x for c in free for x in found[c]]
+                memo[free] = list(itertools.chain(*choices(free, points, True)))
+            return memo[free]
+
+        flat = [x for c in found for x in c]
+        top = choices(tuple(range(len(found))), range(len(sigma)), flat == sorted(flat))
+        return itertools.chain.from_iterable(top)
+
+    return walk
 
 
 def _prime_order(t: tuple[int, ...]) -> int:
@@ -922,8 +940,9 @@ def _viable_atoms(problem: ExtensionProblem, budget: NodeBudget, lengths):
         walks = [d for d in _walked_lengths(p, n, order) if d in lengths]
         budget.walks += len(walks)
         budget.walks_skipped += len(_divisors(n)) - len(walks)
+        walk = _semiregular_centralizer(sigma)
         for d in walks:
-            for t in _semiregular_centralizer(sigma, d):
+            for t in walk(d):
                 if t in visited:
                     continue
                 orbit = _conj_orbit(t, conjugators, visited, budget)

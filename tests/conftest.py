@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 from operator import itemgetter
 
 import pytest
@@ -10,7 +12,7 @@ from hopfgalois import (ExtensionProblem, NodeBudget, SubgroupRef, alternating,
                         classify, cyclic, dihedral, symmetric)
 from hopfgalois.cli import _problem
 from hopfgalois.dsl import BuildResult, build_text
-from hopfgalois.perms import from_cycles
+from hopfgalois.perms import cycles, from_cycles
 
 ORDER_56_EXPR = "SD(E(2,3), matgrp(2,3,[[[1,1,1],[1,1,0],[1,0,0]]]))"
 ORDER_36_EXPR = "SD(E(3,2), matgrp(3,2,[[[0,1],[-1,0]]]))"
@@ -41,6 +43,56 @@ def conjugate(g: tuple[int, ...], t: tuple[int, ...],
     if len(gi) < 2:
         return tuple([g[t[x]] for x in gi])
     return itemgetter(*itemgetter(*gi)(t))(g)
+
+
+def reference_semiregular_centralizer(sigma: tuple[int, ...], d: int):
+    """Yield each permutation commuting with the image tuple sigma whose
+    cycles all have length d, exactly once: the oracle of
+    `engine._semiregular_centralizer(sigma)(d)`, in its order.  It is that
+    walk without kept suffixes: one recursion level per chain, every point
+    of a chain written at every leaf.
+
+    Such a permutation c maps every cycle of sigma onto a cycle of the same
+    length l, shifted by some rotation s: c(z_j) = z'_{j+s}.  So c permutes
+    the cycles of length l, and a k-cycle of those cycles whose shifts add
+    up to r splits into cycles of length k * l / gcd(r, l).  Fixed points
+    are the case l = 1.  The cycles-of-cycles are chosen, length by length,
+    so that this comes out as d; nothing else is ever built.
+    """
+    by_length: dict[int, list[tuple[int, ...]]] = {}
+    for cycle in cycles(sigma, include_fixed=True):
+        by_length.setdefault(len(cycle), []).append(cycle)
+    classes = sorted(by_length.items())
+    images = [0] * len(sigma)
+
+    def rec(ci: int, free: tuple[int, ...]):
+        if not free:
+            if ci + 1 == len(classes):
+                yield tuple(images)
+            else:
+                yield from rec(ci + 1, tuple(range(len(classes[ci + 1][1]))))
+            return
+        l, same_length = classes[ci]
+        a, rest = free[0], free[1:]
+        for k in range(1, min(d, len(free)) + 1):
+            if d % k or l % (d // k):
+                continue
+            step = l * k // d
+            totals = [r for r in range(l) if math.gcd(r, l) == step]
+            for combo in itertools.permutations(rest, k - 1):
+                chain = (a,) + combo
+                left = tuple(x for x in rest if x not in combo)
+                for shifts in itertools.product(range(l), repeat=k - 1):
+                    partial = sum(shifts)
+                    for r in totals:
+                        for i, shift in enumerate(shifts + ((r - partial) % l,)):
+                            src = same_length[chain[i]]
+                            dst = same_length[chain[(i + 1) % k]]
+                            for j in range(l):
+                                images[src[j]] = dst[(j + shift) % l]
+                        yield from rec(ci, left)
+
+    yield from rec(0, tuple(range(len(classes[0][1]))))
 
 
 def tuple_sets(lattice) -> list[frozenset]:

@@ -4,7 +4,7 @@ import pytest
 
 from hopfgalois import (ExtensionProblem, NodeBudget, classify,
                         dihedral, enumerate_via_transversal)
-from hopfgalois.cli import main
+from hopfgalois.cli import _parser, main
 from hopfgalois.groups import FiniteGroup
 from hopfgalois.engine import DEGREE_CAP
 
@@ -303,6 +303,18 @@ def test_help_exits_0(capsys):
     code, out, _ = run(capsys, "enumerate", "--help")
     assert code == 0
     assert "--galois" in out
+
+
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built once per process: a usage error leaves it usable,
+    # and a row run twice after it prints the same bytes
+    assert run(capsys, "enumerate", "C(8)", "--galois", "--workers", "2")[:2] == (1, "")
+    first, again = (run(capsys, "enumerate", "S(4)", "--stabilizer-of-point",
+                        "--canonical") for _ in range(2))
+    assert first[0] == 0 and first[1]
+    assert first == again
+    assert run(capsys, "enumerate", "--help")[0] == 0
+    assert _parser() is _parser()
 
 
 def test_help_names_what_canonical_drops(capsys):

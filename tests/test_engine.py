@@ -39,7 +39,8 @@ from hopfgalois.perms import (compose, cycle_string, inverse,
 from conftest import (DEGREE_12_ROWS, ORDER_56_EXPR,
                       assert_blocks_are_the_walked_ones, catalog_problems,
                       complement_problem, conjugate, read_cycles,
-                      stabilizer_problem, subgroup_problem, tuple_sets)
+                      reference_semiregular_centralizer, stabilizer_problem,
+                      subgroup_problem, tuple_sets)
 from test_canonical_digest import DEGREE_12_SHA256
 from test_corpus import ROWS
 from test_groups import greedy_generators
@@ -531,7 +532,7 @@ def every_walk_atoms(prob, budget):
             continue
         sigma = prob.translation(cls[0])
         for d in _divisors(n):
-            for t in _semiregular_centralizer(sigma, d):
+            for t in _semiregular_centralizer(sigma)(d):
                 if t in visited:
                     continue
                 orbit = _conj_orbit(t, prob.conjugators, visited, budget)
@@ -1424,7 +1425,7 @@ def test_semiregular_centralizer(cycles, n):
         return all(t[sigma[i]] == sigma[t[i]] for i in rng)
 
     for d in _divisors(n):
-        got = list(_semiregular_centralizer(sigma, d))
+        got = list(_semiregular_centralizer(sigma)(d))
         assert len(got) == len(set(got)), (cycles, d)  # each exactly once
         if n <= 7:
             universe = (t for t in itertools.permutations(rng)
@@ -1432,6 +1433,88 @@ def test_semiregular_centralizer(cycles, n):
         else:
             universe = _semiregular_tuples(n, d)
         assert set(got) == {t for t in universe if commutes(t)}, (cycles, d)
+
+
+def _recorded_walks(monkeypatch, problems):
+    """{(sigma, d): the elements the centralizer walk gave} for every walk
+    that `classify` runs on `problems`, read by wrapping the engine's
+    `_semiregular_centralizer`."""
+    walks = {}
+    walk_of = hopfgalois.engine._semiregular_centralizer
+
+    def recording(sigma):
+        walk = walk_of(sigma)
+
+        def recorded(d):
+            walks[sigma, d] = list(walk(d))
+            return iter(walks[sigma, d])
+        return recorded
+
+    monkeypatch.setattr(hopfgalois.engine, "_semiregular_centralizer", recording)
+    for prob in problems:
+        classify(prob, budget=NodeBudget(50_000_000))
+    return walks
+
+
+WALK_SOURCES = {
+    "catalog": lambda: catalog_problems().values(),
+    "corpus": lambda: [row.build(hopfgalois, dsl) for _, row in ROWS],
+    "degree 12 digests": lambda: [build() for build in DEGREE_12_ROWS.values()],
+}
+
+
+@pytest.mark.parametrize("source", sorted(WALK_SOURCES))
+def test_centralizer_walks_keep_the_reference_order(monkeypatch, source):
+    # the same elements in the same order, so stage 1 meets its orbits in
+    # the same order and every node count and output stays as it was
+    walks = _recorded_walks(monkeypatch, WALK_SOURCES[source]())
+    assert walks
+    for (sigma, d), got in walks.items():
+        assert got == list(reference_semiregular_centralizer(sigma, d)), \
+            (cycle_string(sigma), d)
+
+
+@st.composite
+def centralizer_seeds(draw):
+    """A permutation of degree 2..12 with at most 6 fixed points: some
+    p-cycles for a prime p, so of order p when nothing else is drawn, and
+    possibly cycles of one other length q > 1 as well."""
+    n = draw(st.integers(2, 12))
+    p = draw(st.sampled_from([q for q in (2, 3, 5, 7, 11) if q <= n]))
+    m = draw(st.integers(max(1, -(-(n - 6) // p)), n // p))
+    q = draw(st.integers(2, 6))
+    j = draw(st.integers(0, (n - m * p) // q)) if q != p else 0
+    points = draw(st.permutations(range(n)))
+    sigma = list(range(n))
+    at = 0
+    for length in [p] * m + [q] * j:
+        cycle = points[at:at + length]
+        at += length
+        for i, x in enumerate(cycle):
+            sigma[x] = cycle[(i + 1) % length]
+    return tuple(sigma)
+
+
+@settings(max_examples=300, deadline=None)
+@given(centralizer_seeds())
+def test_semiregular_centralizer_order_fuzz(sigma):
+    n = len(sigma)
+    walk = _semiregular_centralizer(sigma)
+    for d in range(1, n + 1):
+        if n % d == 0:
+            assert list(walk(d)) == list(reference_semiregular_centralizer(sigma, d)), d
+
+
+@pytest.mark.parametrize("sigma", [(0,), (0, 1), (1, 0), (0, 2, 1), (1, 0, 2),
+                                   (0, 1, 3, 2)])
+def test_semiregular_centralizer_single_point_getters(sigma):
+    # a getter of one index returns a bare entry, not a tuple; a suffix or
+    # a degree of one point must still give tuples of the whole degree
+    walk = _semiregular_centralizer(sigma)
+    for d in range(1, len(sigma) + 1):
+        got = list(walk(d))
+        assert all(type(t) is tuple and len(t) == len(sigma) for t in got), d
+        assert got == list(reference_semiregular_centralizer(sigma, d)), d
 
 
 # -- degree 12 under the default budget and cap ----------------------------
@@ -1451,11 +1534,25 @@ def test_degree_12_galois_within_default_budget(group, count):
 def test_degree_12_transposition_within_default_budget():
     # the translation image holds a transposition, so the centralizer of
     # a seed in Sym(12) has 2 * 10! elements; only its semiregular part is
-    # ever built
+    # ever built.  The node count (frozen from this engine) pins the order
+    # in which the centralizer walks yield, at a size the order fuzz does
+    # not reach.
     g = build_text("gens[(0 1), (0 2 4 6 8 10)(1 3 5 7 9 11)]").group
     prob = stabilizer_problem(g)
     assert prob.degree == DEGREE_CAP
-    assert enumerate_regular_normalized(prob) == []
+    budget = NodeBudget()
+    assert enumerate_regular_normalized(prob, budget=budget) == []
+    assert budget.used == 86_721
+
+
+def test_degree_12_complement_node_count():
+    # every seed has fixed points and walks every cycle length; the node
+    # count is frozen from this engine, as above
+    prob = complement_problem("Hol(C(12))")
+    assert prob.degree == DEGREE_CAP
+    budget = NodeBudget()
+    assert len(enumerate_regular_normalized(prob, budget=budget)) == 6
+    assert budget.used == 103_706
 
 
 @pytest.mark.parametrize("group,types", [
