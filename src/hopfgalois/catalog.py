@@ -93,7 +93,14 @@ def type_from_orders(orders: list[int], abelian: bool) -> str | None:
     where they do not fix it.  They do for an abelian group, and for a
     nonabelian one of order < 16: S3, D4, Q8, D5, A4, D6, Dic3 and D7 are
     candidates with pairwise distinct orders (16 is the least order where
-    two groups share them: C4 x C4 and C2 x Q8)."""
+    two groups share them: C4 x C4 and C2 x Q8).  The answer is a function
+    of the multiset of orders and `abelian` alone, so it is kept per
+    (sorted orders, abelian) for the life of the process."""
+    return _type_from_sorted_orders(tuple(sorted(orders)), abelian)
+
+
+@functools.cache
+def _type_from_sorted_orders(orders: tuple[int, ...], abelian: bool) -> str | None:
     m = len(orders)
     if m > ISO_CAP:
         return None
@@ -106,7 +113,7 @@ def type_from_orders(orders: list[int], abelian: bool) -> str | None:
             return f"E({d},{len(inv)})"
         return " x ".join(f"C{d}" for d in inv)
     if m < 16:
-        return _nonabelian_by_order_statistics(m).get(tuple(sorted(orders)))
+        return _nonabelian_by_order_statistics(m).get(orders)
     return None
 
 

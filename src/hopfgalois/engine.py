@@ -232,6 +232,11 @@ class ExtensionProblem:
         a has as its class of 0 the minimal block holding B and a, and every
         block is reached by such steps from {0}.  (2) That partition joins a
         to a's whole class, so the points of a class give the same block.
+
+        Each root also holds its class's points as an int mask, one OR per
+        union, so a pass reads the block at 0 from the mask of 0's root.
+        `found` is keyed by that mask; a block's labels and frozenset are
+        built only when it is new.
         """
         n, gens = self.degree, [lam for lam, _ in self.generator_pairs()]
         def find(parent, a):
@@ -239,27 +244,30 @@ class ExtensionProblem:
                 parent[a] = a = parent[parent[a]]
             return a
 
-        found, systems = {frozenset([0]): None}, [list(range(n))]
+        found = {1: frozenset([0])}
+        systems = [(list(range(n)), [1 << b for b in range(n)])]
         bits = [1] + [0] * (n - 1)
-        for labels in systems:
+        for labels, masks in systems:
             for a in set(labels) - {labels[0]}:
-                parent, pending = labels.copy(), [(labels[0], a)]
-                parent[a] = labels[0]
+                parent, mask = labels.copy(), masks.copy()
+                parent[a], pending = labels[0], [(labels[0], a)]
+                mask[labels[0]] |= mask[a]
                 while pending:
                     u, v = pending.pop()
                     for g in gens:
                         x, y = find(parent, g[u]), find(parent, g[v])
                         if x != y:
                             parent[y] = x
+                            mask[x] |= mask[y]
                             pending.append((x, y))
-                joined = [find(parent, b) for b in range(n)]
-                block = frozenset(b for b, r in enumerate(joined) if r == joined[0])
-                if block not in found:
+                joined = mask[find(parent, 0)]
+                if joined not in found:
+                    block = frozenset(b for b in range(n) if joined >> b & 1)
                     for b in block:
                         bits[b] |= 1 << len(found)
-                    found[block] = None
-                    systems.append(joined)
-        return tuple(found), tuple(bits)
+                    found[joined] = block
+                    systems.append(([find(parent, b) for b in range(n)], mask))
+        return tuple(found.values()), tuple(bits)
 
 
 def coset_action(problem: ExtensionProblem) -> ExtensionProblem:
@@ -289,7 +297,7 @@ class HGStructure:
             orders = list(map(_cycle_length_at_0, key))
         except (IndexError, KeyError, TypeError) as error:
             raise ValueError("N is not a set of image tuples") from error
-        greedy = sorted(range(len(key)), key=lambda i: -orders[i])
+        greedy = sorted(range(len(key)), key=orders.__getitem__, reverse=True)
         self._picks = _regular_normalized([key[i] for i in greedy], problem.degree,
                                           problem.generator_pairs())
         if self._picks is None:
@@ -978,12 +986,25 @@ def _combine_atoms(atoms, n, budget):
     arrival cuts only joins that an earlier walk of the same group, from a
     start no higher, made before it.
 
-    A join is skipped before any product when p and a already hold two
-    distinct elements that agree on point 0: both lie in the join, so
-    `_closure` would return None.  It compares point masks, the bits t[0]
-    of a group's elements (p's once per walk).  p and a are semiregular,
-    one element per point covered, so |a & p| is at most the number of
-    points both cover, with equality iff none carries two elements.
+    A join is skipped before any product when p and a hold two distinct
+    elements that agree on point 0: both lie in the join, so `_closure`
+    would return None.  Two int tables, built once per call over the atoms
+    below order n, give all of p's candidates in one pass over p's
+    elements: bit j of `has[t]` is set when atom j holds the element t, and
+    bit j of `cover[x]` when atom j has an element that sends 0 to x.  For
+    t in p, bit j of `has[t] | ~cover[t[0]]` is clear iff atom j has an
+    element at t[0] other than t, so `ok`, the AND of these over p with
+    the bits below `start` cleared, holds exactly the atoms from `start` on
+    that clash with p nowhere, and the loop visits its bits in ascending
+    index.  p and a are semiregular, one element per point covered, so
+    |a & p| is at most the number of points both cover, with equality iff
+    no point carries two distinct elements: `ok` is the atoms that pass
+    (a_mask & p_mask).bit_count() == len(a & p), where a mask holds the
+    bits t[0] of a group's elements.  An atom inside p, or inside a
+    semiregular group that holds p, clashes with p nowhere, so no atom that
+    `ok` drops is read below.  And an atom a in `ok` lies inside p iff its
+    points do, since p's element at each of them is a's: `not a_mask &
+    ~p_mask`.
 
     A join is also read without a closure when p has an index-2 join q,
     one already closed from p with |q| = 2|p|, that holds a.  Then p < p v
@@ -998,6 +1019,14 @@ def _combine_atoms(atoms, n, budget):
             results.add(a)
         else:
             smaller.append((a, a_gens, sum(1 << t[0] for t in a)))
+    has: dict[tuple[int, ...], int] = {}
+    cover = [0] * n
+    for j, (a, _, _) in enumerate(smaller):
+        for t in a:
+            has[t] = has.get(t, 0) | 1 << j
+            cover[t[0]] |= 1 << j
+    clear = [~bits for bits in cover]
+    every = (1 << len(smaller)) - 1
     walked: set[frozenset] = set()
 
     def extend(p, p_gens, start):
@@ -1008,17 +1037,20 @@ def _combine_atoms(atoms, n, budget):
             return
         walked.add(p)
         p_doubles = []
-        p_mask = sum(1 << t[0] for t in p)
-        for j in range(start, len(smaller)):
+        ok, p_mask = every >> start << start, 0
+        for t in p:
+            ok &= has.get(t, 0) | clear[t[0]]
+            p_mask |= 1 << t[0]
+        while ok:
+            j = (ok & -ok).bit_length() - 1
+            ok &= ok - 1
             a, a_gens, a_mask = smaller[j]
-            if a <= p:
+            if not a_mask & ~p_mask:
                 continue
             for grown in p_doubles:
                 if a <= grown[0]:
                     break
             else:
-                if (a_mask & p_mask).bit_count() != len(a & p):
-                    continue
                 grown = _closure(p, p_gens, a_gens, n, budget)
                 if grown is None:
                     continue

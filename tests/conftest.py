@@ -105,10 +105,45 @@ def tuple_sets(lattice) -> list[frozenset]:
     return sorted(sets, key=lambda q: (len(q), sorted(q)))
 
 
+def reference_walk_blocks(prob: ExtensionProblem):
+    """(blocks, block_bits) as `ExtensionProblem._walk_blocks` gives them,
+    in its order: that walk with each block read from the labels of a
+    finished pass, as a frozenset, and no class masks."""
+    n, gens = prob.degree, [lam for lam, _ in prob.generator_pairs()]
+
+    def find(parent, a):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    found, systems = {frozenset([0]): None}, [list(range(n))]
+    bits = [1] + [0] * (n - 1)
+    for labels in systems:
+        for a in set(labels) - {labels[0]}:
+            parent, pending = labels.copy(), [(labels[0], a)]
+            parent[a] = labels[0]
+            while pending:
+                u, v = pending.pop()
+                for g in gens:
+                    x, y = find(parent, g[u]), find(parent, g[v])
+                    if x != y:
+                        parent[y] = x
+                        pending.append((x, y))
+            joined = [find(parent, b) for b in range(n)]
+            block = frozenset(b for b, r in enumerate(joined) if r == joined[0])
+            if block not in found:
+                for b in block:
+                    bits[b] |= 1 << len(found)
+                found[block] = None
+                systems.append(joined)
+    return tuple(found), tuple(bits)
+
+
 def assert_blocks_are_the_walked_ones(prob: ExtensionProblem) -> None:
-    """The blocks of a problem not read yet against `_walk_blocks`, their
-    oracle; and, at degree <= 12, the walk runs iff lambda(G) is
-    imprimitive: the suborbits of G' decide every primitive problem there."""
+    """The blocks of a problem not read yet, and those `_walk_blocks`
+    gives, against `reference_walk_blocks`, order and bits included; and,
+    at degree <= 12, the walk runs iff lambda(G) is imprimitive: the
+    suborbits of G' decide every primitive problem there."""
     assert prob._blocks is None
     walks = []
 
@@ -117,8 +152,11 @@ def assert_blocks_are_the_walked_ones(prob: ExtensionProblem) -> None:
         return ExtensionProblem._walk_blocks(prob)
 
     prob._walk_blocks = counted_walk
-    assert (prob.blocks, prob.block_bits) == ExtensionProblem._walk_blocks(prob)
+    read = prob.blocks, prob.block_bits
     del prob._walk_blocks
+    reference = reference_walk_blocks(prob)
+    assert read == reference
+    assert ExtensionProblem._walk_blocks(prob) == reference
     if prob.degree <= 12:
         assert bool(walks) == (len(prob.blocks) > 2)
 

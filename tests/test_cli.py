@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hopfgalois
 from hopfgalois import (ExtensionProblem, NodeBudget, classify,
                         dihedral, enumerate_via_transversal)
 from hopfgalois.cli import _parser, main
@@ -335,6 +340,24 @@ def test_canonical_json_is_byte_stable_across_runs(capsys):
     doc = json.loads(outputs.pop())
     assert "elapsed_s" not in doc["engine"]
     assert "nodes" not in doc["engine"]
+
+
+@pytest.mark.parametrize("row", ["D(5)", "E(2,3)"])
+def test_engine_counters_repeat_across_hash_seeds(row):
+    # the node count repeats from process to process: stage 2 walks the
+    # frozensets of image tuples it forms, whose hashes take no salt
+    src = str(Path(hopfgalois.__file__).resolve().parents[1])
+    docs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-m", "hopfgalois", "enumerate", row,
+                              "--galois", "--json"], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        doc = json.loads(run.stdout)
+        del doc["engine"]["elapsed_s"]
+        docs.append((doc["engine"], doc["structures"]))
+    assert docs[0] == docs[1]
+    assert docs[0][0]["nodes"] > 0
 
 
 def test_catalog_all(capsys):

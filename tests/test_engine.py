@@ -1029,20 +1029,30 @@ def unfiltered_combine(atoms, n, budget):
 
 
 def recorded_combine(m, atoms, n, budget):
-    """(results, formed) of `_combine_atoms`, with the engine's `_closure`
-    wrapped on the monkeypatch context `m` to record every group stage 2
-    formed: the atoms and each group a closure returned, which are the `q`
-    of `seen`."""
+    """(results, formed, closures) of `_combine_atoms`, with the engine's
+    `_closure` wrapped on the monkeypatch context `m` to record every group
+    stage 2 formed, the atoms and each group a closure returned, which are
+    the `q` of `seen`; and to count its calls."""
     formed, closure = {a for a, _ in atoms}, hopfgalois.engine._closure
+    calls = 0
 
     def recorded(*args):
+        nonlocal calls
+        calls += 1
         grown = closure(*args)
         if grown is not None:
             formed.add(grown[0])
         return grown
 
     m.setattr(hopfgalois.engine, "_closure", recorded)
-    return _combine_atoms(atoms, n, budget), formed
+    return _combine_atoms(atoms, n, budget), formed, calls
+
+
+# stage-2 closures in atom order, as the point-mask loop made them: the
+# candidate atoms read from element bitsets add and drop none
+STAGE_2_CLOSURES = {"corpus: E(2,3) --galois": 308, "corpus: D(4) --galois": 58,
+                    "corpus: C(2) x C(4) --galois": 41, "D(6) --galois": 299,
+                    "C(12) --galois": 10}
 
 
 @pytest.mark.parametrize("name", ORACLE_NAMES + sorted(DEGREE_12_ROWS))
@@ -1050,12 +1060,20 @@ def test_skipped_joins_match_the_unfiltered_loop(monkeypatch, name):
     prob = symmetry_problem(name)
     budget = NodeBudget(10**9)
     atoms, _ = _viable_atoms(prob, budget, _divisors(prob.degree))
-    assert recorded_combine(monkeypatch, atoms, prob.degree, budget) == \
-        unfiltered_combine(atoms, prob.degree, budget)
+    results, formed, closures = recorded_combine(monkeypatch, atoms,
+                                                 prob.degree, budget)
+    assert (results, formed) == unfiltered_combine(atoms, prob.degree, budget)
+    assert closures == STAGE_2_CLOSURES.get(name, closures)
 
 
-@pytest.mark.parametrize("name", ["corpus: D(4) --galois", "corpus: E(2,3) --galois",
-                                  "D(6) --galois"])
+# stage-2 closures under each of the three shuffles below, as the
+# point-mask loop made them
+SHUFFLED_CLOSURES = {"corpus: D(4) --galois": [82, 75, 72],
+                     "corpus: E(2,3) --galois": [418, 383, 378],
+                     "D(6) --galois": [376, 427, 382]}
+
+
+@pytest.mark.parametrize("name", list(SHUFFLED_CLOSURES))
 def test_first_arrival_walks_match_the_unfiltered_loop_in_any_atom_order(
         monkeypatch, name):
     # stage 2 walks a group at its first arrival only, whose start is the
@@ -1063,11 +1081,14 @@ def test_first_arrival_walks_match_the_unfiltered_loop_in_any_atom_order(
     prob = symmetry_problem(name)
     budget, rng = NodeBudget(10**9), random.Random(2)
     atoms, _ = _viable_atoms(prob, budget, _divisors(prob.degree))
+    counts = []
     for _ in range(3):
         rng.shuffle(atoms)
         with monkeypatch.context() as m:
-            assert recorded_combine(m, atoms, prob.degree, budget) == \
-                unfiltered_combine(atoms, prob.degree, budget), name
+            results, formed, calls = recorded_combine(m, atoms, prob.degree, budget)
+        assert (results, formed) == unfiltered_combine(atoms, prob.degree, budget)
+        counts.append(calls)
+    assert counts == SHUFFLED_CLOSURES[name]
 
 
 def element_scan_clash(p, a) -> bool:
@@ -1081,21 +1102,29 @@ def element_scan_clash(p, a) -> bool:
 def test_point_mask_clash_matches_the_element_scan(monkeypatch, name):
     # every state that stage 2 extends is a formed group below order n,
     # and it meets only the atoms below order n, so these pairs hold every
-    # (state, atom) pair that stage 2 tests
+    # (state, atom) pair that stage 2 tests; the point-mask test and the
+    # bit j of the AND of has[t] | ~cover[t[0]] over p (the candidates of
+    # `_combine_atoms`) both read the clash
     prob = symmetry_problem(name)
     n, budget = prob.degree, NodeBudget(10**9)
     atoms, _ = _viable_atoms(prob, budget, _divisors(prob.degree))
     with monkeypatch.context() as m:
-        _, formed = recorded_combine(m, atoms, n, budget)
+        _, formed, _ = recorded_combine(m, atoms, n, budget)
 
     def mask(group) -> int:
         return functools.reduce(operator.or_, (1 << t[0] for t in group))
 
     smaller = [a for a, _ in atoms if len(a) < n]
+    has, cover = Counter(), [0] * n
+    for j, a in enumerate(smaller):
+        for t in a:
+            has[t] |= 1 << j
+            cover[t[0]] |= 1 << j
     for p in (q for q in formed if len(q) < n):
-        for a in smaller:
+        ok = functools.reduce(operator.and_, (has[t] | ~cover[t[0]] for t in p))
+        for j, a in enumerate(smaller):
             clash = (mask(a) & mask(p)).bit_count() != len(a & p)
-            assert clash == element_scan_clash(p, a), name
+            assert clash == element_scan_clash(p, a) == (not ok >> j & 1), name
 
 
 def test_index_2_joins_are_closed_once(monkeypatch):
@@ -1104,15 +1133,8 @@ def test_index_2_joins_are_closed_once(monkeypatch):
     prob = ExtensionProblem.galois(elementary_abelian(2, 3))
     budget = NodeBudget(10**9)
     atoms, _ = _viable_atoms(prob, budget, _divisors(prob.degree))
-    calls = 0
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return _closure(*args)
-
-    monkeypatch.setattr(hopfgalois.engine, "_closure", counted)
-    results, formed = recorded_combine(monkeypatch, atoms, prob.degree, budget)
+    results, formed, calls = recorded_combine(monkeypatch, atoms, prob.degree,
+                                              budget)
     assert (len(results), len(formed)) == (106, 183)
     assert calls <= 350
 
