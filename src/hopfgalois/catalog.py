@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import math
 from typing import Callable
 
 from .errors import CapExceeded
-from .groups import (ISO_CAP, FiniteGroup, _fingerprint, _is_prime,
+from .groups import (ISO_CAP, FiniteGroup, _fingerprint, _is_prime, _totient,
                      alternating, are_isomorphic, cyclic, dicyclic, dihedral,
                      direct_product, elementary_abelian, holomorph,
                      invariant_factors, quaternion, semidirect_product,
@@ -33,10 +32,6 @@ def _cyclic_extension(n: FiniteGroup, k: int, act: Callable,
     for _ in range(k - 1):
         tables.append(compose(step, tables[-1]))
     return semidirect_product(n, cyclic(k), tables, name=name)
-
-
-def _totient(n: int) -> int:
-    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
 
 @functools.cache

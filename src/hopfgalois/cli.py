@@ -292,8 +292,9 @@ def _conjugation_identity_holds(n: FiniteGroup, aut: FiniteGroup,
 
 def _fixture_example6(_budget: NodeBudget, _args) -> list[dict]:
     # N = E(2,4) under an irreducible H in GL(4,2): its only H-invariant
-    # subspaces are 0 and N, so the translation structure is minimal.  No
-    # full search: degree 16 is over the default degree cap.
+    # subspaces are 0 and N, so the translation structure is minimal.  With
+    # --degree-cap 16 the search finds it as the one structure: lambda(G)
+    # is primitive, so stage 1 walks cycle length 2 alone.
     checks: list[dict] = []
     c5 = "[[0,0,0,1],[1,0,0,1],[0,1,0,1],[0,0,1,1]]"    # x^4+x^3+x^2+x+1
     c15 = "[[0,0,0,1],[1,0,0,1],[0,1,0,0],[0,0,1,0]]"   # x^4+x+1
@@ -381,8 +382,7 @@ def _parser() -> argparse.ArgumentParser:
     enum.add_argument("--json", action="store_true", help="machine-readable output")
     enum.add_argument("--canonical", action="store_true",
                       help="byte-stable JSON: drops the elapsed time and the "
-                           "engine counters (nodes, seeds, seeds_walked, walks, "
-                           "walks_skipped)")
+                           f"engine counters ({', '.join(NodeBudget().counters())})")
     enum.add_argument("--degree-cap", type=int, default=DEGREE_CAP, dest="degree_cap")
     enum.set_defaults(func=cmd_enumerate)
 

@@ -27,6 +27,12 @@ from .groups import (FiniteGroup, SubgroupRef, alternating, cyclic, dihedral,
 from .perms import compose, format_cycles, from_cycles
 
 
+# The integer families: constructor name -> (builder, number of arguments).
+_FAMILIES = {"C": (cyclic, 1), "D": (dihedral, 1), "S": (symmetric, 1),
+             "A": (alternating, 1), "Q": (quaternion, 1),
+             "E": (elementary_abelian, 2)}
+
+
 class DslError(ValueError):
     """Syntax or construction error, annotated with line and column."""
 
@@ -155,7 +161,7 @@ class _Parser:
             return factors[0]
         return Product(tuple(factors))
 
-    KNOWN = frozenset({"C", "D", "S", "A", "E", "Q", "SD", "Hol", "matgrp", "gens"})
+    KNOWN = frozenset({*_FAMILIES, "SD", "Hol", "matgrp", "gens"})
 
     def parse_term(self):
         t = self.peek()
@@ -273,6 +279,19 @@ def _int_args(call: Call, count: int) -> list[int]:
     return [a.value for a in call.args]
 
 
+def _matgrp_args(call: Call) -> tuple[int, int, MatrixList]:
+    """(p, k, matrices) of a matgrp(p, k, [matrices]) call, checked before
+    any is read: two integers, then one matrix or a list of them."""
+    args = call.args
+    mats = args[2] if len(args) == 3 else None
+    if isinstance(mats, Matrix):
+        mats = MatrixList((mats,))
+    if not (isinstance(mats, MatrixList) and isinstance(args[0], IntArg)
+            and isinstance(args[1], IntArg)):
+        raise _err("matgrp(p, k, [matrices]) expected")
+    return args[0].value, args[1].value, mats
+
+
 def _mat_mod(mat: Matrix, p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(v % p for v in row) for row in mat.rows)
 
@@ -364,19 +383,9 @@ def _build(expr) -> BuildResult:
         raise _err(f"expected a group expression, found {expr!r}")
 
     name = expr.name
-    if name == "C":
-        return BuildResult(cyclic(_int_args(expr, 1)[0]))
-    if name == "D":
-        return BuildResult(dihedral(_int_args(expr, 1)[0]))
-    if name == "S":
-        return BuildResult(symmetric(_int_args(expr, 1)[0]))
-    if name == "A":
-        return BuildResult(alternating(_int_args(expr, 1)[0]))
-    if name == "Q":
-        return BuildResult(quaternion(_int_args(expr, 1)[0]))
-    if name == "E":
-        p, k = _int_args(expr, 2)
-        return BuildResult(elementary_abelian(p, k))
+    if name in _FAMILIES:
+        family, count = _FAMILIES[name]
+        return BuildResult(family(*_int_args(expr, count)))
     if name == "Hol":
         if len(expr.args) != 1:
             raise _err("Hol() takes one group expression")
@@ -384,15 +393,7 @@ def _build(expr) -> BuildResult:
         group = holomorph(inner)
         return BuildResult(group, group.subgroup(group.distinguished))
     if name == "matgrp":
-        if (len(expr.args) != 3 or not isinstance(expr.args[0], IntArg)
-                or not isinstance(expr.args[1], IntArg)):
-            raise _err("matgrp(p, k, [matrices]) expected")
-        p, k = expr.args[0].value, expr.args[1].value
-        mats = expr.args[2]
-        if isinstance(mats, Matrix):
-            mats = MatrixList((mats,))
-        if not isinstance(mats, MatrixList):
-            raise _err("matgrp(p, k, [matrices]) expected")
+        p, k, mats = _matgrp_args(expr)
         elementary_abelian(p, k)  # validates p prime, k >= 1
         return BuildResult(_matrix_group(p, k, mats))
     if name == "SD":
@@ -404,11 +405,11 @@ def _build(expr) -> BuildResult:
         if not (isinstance(act_expr, Call) and act_expr.name == "matgrp"):
             raise _err("SD action must be a matrix group matgrp(p, k, [...])")
         p, k = _int_args(base_expr, 2)
-        ap, ak = act_expr.args[0].value, act_expr.args[1].value
+        ap, ak, mats = _matgrp_args(act_expr)
         if (p, k) != (ap, ak):
             raise _err(f"matgrp({ap},{ak}) does not act on E({p},{k})")
         base = elementary_abelian(p, k)
-        h = build(act_expr).group
+        h = _matrix_group(p, k, mats)
         group = semidirect_product(base, h, _matrix_tables(h, base, p, k))
         return BuildResult(group, group.subgroup(group.distinguished))
     raise _err(f"unknown constructor {name!r}")

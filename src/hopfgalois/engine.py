@@ -15,9 +15,10 @@ from collections.abc import KeysView
 from operator import add, itemgetter
 from typing import Iterable
 
-from .catalog import _totient, iso_type, type_from_orders
+from .catalog import iso_type, type_from_orders
 from .errors import BudgetExceeded, CapExceeded, NotNormalClosure
-from .groups import FiniteGroup, SubgroupRef, _is_prime, _iso_image_maps
+from .groups import (FiniteGroup, SubgroupRef, _divisors, _is_prime,
+                     _iso_image_maps, _prime_factors, _totient)
 from .perms import (compose, cycle_string, cycles, inverse,
                     uniform_cycle_length)
 
@@ -38,7 +39,7 @@ class NodeBudget:
     `seeds_walked`, one per class of those under the automorphisms the
     search found (see `_seed_maps`); and the centralizer walks, one per
     walked seed and cycle length: `walks` run and `walks_skipped` (see
-    `_walked_lengths`, and `_primitive_groups` for a primitive problem).
+    `_walked_lengths` and `_search_lengths`).
     `counters()` is the record of them that reports and the command line
     carry.
     """
@@ -491,22 +492,6 @@ def _regular_normalized(elements, n: int, gen_pairs) -> list[tuple[int, ...]] | 
 # -- the search ----------------------------------------------------------
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(2, n + 1) if n % d == 0]
-
-
-def _prime_factors(n: int) -> list[int]:
-    """The distinct primes dividing n, ascending."""
-    primes, q = [], 2
-    while q * q <= n:
-        if n % q == 0:
-            primes.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    return primes + [n] if n > 1 else primes
-
-
 def _orbit_bound(n: int, d: int) -> int:
     """U(d): at most this many elements lie in a kept stage-1 orbit of
     cycle length d at degree n (see `_walked_lengths`).  It is phi(d) when
@@ -891,8 +876,7 @@ def _close_under(found: dict, keys, maps, budget, carry) -> None:
 
 def _viable_atoms(problem: ExtensionProblem, budget: NodeBudget, lengths):
     """Stage 1: orbit inventory, seeded from centralizers, over the cycle
-    lengths `lengths`: the search passes every divisor of n, the primitive
-    route only p (see `_primitive_groups`).
+    lengths `lengths` (the search passes those of `_search_lengths`).
 
     Every translation-conjugation orbit of semiregular permutations whose
     cycles have a length in `lengths` and whose elements send point 0 to
@@ -1019,6 +1003,8 @@ def _combine_atoms(atoms, n, budget):
             results.add(a)
         else:
             smaller.append((a, a_gens, sum(1 << t[0] for t in a)))
+    if not smaller:  # no join to make, as on every primitive problem
+        return results
     has: dict[tuple[int, ...], int] = {}
     cover = [0] * n
     for j, (a, _, _) in enumerate(smaller):
@@ -1063,10 +1049,12 @@ def _combine_atoms(atoms, n, budget):
     return results
 
 
-def _primitive_groups(problem: ExtensionProblem, budget: NodeBudget):
-    """(groups, maps) for a problem whose lambda(G) is primitive, with
-    n = p^k or n < 60: every regular normalized N, from stage 1 alone, and
-    the maps of `_viable_atoms`.  Three facts make it exact.
+def _search_lengths(problem: ExtensionProblem) -> list[int]:
+    """The cycle lengths that stage 1 walks: every divisor of n, unless
+    lambda(G) is primitive (two blocks at point 0) and n = p^k or n < 60.
+    Then they are [p] when n = p^k and |G| divides |AGL(k,p)|, and none
+    otherwise, so that the search reads no image, no seed and no node.
+    Either way the search finds every regular normalized N, by five facts.
 
     (1) A minimal N is characteristically simple.  lambda(G) normalizes N,
     so conjugation by each lambda(g) is an automorphism of N, and every
@@ -1074,8 +1062,7 @@ def _primitive_groups(problem: ExtensionProblem, budget: NodeBudget):
     stable subgroup but 1 and N, so it is T^k for a simple T.  If n = p^k,
     |T| is a power of p, so T = C_p and N = E(p,k), for any n.  Otherwise T
     is nonabelian, so |T| >= 60: if n < 60 is not a prime power, there is
-    no minimal N, and the route returns nothing, with no image, no seed and
-    no node.
+    no minimal N.
 
     (2) A minimal N is one stage-1 atom.  The lambda(G)-orbit O of any
     t != 1 in N lies in N, so its elements send 0 to distinct points, and
@@ -1083,41 +1070,43 @@ def _primitive_groups(problem: ExtensionProblem, budget: NodeBudget):
     By (1), t has order p and, N being semiregular, every cycle of t has
     length p.  So O is a kept orbit of cycle length p, which stage 1 over
     that length alone meets (`_viable_atoms`, whose skip rule holds length
-    by length), and N is its atom, of order n.  Conversely an atom of order
-    n is regular and, generated by a stable set, normalized.  So no other
-    length is walked, and no atoms are joined (`_combine_atoms` is not
-    run).
+    by length), and N is its atom.
 
     (3) On a primitive problem every N is minimal.  The Galois
     correspondence maps the stable subgroups of N injectively into the
     blocks of lambda(G) at 0 (M -> M.0, see `HGStructure.stable_subgroups`).
     Primitive means those blocks are {0} and all the points only
     (`len(problem.blocks) == 2`), so N has at most two stable subgroups, 1
-    and N.  So the atoms of order n of (2) are every regular normalized N,
-    the whole answer of the search.
+    and N.  So by (2) every N is an atom at length p.
 
     (4) A minimal N bounds |G|.  By (1) it is E(p,k), and it is regular,
     so its normalizer in Sym(n) is Hol(N) = AGL(k,p), of order
     n (n - 1)(n - p) ... (n - p^(k-1)).  lambda(G) normalizes N and lambda
     is faithful (G' is core-free), so |G| divides that order.  When it
-    does not, there is no minimal N, and the route returns nothing with no
-    image, no seed and no node.  At k = 1 this is Childs' (1989) test: |G|
-    divides p(p - 1).  Here and in (1), where the suborbits of G' show
-    lambda(G) primitive (`ExtensionProblem._read_blocks`, always at prime
-    degree), no generator of G is read either.
+    does not, there is no minimal N.  At k = 1 this is Childs' (1989)
+    test: |G| divides p(p - 1).  Here and in (1), where the suborbits of
+    G' show lambda(G) primitive (`ExtensionProblem._read_blocks`, always
+    at prime degree), no generator of G is read either.
+
+    (5) On a primitive problem every atom has order n, so `_combine_atoms`
+    returns the atoms as they are.  An atom A is a lambda(G)-stable
+    semiregular group, so lambda(G) permutes the orbits of A, which are
+    therefore blocks.  Primitivity leaves them single points or all the
+    points, and A != 1 is semiregular, so no element but 1 fixes 0: A is
+    transitive, hence regular, of order n.  Conversely an atom of order n
+    is regular and, generated by a stable set, normalized.
     """
     n = problem.degree
     primes = _prime_factors(n)
+    if len(problem.blocks) > 2 or (n >= 60 and len(primes) > 1):
+        return _divisors(n)
     if len(primes) > 1:
-        return [], []
+        return []
     agl, q = n, 1
     while q < n:
         agl *= n - q
         q *= primes[0]
-    if agl % len(problem.group):
-        return [], []
-    atoms, maps = _viable_atoms(problem, budget, primes)
-    return [a for a, _ in atoms if len(a) == n], maps
+    return [] if agl % len(problem.group) else primes
 
 
 def enumerate_regular_normalized(problem: ExtensionProblem, *,
@@ -1131,30 +1120,24 @@ def enumerate_regular_normalized(problem: ExtensionProblem, *,
     reads its lattice like any other; N's `FiniteGroup` is built only
     where its type is computed.
 
-    When lambda(G) is primitive (two blocks at point 0) and n is a prime
-    power p^k or below 60, the structures are stage 1's atoms of order n
-    at cycle length p, and stage 2 is not run: every N is then a minimal
-    E(p,k), or there is none, as when |G| does not divide |AGL(k,p)| (see
-    `_primitive_groups`).  Otherwise the search runs both stages.
-
-    Stage 1 walks one seed per class of cyclic subgroups of prime order
-    (see `_prime_order_translations`), each over the cycle lengths `_walked_lengths`
-    gives.  For a Galois problem, it walks one seed per class under some
-    automorphisms of G and maps the atoms found to the others (see
-    `_viable_atoms`).  An N that `_tuple_type` does not type is typed by
-    `iso_type` once per orbit of those maps: conjugation by phibar is an
-    isomorphism from N to phibar N phibar^-1.
+    Every problem takes the one route: stage 1 walks one seed per class of
+    cyclic subgroups of prime order (see `_prime_order_translations`),
+    each over the cycle lengths of `_search_lengths` that `_walked_lengths`
+    gives, and stage 2 joins the atoms found (`_combine_atoms`).  For a
+    Galois problem, it walks one seed per class under some automorphisms
+    of G and maps the atoms found to the others (see `_viable_atoms`).  An
+    N that `_tuple_type` does not type is typed by `iso_type` once per
+    orbit of those maps: conjugation by phibar is an isomorphism from N to
+    phibar N phibar^-1.
     """
     n = problem.degree
     if n > degree_cap:
         raise CapExceeded(f"enumeration capped at degree {degree_cap}, got {n}")
     if budget is None:
         budget = NodeBudget()
-    if len(problem.blocks) == 2 and (n < 60 or len(_prime_factors(n)) == 1):
-        groups, maps = _primitive_groups(problem, budget)
-    else:
-        atoms, maps = _viable_atoms(problem, budget, _divisors(n))
-        groups = _combine_atoms(atoms, n, budget)
+    lengths = _search_lengths(problem)
+    atoms, maps = _viable_atoms(problem, budget, lengths) if lengths else ([], [])
+    groups = _combine_atoms(atoms, n, budget)
     type_of: dict[frozenset, str] = {}
     structures = []
     for fs in groups:

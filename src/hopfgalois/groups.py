@@ -26,6 +26,18 @@ SUBGROUP_CAP = 200
 ISO_CAP = 200
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending."""
+    primes, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return primes + [n] if n > 1 else primes
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -35,6 +47,18 @@ def _is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def _divisors(n: int) -> list[int]:
+    """The divisors d > 1 of n, ascending."""
+    return [d for d in range(2, n + 1) if n % d == 0]
+
+
+def _totient(n: int) -> int:
+    """Euler's phi(n) = n (1 - 1/p) (1 - 1/q) ... over the primes of n."""
+    for p in _prime_factors(n):
+        n -= n // p
+    return n
 
 
 def generated(gens: Iterable, identity, mul: Callable) -> dict:
@@ -312,25 +336,29 @@ class FiniteGroup:
         onto itself, sorted by (order, member set).
 
         A stable subgroup is the join of the closures of the orbits of
-        `maps` on its elements, and each such closure is stable; so the
-        orbit closures are joined until no new subgroup appears.  Each
-        subgroup keeps its generators, and a join of a and b grows a by
-        the generators of b.
+        `maps` on its elements (the atoms), and each such closure is
+        stable; so the atoms are joined depth first, a join of a and b
+        growing a by the generators of b.  A subgroup reached with start s
+        is walked once, at its first arrival, and joined only with the
+        atoms of index >= s not inside it: the rule of
+        `engine._combine_atoms`, whose docstring proves that it loses no
+        subgroup.
         """
-        atoms = dict(self._grow((0,), (), orbit) for orbit in self._orbits(maps))
-        subs = dict(atoms)
-        frontier = list(atoms)
-        while frontier:
-            new = []
-            for a in frontier:
-                for b, b_gens in atoms.items():
-                    if b <= a:
-                        continue
-                    j, j_gens = self._grow(a, subs[a], b_gens)
-                    if j not in subs:
-                        subs[j] = j_gens
-                        new.append(j)
-            frontier = new
+        atoms = list(dict(self._grow((0,), (), orbit)
+                          for orbit in self._orbits(maps)).items())
+        subs: dict[frozenset[int], tuple[int, ...]] = {}
+
+        def extend(a, a_gens, start):
+            if a in subs:
+                return
+            subs[a] = a_gens
+            for j in range(start, len(atoms)):
+                b, b_gens = atoms[j]
+                if not b <= a:
+                    extend(*self._grow(a, a_gens, b_gens), j + 1)
+
+        for j, (a, a_gens) in enumerate(atoms):
+            extend(a, a_gens, j + 1)
         refs = [SubgroupRef(self, s, _checked=True) for s in subs]
         refs.sort(key=lambda r: r.sort_key())
         return refs
@@ -750,13 +778,7 @@ def invariant_factors(orders: list[int]) -> tuple[int, ...]:
     p-part is at least p^j; so step j multiplies the r largest factors by p.
     """
     factors: list[int] = []  # descending
-    rest, p = len(orders), 2
-    while rest > 1:
-        if rest % p:
-            p += 1
-            continue
-        while rest % p == 0:
-            rest //= p
+    for p in _prime_factors(len(orders)):
         below, q = 1, p
         while True:
             count = sum(1 for o in orders if q % o == 0)

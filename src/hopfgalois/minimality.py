@@ -160,13 +160,10 @@ def classify(problem: ExtensionProblem, *, degree_cap: int = DEGREE_CAP,
              budget: NodeBudget | None = None) -> ClassificationReport:
     """Enumerate the structures of the problem and classify each one.
 
-    When lambda(G) is primitive (`intermediate_count` is 2), every
-    structure is minimal and of type E(p,k) with n = p^k: the search then
-    walks stage 1 at cycle length p alone and runs no stage 2, and when
-    n < 60 is not a prime power it answers with no search at all (see
-    `engine._primitive_groups`).  Otherwise the search
-    (`enumerate_regular_normalized`) walks one stage-1 seed per
-    conjugacy class of cyclic subgroups of prime order.  It uses the
+    The search (`enumerate_regular_normalized`) walks one stage-1 seed
+    per conjugacy class of cyclic subgroups of prime order, over the cycle
+    lengths of `engine._search_lengths`, which also says why a primitive
+    problem needs only one length, or none.  It uses the
     automorphisms of G as a symmetry for Galois problems only: there it
     walks one seed per class under the maps it finds.  Each seed skips the
     cycle lengths whose orbits a larger prime's seed meets.  The answers are

@@ -277,6 +277,19 @@ def test_exit_code_budget_not_positive(capsys, monkeypatch, raw):
     assert "exhausted" not in err
 
 
+def test_exit_code_malformed_sd_action():
+    # SD checks its action's arguments before it reads p and k from them,
+    # so a malformed matgrp(...) is a usage error, not a Python traceback
+    src = str(Path(hopfgalois.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-m", "hopfgalois", "enumerate",
+                          "SD(E(2,2), matgrp())", "--complement"],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1 and run.stdout == ""
+    assert run.stderr.startswith("error: matgrp(p, k, [matrices]) expected")
+    assert "Traceback" not in run.stderr
+
+
 def test_exit_code_syntax_error(capsys):
     code, _, err = run(capsys, "enumerate", "Hol(E(3,2)", "--galois")
     assert code == 1
@@ -327,7 +340,8 @@ def test_help_names_what_canonical_drops(capsys):
     assert code == 0
     canonical = " ".join(out.split("--canonical")[-1].split("--degree-cap")[0].split())
     assert "elapsed time" in canonical
-    assert all(key in canonical for key in NodeBudget().counters())
+    counters = canonical.split("engine counters (")[1].split(")")[0]
+    assert counters.split(", ") == list(NodeBudget().counters())
 
 
 def test_canonical_json_is_byte_stable_across_runs(capsys):

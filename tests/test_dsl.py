@@ -188,6 +188,11 @@ def test_sd_shape_validation():
         build_text("SD(C(4), matgrp(2,2,[[[1,1],[1,0]]]))")
     with pytest.raises(DslError, match="does not act"):
         build_text("SD(E(2,2), matgrp(3,2,[[[0,1],[-1,0]]]))")
+    # the action's own arguments are checked before p and k are read
+    for text in ("SD(E(2,2), matgrp())", "SD(E(2,2), matgrp(2))",
+                 "SD(E(2,2), matgrp(C(2), 2, [[[1,0],[0,1]]]))"):
+        with pytest.raises(DslError, match=r"matgrp\(p, k, \[matrices\]\) expected"):
+            build_text(text)
 
 
 def test_gens_build():

@@ -24,14 +24,15 @@ from hopfgalois.catalog import _nonabelian_candidates, iso_type
 from hopfgalois.cli import _problem
 from hopfgalois.engine import (DEGREE_CAP, _closure, _combine_atoms,
                                _conj_orbit, _core, _cosets, _cycle_length_at_0,
-                               _divisors, _orbit_bound, _prime_factors,
+                               _orbit_bound,
                                _prime_order, _prime_order_translations,
-                               _primitive_groups, _regular_normalized,
+                               _regular_normalized, _search_lengths,
                                _seed_maps, _semiregular_centralizer,
                                _stable_fibers,
                                _semiregular_tuples, _tuple_type,
                                _viable_atoms, _walked_lengths)
-from hopfgalois.groups import (_is_automorphism_map, _is_prime, _iso_image_maps,
+from hopfgalois.groups import (_divisors, _is_automorphism_map, _is_prime,
+                               _iso_image_maps, _prime_factors,
                                are_isomorphic, generated)
 from hopfgalois.perms import (compose, cycle_string, inverse,
                               uniform_cycle_length)
@@ -678,29 +679,46 @@ def test_atoms_match_the_every_walk_on_random_transitive_groups(group):
     budget = NodeBudget(10**9)
     atoms, _ = _viable_atoms(prob, budget, _divisors(prob.degree))
     assert [a for a, _ in atoms] == every_walk_atoms(prob, budget)
+    if len(prob.blocks) == 2:  # primitive: every atom is regular
+        assert all(len(a) == prob.degree for a, _ in atoms)
+
+
+def searched_groups(prob, budget, lengths) -> set:
+    """The search's groups, as sorted keys, from stage 1 over `lengths`
+    (none when empty) and stage 2."""
+    atoms, _ = _viable_atoms(prob, budget, lengths) if lengths else ([], [])
+    return {tuple(sorted(fs)) for fs in _combine_atoms(atoms, prob.degree, budget)}
 
 
 def assert_route_matches_the_search(prob):
-    """The primitive route's groups against the full search (stage 1 over
-    every length, then stage 2) and, at degree <= 8, the transversal
-    engine: on any problem its minimal groups are the search's minimal
-    ones, and on a primitive problem it is the search's whole answer."""
+    """The groups found over the lengths of `_search_lengths` against the
+    search over every length and, at degree <= 8, the transversal engine:
+    the same on every problem, and on a primitive one all minimal.  At
+    n = p^k the atoms of order n at length p alone are found too, with the
+    same minimal groups (facts (1) and (2), on any problem)."""
     n, budget = prob.degree, NodeBudget(10**9)
-    route, _ = _primitive_groups(prob, budget)
-    atoms, _ = _viable_atoms(prob, budget, _divisors(n))
-    engines = [{tuple(sorted(fs)) for fs in _combine_atoms(atoms, n, budget)}]
+    lengths, every = _search_lengths(prob), _divisors(n)
+    engines = [searched_groups(prob, budget, every)]
+    route = engines[0] if lengths == every else searched_groups(prob, budget, lengths)
     if n <= 8:
         engines.append(set(enumerate_via_transversal(prob, budget=budget)))
-    route = {tuple(sorted(fs)) for fs in route}
+    primes = _prime_factors(n)
+    if lengths == primes:  # primitive: the route is those atoms (fact (5))
+        at_p = route
+    else:
+        atoms, _ = _viable_atoms(prob, budget, primes)
+        at_p = {tuple(sorted(a)) for a, _ in atoms if len(a) == n}
 
     def minimal(keys):
         return {key for key in keys if _stable_fibers(prob, key).bit_count() == 2}
 
     for found in engines:
-        assert route <= found
-        assert minimal(route) == minimal(found)
+        assert route == found
+        if len(primes) == 1:
+            assert at_p <= found
+            assert minimal(at_p) == minimal(found)
         if len(prob.blocks) == 2:
-            assert route == found == minimal(found)
+            assert found == minimal(found)
 
 
 PRIMITIVE_ROUTE_ROWS = {
@@ -719,15 +737,19 @@ def test_primitive_route_matches_the_search(name):
 
 def test_primitive_route_rows_cover_both_kinds():
     # the rows above hold 22 primitive problems, (prime power degree, has
-    # a structure): with structures at degrees 2 to 9, none for S(5) (a
-    # catalog and a corpus row), A(5), S(7), A(7) and the order-168 group
-    # on points, and no search for A(6) on a point and S(5) at degree 10
+    # a structure): with structures at degrees 2 to 9, walked at cycle
+    # length p alone; none, and no length walked, for S(5) (a catalog and
+    # a corpus row), A(5), S(7), A(7) and the order-168 group on points,
+    # refused by |AGL(k,p)|, and for A(6) on a point and S(5) at degree 10
     kinds = Counter()
     for build in PRIMITIVE_ROUTE_ROWS.values():
         prob = build()
         if len(prob.blocks) == 2:
-            kinds[len(_prime_factors(prob.degree)) == 1,
-                  bool(_primitive_groups(prob, NodeBudget(10**9))[0])] += 1
+            lengths = _search_lengths(prob)
+            primes = _prime_factors(prob.degree)
+            found = searched_groups(prob, NodeBudget(10**9), lengths)
+            assert lengths == (primes if found else [])
+            kinds[len(primes) == 1, bool(found)] += 1
     assert kinds == {(True, True): 14, (True, False): 6, (False, False): 2}
 
 

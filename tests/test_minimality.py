@@ -124,7 +124,8 @@ def test_classify_does_not_rebuild_lattices(monkeypatch):
     # every lattice is read through the blocks: with the route through
     # conj_action and stable_subgroups shut, classify still answers; the
     # action marks its blocks once, each structure reads its fibers once,
-    # and _combine_atoms runs once, as the search's stage 2
+    # and _combine_atoms runs once, as the search's stage 2, on every
+    # problem, primitive and refused ones included
     def shut(*args, **kwargs):
         raise AssertionError("classify rebuilt a sub-Hopf lattice")
 
@@ -156,6 +157,17 @@ def test_classify_does_not_rebuild_lattices(monkeypatch):
     assert len(intermediate_subgroups(prob)) == 16
     assert {correspondence_stats(s)[1] for s in rep.structures} == {16}
     assert tables == [(prob,)]
+    # Hol(E(3,2)) is primitive, with one structure; A(6) on a point is
+    # refused (6 < 60 is no prime power): no image, no seed, no join
+    closures = counted(hopfgalois.engine, "_closure")
+    for prob, count in [(complement_problem("Hol(E(3,2))"), 1),
+                        (stabilizer_problem(alternating(6)), 0)]:
+        combines.clear()
+        closures.clear()
+        rep = classify(prob)
+        assert len(combines) == 1 and rep.structure_count == count
+    assert prob._image is None and rep.engine["seeds"] == 0 and closures == []
+    assert combines[0][0] == []
 
 
 def test_classify_and_the_cli_build_no_fiber_set(monkeypatch, capsys):
