@@ -33,13 +33,12 @@ class NodeBudget:
     One node is one permutation product or conjugation computed inside the
     search; each backtrack of `_seed_maps` for an automorphism, found or
     not, costs one node per seed.  Exhaustion is always loud, never a
-    silent truncation.  It also
-    counts the stage-1 seeds: `seeds`, one per conjugacy class of cyclic
-    subgroups of prime order (see `_prime_order_translations`), and
-    `seeds_walked`, one per class of those under the automorphisms the
-    search found (see `_seed_maps`); and the centralizer walks, one per
-    walked seed and cycle length: `walks` run and `walks_skipped` (see
-    `_walked_lengths` and `_search_lengths`).
+    silent truncation.  It also counts the stage-1 seeds: `seeds`, one per
+    conjugacy class of cyclic subgroups of prime order (see
+    `_prime_order_translations`), and `seeds_walked`, one per class of
+    those under the automorphisms the search found (see `_seed_maps`); and
+    the centralizer walks, one per walked seed and cycle length: `walks`
+    run and `walks_skipped` (see `_walked_lengths` and `_search_lengths`).
     `counters()` is the record of them that reports and the command line
     carry.
     """
@@ -885,8 +884,8 @@ def _viable_atoms(problem: ExtensionProblem, budget: NodeBudget, lengths):
     of such atoms over all lengths.  Returns (atoms, maps):
     the (atom, its generators) pairs, sorted by atom, where an atom reached
     from several orbits keeps the generators of the first; and the maps
-    (phibar, phibar^-1) that `_seed_maps` kept.  It adds to the budget's four
-    stage-1 counters.
+    (phibar, phibar^-1) that `_seed_maps` kept, both empty, with no image
+    and no seed, when `lengths` is.  It adds to the four stage-1 counters.
 
     The orbits are found from seeds lambda(x) for one x of prime order p
     per class of the cyclic groups <x> of G (see
@@ -904,9 +903,9 @@ def _viable_atoms(problem: ExtensionProblem, budget: NodeBudget, lengths):
     walk run and each length skipped, by that rule or by `lengths`.
     Conjugation keeps cycle type, so every orbit lies in one length, and
     `visited` holds elements of the walked lengths only.  No orbit is
-    walked twice: a walk adds every
-    element it met to `visited`, whether its orbit is kept or dropped (see
-    `_conj_orbit`), and an element in `visited` starts no walk.
+    walked twice: a walk adds every element it met to `visited`, whether
+    its orbit is kept or dropped (see `_conj_orbit`), and an element in
+    `visited` starts no walk.
 
     For a Galois problem, one seed is walked per class under the maps
     phibar (see `_seed_maps`), and the atoms found are closed
@@ -918,6 +917,8 @@ def _viable_atoms(problem: ExtensionProblem, budget: NodeBudget, lengths):
     so the closure also holds the atoms of every seed left unwalked.  Other
     problems walk every seed and find no map.
     """
+    if not lengths:
+        return [], []
     n, order = problem.degree, len(problem.group)
     trivial = frozenset([tuple(range(n))])
     seeds, class_of, kinds = _prime_order_translations(problem)
@@ -1136,7 +1137,7 @@ def enumerate_regular_normalized(problem: ExtensionProblem, *,
     if budget is None:
         budget = NodeBudget()
     lengths = _search_lengths(problem)
-    atoms, maps = _viable_atoms(problem, budget, lengths) if lengths else ([], [])
+    atoms, maps = _viable_atoms(problem, budget, lengths)
     groups = _combine_atoms(atoms, n, budget)
     type_of: dict[frozenset, str] = {}
     structures = []

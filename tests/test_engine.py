@@ -685,38 +685,48 @@ def test_atoms_match_the_every_walk_on_random_transitive_groups(group):
 
 def searched_groups(prob, budget, lengths) -> set:
     """The search's groups, as sorted keys, from stage 1 over `lengths`
-    (none when empty) and stage 2."""
-    atoms, _ = _viable_atoms(prob, budget, lengths) if lengths else ([], [])
+    and stage 2."""
+    atoms, _ = _viable_atoms(prob, budget, lengths)
     return {tuple(sorted(fs)) for fs in _combine_atoms(atoms, prob.degree, budget)}
+
+
+def minimal_candidates(prob, budget) -> set:
+    """Every minimal N by facts (1), (2) and (4) of `_search_lengths`, on
+    any problem of degree below 60, primitive or not: none when n is no
+    prime power or |G| does not divide |AGL(k,p)|, else the atoms of order
+    n that stage 1 meets at cycle length p alone."""
+    n, primes = prob.degree, _prime_factors(prob.degree)
+    assert n < 60 or len(primes) == 1
+    agl, q = n, 1
+    while q < n:
+        agl *= n - q
+        q *= primes[0]
+    if len(primes) > 1 or agl % len(prob.group):
+        return set()
+    atoms, _ = _viable_atoms(prob, budget, primes)
+    return {tuple(sorted(a)) for a, _ in atoms if len(a) == n}
 
 
 def assert_route_matches_the_search(prob):
     """The groups found over the lengths of `_search_lengths` against the
     search over every length and, at degree <= 8, the transversal engine:
-    the same on every problem, and on a primitive one all minimal.  At
-    n = p^k the atoms of order n at length p alone are found too, with the
-    same minimal groups (facts (1) and (2), on any problem)."""
+    the same on every problem, and on a primitive one all minimal.  On
+    every problem the minimal groups of each are `minimal_candidates`'."""
     n, budget = prob.degree, NodeBudget(10**9)
     lengths, every = _search_lengths(prob), _divisors(n)
     engines = [searched_groups(prob, budget, every)]
     route = engines[0] if lengths == every else searched_groups(prob, budget, lengths)
     if n <= 8:
         engines.append(set(enumerate_via_transversal(prob, budget=budget)))
-    primes = _prime_factors(n)
-    if lengths == primes:  # primitive: the route is those atoms (fact (5))
-        at_p = route
-    else:
-        atoms, _ = _viable_atoms(prob, budget, primes)
-        at_p = {tuple(sorted(a)) for a, _ in atoms if len(a) == n}
+    candidates = minimal_candidates(prob, budget)
 
     def minimal(keys):
         return {key for key in keys if _stable_fibers(prob, key).bit_count() == 2}
 
     for found in engines:
         assert route == found
-        if len(primes) == 1:
-            assert at_p <= found
-            assert minimal(at_p) == minimal(found)
+        assert candidates <= found
+        assert minimal(candidates) == minimal(found)
         if len(prob.blocks) == 2:
             assert found == minimal(found)
 
